@@ -201,6 +201,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: input nested too deeply to analyse (recursion limit reached)", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import json
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .lts import Lts
@@ -88,6 +88,12 @@ class EventStructureGen:
         object.__setattr__(self, "_gens_by_target", by_target)
         object.__setattr__(self, "_conflict_sets", conflict_sets)
 
+    @cached_property
+    def play_index(self) -> PlayIndex:
+        """The bitmask view used to play the structure, built on first use:
+        most structures ``denote`` builds are never played."""
+        return PlayIndex(self)
+
     # -- lookups ------------------------------------------------------------
 
     @property
@@ -120,6 +126,59 @@ class EventStructureGen:
 
     def conflicts_of(self, event_id: str) -> frozenset[str]:
         return frozenset(self._conflict_sets.get(event_id, ()))
+
+
+class PlayIndex:
+    """Configurations of one structure as bitmasks.
+
+    Bit ``i`` stands for ``ids[i]``, in :func:`id_sort_key` order, so
+    walking a mask from its lowest bit lists events in sorted order.  Every
+    generator is kept, inert ones included, so :meth:`playable` answers
+    for any history exactly as the set-based definition does.
+    """
+
+    __slots__ = ("ids", "bit", "_rules")
+
+    def __init__(self, es: EventStructureGen) -> None:
+        self.ids = tuple(sorted(es.event_ids, key=id_sort_key))
+        self.bit = {eid: 1 << i for i, eid in enumerate(self.ids)}
+        # (bit, bit | conflict mask, premise masks) for every event with a
+        # generator; an event without one is never playable
+        self._rules = tuple(
+            (
+                self.bit[eid],
+                self.bit[eid] | self.mask(es.conflicts_of(eid)),
+                tuple(map(self.mask, premises)),
+            )
+            for eid, premises in es._gens_by_target.items()
+        )
+
+    def mask(self, ids) -> int:
+        """The configuration holding ``ids``; ids of other structures never
+        occur in a premise or a conflict, so they are ignored."""
+        out = 0
+        for eid in ids:
+            out |= self.bit.get(eid, 0)
+        return out
+
+    def members(self, mask: int) -> list[str]:
+        """The event ids in ``mask``, in sorted order."""
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(self.ids[low.bit_length() - 1])
+            mask ^= low
+        return out
+
+    def playable(self, fired: int) -> int:
+        """The playability rule: an event can extend ``fired`` when it has
+        not fired, conflicts with nothing fired, and some generator premise
+        of it has fully fired."""
+        out = 0
+        for bit, blocked, premises in self._rules:
+            if not fired & blocked and any(not premise & ~fired for premise in premises):
+                out |= bit
+        return out
 
 
 def make_es(events, conflicts=(), gens=()) -> EventStructureGen:
@@ -156,16 +215,8 @@ def enabled(es: EventStructureGen, history, event_id: str) -> bool:
 def playable(es: EventStructureGen, history) -> frozenset[str]:
     """Events that can extend a play with the given conflict-free past:
     enabled, not yet fired and not conflicted by anything fired."""
-    hist = frozenset(history)
-    out = set()
-    for event in es.events:
-        if event.id in hist:
-            continue
-        if any(other in hist for other in es.conflicts_of(event.id)):
-            continue
-        if any(premise <= hist for premise in es.premises_of(event.id)):
-            out.add(event.id)
-    return frozenset(out)
+    index = es.play_index
+    return frozenset(index.members(index.playable(index.mask(history))))
 
 
 # ---------------------------------------------------------------------------
@@ -222,39 +273,34 @@ def canonical_key(es: EventStructureGen) -> str:
 
 
 def ets(es: EventStructureGen, step_bound: int = 10**5, relabel: bool = False) -> Lts:
-    """The transition system whose states are remainders and whose edges fire
-    initially enabled events.
+    """The transition system whose states are the reachable configurations
+    and whose edges fire one playable event.
 
-    Edge labels are event ids, or the events' action labels when
-    ``relabel`` is set.  States are deduplicated by canonical form;
-    ``step_bound`` caps the number of states, setting the truncation flag.
+    A state is named by its fired event ids in sorted order, such as
+    ``{e1,e5}``; the initial state is ``{}``.  Edge labels are event ids,
+    or the events' action labels when ``relabel`` is set.  ``step_bound``
+    caps the number of states, setting the truncation flag.
     """
     if step_bound <= 0:
         raise ValueError("step bound must be positive")
-    start_key = canonical_key(es)
-    states: dict[str, EventStructureGen] = {start_key: es}
+    index = es.play_index
+    labels = {eid: str(es.label_of(eid)) if relabel else eid for eid in index.ids}
+    names = {0: "{}"}
     edges: set[tuple[str, str, str]] = set()
     truncated = False
-    queue = deque([start_key])
+    queue = deque([0])
     while queue:
-        key = queue.popleft()
-        current = states[key]
-        for event_id in sorted(playable(current, ()), key=id_sort_key):
-            nxt = remainder(current, event_id)
-            nkey = canonical_key(nxt)
-            if nkey not in states:
-                if len(states) >= step_bound:
+        fired = queue.popleft()
+        for event_id in index.members(index.playable(fired)):
+            nxt = fired | index.bit[event_id]
+            if nxt not in names:
+                if len(names) >= step_bound:
                     truncated = True
                     continue
-                states[nkey] = nxt
-                queue.append(nkey)
-            label = str(current.label_of(event_id)) if relabel else event_id
-            edges.add((key, label, nkey))
-    display = {
-        key: "{" + ",".join(sorted((e.id for e in st.events), key=id_sort_key)) + "}"
-        for key, st in states.items()
-    }
-    return Lts(frozenset(states), start_key, frozenset(edges), truncated, display)
+                names[nxt] = "{" + ",".join(index.members(nxt)) + "}"
+                queue.append(nxt)
+            edges.add((names[fired], labels[event_id], names[nxt]))
+    return Lts(frozenset(names.values()), "{}", frozenset(edges), truncated)
 
 
 def event_action_map(es: EventStructureGen) -> dict[str, str]:

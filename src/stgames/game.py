@@ -12,6 +12,12 @@ A finite play is fair for a strategy exactly when the final prescription is
 empty, so the game engine treats every empty-prescription point as a
 possible stop, including stops where other participants still have enabled
 events; whoever still has a playable event at a stop is culpable there.
+
+The engine's play state is the configuration reached, a bitmask over the
+original structure (:class:`~stgames.estructure.PlayIndex`), and its memo is
+keyed on that configuration alone: what is left to play depends only on
+the set of fired events, not on their order, and the owner has succeeded
+exactly when the configuration holds one of their ``✓`` events.
 """
 
 from __future__ import annotations
@@ -19,13 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .denote import DEFAULT_UNROLL_DEPTH, denote, denote_par
-from .estructure import (
-    EventStructureGen,
-    canonical_key,
-    id_sort_key,
-    playable,
-    remainder,
-)
+from .estructure import EventStructureGen, PlayIndex, id_sort_key, playable
 from .syntax import SessionType, assert_valid, is_recursive
 
 SUCCESS_PAYOFF = "success"
@@ -125,8 +125,6 @@ def is_play(es: EventStructureGen, sequence) -> bool:
     """True when each event is playable after its predecessors."""
     history: set[str] = set()
     for event_id in sequence:
-        if event_id not in es.event_ids:
-            return False
         if event_id not in playable(es, history):
             return False
         history.add(event_id)
@@ -229,16 +227,6 @@ def is_fair(play, strategy: Strategy, contract: Contract) -> bool:
 # Innocence, winning
 # ---------------------------------------------------------------------------
 
-def _pending(es: EventStructureGen, history: frozenset[str], event_id: str) -> bool:
-    # an unmet obligation: some premise satisfied, event neither fired nor
-    # discharged by a conflicting occurrence
-    if event_id in history:
-        return False
-    if any(other in history for other in es.conflicts_of(event_id)):
-        return False
-    return any(premise <= history for premise in es.premises_of(event_id))
-
-
 def innocent(play, participant: str, es: EventStructureGen) -> bool:
     """No obligation of the participant arises and stays undischarged.
 
@@ -247,12 +235,9 @@ def innocent(play, participant: str, es: EventStructureGen) -> bool:
     later in the play.
     """
     seq = assert_play(es, play)
-    own = sorted(es.events_of(participant), key=id_sort_key)
+    own = es.events_of(participant)
     for i in range(len(seq) + 1):
-        history = frozenset(seq[:i])
-        for event_id in own:
-            if not _pending(es, history, event_id):
-                continue
+        for event_id in playable(es, seq[:i]) & own:
             rest = seq[i:]
             discharged = any(
                 later == event_id or es.in_conflict(later, event_id) for later in rest
@@ -317,37 +302,16 @@ class GameVerdict:
         }
 
 
-@dataclass(frozen=True)
-class _Arena:
-    """Play-state view of a contract used by the game search."""
-
-    contract: Contract
-    participant: str
-
-    def own_moves(self, es: EventStructureGen) -> list[str]:
-        own = self.contract.es.events_of(self.participant)
-        return sorted(playable(es, ()) & own, key=id_sort_key)
-
-    def other_moves(self, es: EventStructureGen) -> list[str]:
-        own = self.contract.es.events_of(self.participant)
-        return sorted(playable(es, ()) - own, key=id_sort_key)
-
-    def stop_wins(self, es: EventStructureGen, succeeded: bool) -> bool:
-        """Win check at an empty-prescription stop, from the remainder alone.
-
-        A participant is culpable at the stop exactly when they still have
-        a playable event; when nobody does, the stop is maximal and the
-        owner needs the payoff."""
-        moves = playable(es, ())
-        if any(self.contract.es.participant_of(e) == self.participant for e in moves):
-            return False
-        if moves:
-            return True
-        return succeeded
-
-
-def _initial_state(contract: Contract) -> EventStructureGen:
-    return contract.es
+def _arena(contract: Contract, participant: str) -> tuple[PlayIndex, int, int]:
+    """The structure's play index and the masks of the owner's events and
+    of the owner's ``✓`` events."""
+    if participant not in contract.payoffs:
+        raise ValueError(f"no payoff defined for {participant}")
+    es = contract.es
+    index = es.play_index
+    own = index.mask(es.events_of(participant))
+    ticks = index.mask(e.id for e in es.events if e.participant == participant and e.label.is_tick)
+    return index, own, ticks
 
 
 def eager_winning(contract: Contract, participant: str) -> GameVerdict:
@@ -356,33 +320,28 @@ def eager_winning(contract: Contract, participant: str) -> GameVerdict:
     Explores all plays (every play conforms to the eager strategy); at each
     point where the owner has nothing playable, the play may fairly stop
     and must then be winning.  Returns the first losing stopping point as a
-    counterexample, found depth-first in sorted event order.
+    counterexample, found depth-first in sorted event order, the owner's
+    moves first.
     """
-    if participant not in contract.payoffs:
-        raise ValueError(f"no payoff defined for {participant}")
-    arena = _Arena(contract, participant)
-    ticks = frozenset(
-        e.id for e in contract.es.events if e.participant == participant and e.label.is_tick
-    )
-    safe: set[tuple[str, bool]] = set()
+    index, own, ticks = _arena(contract, participant)
+    safe: set[int] = set()
 
-    def search(es: EventStructureGen, succeeded: bool, trail: tuple[str, ...]):
-        key = (canonical_key(es), succeeded)
-        if key in safe:
+    def search(fired: int, trail: tuple[str, ...]):
+        if fired in safe:
             return None
-        own = arena.own_moves(es)
-        if not own and not arena.stop_wins(es, succeeded):
+        moves = index.playable(fired)
+        # with no own move the play may stop; anyone with a move is then
+        # culpable, so only a maximal play without the payoff loses
+        if not moves and not fired & ticks:
             return trail
-        for move in own + arena.other_moves(es):
-            failure = search(
-                remainder(es, move), succeeded or move in ticks, trail + (move,)
-            )
+        for move in index.members(moves & own) + index.members(moves & ~own):
+            failure = search(fired | index.bit[move], trail + (move,))
             if failure is not None:
                 return failure
-        safe.add(key)
+        safe.add(fired)
         return None
 
-    failure = search(_initial_state(contract), False, ())
+    failure = search(0, ())
     return GameVerdict(
         participant, "eager",
         winning=failure is None,
@@ -425,52 +384,44 @@ def find_winning_strategy(contract: Contract, participant: str) -> ExplicitStrat
     At each state the owner either stops (legal only if the stop wins) or
     prescribes one playable event; every opposing move must stay winning
     regardless.  A single prescribed event per state suffices: prescribing
-    more only adds proof obligations.  Memoisation is on the remainder
-    structure plus whether the owner has already succeeded, which is all
-    the win predicates depend on.
+    more only adds proof obligations.  Memoisation is on the configuration
+    reached, which fixes everything the win predicates depend on.
     """
-    if participant not in contract.payoffs:
-        raise ValueError(f"no payoff defined for {participant}")
-    arena = _Arena(contract, participant)
-    ticks = frozenset(
-        e.id for e in contract.es.events if e.participant == participant and e.label.is_tick
-    )
-    memo: dict[tuple[str, bool], str | None | bool] = {}
+    index, own, ticks = _arena(contract, participant)
+    memo: dict[int, str | None] = {}
 
-    def win(es: EventStructureGen, succeeded: bool):
-        """Returns False, or the winning move for the owner ('' = stop)."""
-        key = (canonical_key(es), succeeded)
-        if key in memo:
-            return memo[key]
-        memo[key] = False  # cycle-safe default; plays are finite so unused
-        result: str | bool = False
-        if all(
-            win(remainder(es, move), succeeded) is not False
-            for move in arena.other_moves(es)
-        ):
-            if arena.stop_wins(es, succeeded):
+    def win(fired: int) -> str | None:
+        """None when the owner loses, else the winning move ('' = stop)."""
+        if fired in memo:
+            return memo[fired]
+        moves = index.playable(fired)
+        result = None
+        if all(win(fired | index.bit[move]) is not None for move in index.members(moves & ~own)):
+            # a stop wins when someone else is culpable or the play is
+            # maximal with the owner's payoff
+            if not moves & own and (moves or fired & ticks):
                 result = ""
             else:
-                for move in arena.own_moves(es):
-                    if win(remainder(es, move), succeeded or move in ticks) is not False:
-                        result = move
-                        break
-        memo[key] = result
+                result = next(
+                    (move for move in index.members(moves & own)
+                     if win(fired | index.bit[move]) is not None),
+                    None,
+                )
+        memo[fired] = result
         return result
 
-    if win(_initial_state(contract), False) is False:
+    if win(0) is None:
         return None
 
     # replay the winning policy over every conforming play to print a table
     table: dict[tuple[str, ...], frozenset[str]] = {}
 
-    def replay(es: EventStructureGen, succeeded: bool, prefix: tuple[str, ...]) -> None:
-        choice = win(es, succeeded)
-        prescription = frozenset() if choice in ("", False) else frozenset({choice})
-        table[prefix] = prescription
-        moves = sorted(prescription, key=id_sort_key) + arena.other_moves(es)
-        for move in moves:
-            replay(remainder(es, move), succeeded or move in ticks, prefix + (move,))
+    def replay(fired: int, prefix: tuple[str, ...]) -> None:
+        choice = win(fired)
+        prescription = [choice] if choice else []
+        table[prefix] = frozenset(prescription)
+        for move in prescription + index.members(index.playable(fired) & ~own):
+            replay(fired | index.bit[move], prefix + (move,))
 
-    replay(_initial_state(contract), False, ())
+    replay(0, ())
     return ExplicitStrategy(participant, table)

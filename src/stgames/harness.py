@@ -388,10 +388,13 @@ def corpus_pair(spec: CorpusSpec, index: int) -> tuple[SessionType, SessionType]
 
 @dataclass(frozen=True)
 class CorrespondenceReport:
+    """One pair's verdicts; ``contract`` is the composed game, kept for reuse, not in the JSON."""
+
     compliance: ComplianceVerdict
     eager: GameVerdict
     agree: bool
     bounded: bool
+    contract: Contract
     strategy_found: bool | None = None
 
     def to_json(self) -> dict:
@@ -433,7 +436,7 @@ def correspondence_check(p: SessionType, q: SessionType,
     strategy_found: bool | None = None
     if check_corollary and compliance.is_compliant:
         strategy_found = find_winning_strategy(contract, a) is not None
-    return CorrespondenceReport(compliance, eager, agree, bounded, strategy_found)
+    return CorrespondenceReport(compliance, eager, agree, bounded, contract, strategy_found)
 
 
 @dataclass
@@ -488,17 +491,18 @@ def run_corpus(spec: CorpusSpec, state_limit: int = DEFAULT_STATE_LIMIT,
                 "detail": detail,
             })
 
-        reduction = check_compliance(p, q, state_limit)
+        report = correspondence_check(
+            p, q, spec.unroll_depth, state_limit=state_limit,
+            check_corollary=check_corollary,
+        )
+        # an unbounded report already holds the untruncated reduction verdict
+        reduction = check_compliance(p, q, state_limit) if report.bounded else report.compliance
         turn = check_compliance_turn(p, q, state_limit)
         if reduction.status == turn.status and reduction.status != "indeterminate":
             summary.checker_agreements += 1
         else:
             fail("compliance-checkers", f"reduction says {reduction.status}, turn-based says {turn.status}")
 
-        report = correspondence_check(
-            p, q, spec.unroll_depth, state_limit=state_limit,
-            check_corollary=check_corollary,
-        )
         if report.agree:
             summary.correspondence_agreements += 1
         else:
@@ -511,9 +515,8 @@ def run_corpus(spec: CorpusSpec, state_limit: int = DEFAULT_STATE_LIMIT,
             else:
                 fail("winning-strategy-existence", "compliant pair without a winning strategy")
 
-        contract = compose_session_contracts(p, "A", q, "B", spec.unroll_depth)
         ts = turn_lts(p, q, state_limit)
-        es_lts = contract_ets(contract, state_limit)
+        es_lts = contract_ets(report.contract, state_limit)
         bound = bounded_bisim_depth(p, q, spec.unroll_depth)
         if ts.truncated or es_lts.truncated:
             fail("bisimulation", "state limit hit; systems not fully explored")

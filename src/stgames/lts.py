@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -10,16 +10,13 @@ class Lts:
     """Finite LTS with opaque string state keys and string edge labels.
 
     ``truncated`` records that exploration hit a state or step limit, so the
-    system shown here is only a prefix of the real one.  ``display`` maps
-    state keys to a human-readable form for DOT export; it does not take
-    part in equality.
+    system shown here is only a prefix of the real one.
     """
 
     states: frozenset[str]
     initial: str
     edges: frozenset[tuple[str, str, str]]
     truncated: bool = False
-    display: dict[str, str] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.initial not in self.states:
@@ -38,7 +35,7 @@ class Lts:
     def relabel(self, mapping: dict[str, str]) -> Lts:
         """Replace each edge label through ``mapping`` (identity if absent)."""
         edges = frozenset((src, mapping.get(label, label), dst) for src, label, dst in self.edges)
-        return Lts(self.states, self.initial, edges, self.truncated, self.display)
+        return Lts(self.states, self.initial, edges, self.truncated)
 
     def has_cycle(self) -> bool:
         adjacency: dict[str, list[str]] = {s: [] for s in self.states}
@@ -73,10 +70,9 @@ class Lts:
         index = {s: i for i, s in enumerate(sorted(self.states, key=lambda s: order[s]))}
         lines = [f"digraph {name} {{", "  rankdir=LR;"]
         for state in sorted(self.states, key=lambda s: index[s]):
-            shown = self.display.get(state, state) if self.display else state
             shape = "doublecircle" if state == self.initial else "circle"
             lines.append(
-                f'  n{index[state]} [label="s{index[state]}" shape={shape} tooltip="{_dot_escape(shown)}"];'
+                f'  n{index[state]} [label="s{index[state]}" shape={shape} tooltip="{_dot_escape(state)}"];'
             )
         for src, label, dst in sorted(self.edges):
             shown = edge_label.get(label, label) if edge_label else label

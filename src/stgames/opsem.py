@@ -192,7 +192,7 @@ def _explore(config: Configuration, semantics: str, state_limit: int) -> _Explor
                 parents[nkey] = (key, label)
                 queue.append(nkey)
             edges.add((key, label, nkey))
-    lts = Lts(frozenset(seen), start, frozenset(edges), truncated, {k: k for k in seen})
+    lts = Lts(frozenset(seen), start, frozenset(edges), truncated)
     return _Exploration(lts, frozenset(stuck), parents, seen)
 
 

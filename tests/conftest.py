@@ -5,7 +5,8 @@ the enabling relation is materialised as an explicit set, the remainder
 and ordering are evaluated on those sets, and the game search is replayed
 over raw play trees without memoisation.  Tests freeze expected values
 computed by these oracles; the oracles never call the code paths they
-check.
+check.  The reference game engine plays on rebuilt remainders memoised by
+canonical key, the design the configuration-indexed engine replaced.
 """
 
 from __future__ import annotations
@@ -15,7 +16,14 @@ from itertools import chain, combinations
 
 import pytest
 
-from stgames.estructure import Event, EventStructureGen, make_es
+from stgames.estructure import (
+    Event,
+    EventStructureGen,
+    canonical_key,
+    id_sort_key,
+    make_es,
+    remainder,
+)
 from stgames.syntax import TICK, inp, out, parse
 
 # ---------------------------------------------------------------------------
@@ -193,3 +201,91 @@ def brute_force_agreement(contract, participant) -> bool:
         return any(win(prefix + (move,)) for move in sorted(moves & own_ids))
 
     return win(())
+
+
+# ---------------------------------------------------------------------------
+# Reference game engine: remainder states memoised by canonical key
+# ---------------------------------------------------------------------------
+
+def _reference_arena(contract, participant):
+    """Owner moves, opponent moves and the stop-win check on a remainder.
+
+    A remainder's initial events are the targets of its empty premises, so
+    this never calls ``playable``."""
+    own = contract.es.events_of(participant)
+    ticks = frozenset(
+        e.id for e in contract.es.events if e.participant == participant and e.label.is_tick
+    )
+
+    def moves(es):
+        ready = frozenset(target for premise, target in es.gens if not premise)
+        return sorted(ready & own, key=id_sort_key), sorted(ready - own, key=id_sort_key)
+
+    def stop_wins(es, succeeded):
+        mine, others = moves(es)
+        return not mine and (bool(others) or succeeded)
+
+    return ticks, moves, stop_wins
+
+
+def reference_eager_winning(contract, participant):
+    from stgames.game import GameVerdict
+
+    ticks, moves, stop_wins = _reference_arena(contract, participant)
+    safe = set()
+
+    def search(es, succeeded, trail):
+        key = (canonical_key(es), succeeded)
+        if key in safe:
+            return None
+        mine, others = moves(es)
+        if not mine and not stop_wins(es, succeeded):
+            return trail
+        for move in mine + others:
+            failure = search(remainder(es, move), succeeded or move in ticks, trail + (move,))
+            if failure is not None:
+                return failure
+        safe.add(key)
+        return None
+
+    failure = search(contract.es, False, ())
+    return GameVerdict(participant, "eager", failure is None, failure, contract.bounded_depth)
+
+
+def reference_find_winning_strategy(contract, participant):
+    from stgames.game import ExplicitStrategy
+
+    ticks, moves, stop_wins = _reference_arena(contract, participant)
+    memo = {}
+
+    def win(es, succeeded):
+        """False, or the winning move ('' = stop)."""
+        key = (canonical_key(es), succeeded)
+        if key not in memo:
+            mine, others = moves(es)
+            result = False
+            if all(win(remainder(es, move), succeeded) is not False for move in others):
+                if stop_wins(es, succeeded):
+                    result = ""
+                else:
+                    result = next(
+                        (move for move in mine
+                         if win(remainder(es, move), succeeded or move in ticks) is not False),
+                        False,
+                    )
+            memo[key] = result
+        return memo[key]
+
+    if win(contract.es, False) is False:
+        return None
+    table = {}
+
+    def replay(es, succeeded, prefix):
+        choice = win(es, succeeded)
+        prescription = [choice] if choice else []
+        table[prefix] = frozenset(prescription)
+        for move in prescription + moves(es)[1]:
+            replay(remainder(es, move), succeeded or move in ticks, prefix + (move,))
+
+    replay(contract.es, False, ())
+    return ExplicitStrategy(participant, table)

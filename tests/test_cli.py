@@ -135,6 +135,19 @@ def test_output_byte_stable():
     second = run(["export", *EXAMPLE, "--what", "es"])
     assert first == second
     assert run(["check", *EXAMPLE]) == run(["check", *EXAMPLE])
+    assert run(["export", *EXAMPLE, "--what", "ets"]) == run(["export", *EXAMPLE, "--what", "ets"])
+
+
+def test_deeply_nested_type_exit_two(capsys):
+    code, _ = run(["check", "!a." * 3000 + "1", "?a"])
+    assert code == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_deep_unroll_exit_two(capsys):
+    code, _ = run(["agree", "rec x . !a.x", "rec y . ?a.y", "--depth", "400"])
+    assert code == 2
+    assert "nested too deeply" in capsys.readouterr().err
 
 
 def test_corpus_command():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    all_plays,
     conflict_free_raw,
     es_leq_oracle,
     exhaustive_tiny_structures,
@@ -28,6 +29,7 @@ from stgames.estructure import (
     es_lub,
     es_to_json,
     ets,
+    id_sort_key,
     make_es,
     playable,
     remainder,
@@ -211,6 +213,14 @@ def test_ets_relabelled(example_composed):
 def test_ets_respects_step_bound(example_composed):
     lts = ets(example_composed, step_bound=3)
     assert lts.truncated
+
+
+def test_ets_states_are_the_reachable_configurations(small_structures):
+    for es in small_structures:
+        configurations = {frozenset(play) for play in all_plays(es)}
+        assert set(ets(es).states) == {
+            "{" + ",".join(sorted(fired, key=id_sort_key)) + "}" for fired in configurations
+        }
 
 
 def test_every_event_fires_at_most_once(small_structures):

@@ -6,7 +6,13 @@ import random
 
 import pytest
 
-from conftest import all_plays, brute_force_agreement, random_structure
+from conftest import (
+    all_plays,
+    brute_force_agreement,
+    random_structure,
+    reference_eager_winning,
+    reference_find_winning_strategy,
+)
 from stgames.denote import denote
 from stgames.estructure import EMPTY_ES, Event, make_es, playable
 from stgames.game import (
@@ -27,6 +33,7 @@ from stgames.game import (
     strategy_failures,
     winning_play,
 )
+from stgames.harness import CorpusSpec, corpus_pair
 from stgames.syntax import TICK, out, parse
 
 
@@ -345,3 +352,27 @@ def test_empty_play_is_losing_fair_stop_for_mismatched_inputs():
     verdict = eager_winning(contract, "A")
     assert not verdict.winning
     assert verdict.counterexample == ()
+
+
+def _engine_inputs(family, small_structures):
+    if family == "small":
+        return [Contract(es, {"A": "success", "B": "success"}) for es in small_structures]
+    spec = (
+        CorpusSpec(seed=42, count=100) if family == "finite"
+        else CorpusSpec(seed=42, count=20, allow_recursion=True, unroll_depth=4)
+    )
+    contracts = []
+    for index in range(spec.count):
+        p, q = corpus_pair(spec, index)
+        contracts.append(compose_session_contracts(p, "A", q, "B", spec.unroll_depth))
+    return contracts
+
+
+@pytest.mark.parametrize("family", ["small", "finite", "recursive"])
+def test_engine_matches_remainder_reference(family, small_structures):
+    for contract in _engine_inputs(family, small_structures):
+        for who in ("A", "B"):
+            assert eager_winning(contract, who) == reference_eager_winning(contract, who)
+            found = find_winning_strategy(contract, who)
+            expected = reference_find_winning_strategy(contract, who)
+            assert (found and found.to_json()) == (expected and expected.to_json())
