@@ -155,8 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("server", help="server session type (inline text or @file)")
             p.add_argument("--participants", nargs=2, default=("A", "B"), metavar=("A", "B"),
                            help="participant names (default: A B)")
-        p.add_argument("--depth", type=int, default=DEFAULT_UNROLL_DEPTH,
-                       help="recursion unroll depth (default: %(default)s)")
+            p.add_argument("--depth", type=int, default=DEFAULT_UNROLL_DEPTH,
+                           help="recursion unroll depth (default: %(default)s)")
         p.add_argument("--limit", type=int, default=DEFAULT_STATE_LIMIT,
                        help="state limit for explorations (default: %(default)s)")
         p.add_argument("--format", choices=("json", "text"), default="json")

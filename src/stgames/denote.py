@@ -1,10 +1,12 @@
 """Compiling session types to event structures.
 
 Sequential compilation gives every action prefix and every success position
-one event.  A prefix event is enabled by nothing and takes over the
-enabling of the events its continuation could start with, so each branch
-compiles to a causal chain; the branches of one choice conflict pairwise on
-their first events.  Recursion is compiled as a finite approximant of the
+one event.  One walk of the term accumulates the events, conflicts and
+generators of the whole structure, which is built and validated once at
+the end.  The walk passes down the premise of the events a subterm can
+start with: empty at the top, the prefix event below a prefix.  So each
+branch compiles to a causal chain; the branches of one choice conflict
+pairwise on their first events.  Recursion is compiled as a finite approximant of the
 fixpoint: the body is unfolded a bounded number of times, the variable
 mapping to the next (deeper) copy and finally to the empty structure.
 
@@ -30,10 +32,10 @@ exclusive branches are inert.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, field
+from itertools import combinations, product
 
-from .estructure import EMPTY_ES, Event, EventStructureGen, id_sort_key, make_es
+from .estructure import Event, EventStructureGen, id_sort_key
 from .syntax import (
     TICK,
     ExternalChoice,
@@ -84,119 +86,93 @@ def _positions(term: SessionType) -> tuple[dict[tuple, int], dict[tuple, int]]:
     return events, variables
 
 
-def _prefix(event: Event, cont: EventStructureGen) -> EventStructureGen:
-    """Prefix an event onto a compiled continuation.
-
-    The new event is initially enabled and becomes the premise of the
-    continuation's formerly initial events; deeper enablings keep their own
-    premises, which matches the chain-shaped structures the composition
-    rules and the worked examples are stated over.
-    """
-    if event.id in cont.event_ids:
-        raise DenoteError(f"event id {event.id} already used")
-    gens = {(frozenset(), event.id)}
-    for premise, target in cont.gens:
-        gens.add((premise if premise else frozenset({event.id}), target))
-    return EventStructureGen(cont.events | {event}, cont.conflicts, frozenset(gens))
-
-
-def _initials(es: EventStructureGen) -> frozenset[str]:
-    return frozenset(target for premise, target in es.gens if not premise)
-
-
-def _choice(branch_structures: list[EventStructureGen]) -> EventStructureGen:
-    events: set[Event] = set()
-    ids: set[str] = set()
-    conflicts: set[frozenset[str]] = set()
-    gens = set()
-    for es in branch_structures:
-        overlap = ids & set(es.event_ids)
-        if overlap:
-            raise DenoteError(f"branches share event ids {sorted(overlap)}")
-        ids |= es.event_ids
-        events |= es.events
-        conflicts |= es.conflicts
-        gens |= es.gens
-    for i, first in enumerate(branch_structures):
-        for second in branch_structures[i + 1:]:
-            for a in _initials(first):
-                for b in _initials(second):
-                    conflicts.add(frozenset({a, b}))
-    return EventStructureGen(frozenset(events), frozenset(conflicts), frozenset(gens))
-
-
 @dataclass
 class _Compiler:
+    """One walk of a term, accumulating the events, conflicts and generators
+    of its structure.
+
+    ``under`` is the premise of the events a subterm can start with: empty
+    at the top, the prefix event below a prefix.  A recursion binding is the
+    data ``(var, body, body_path, env, depth)``; :meth:`fix` unrolls it at
+    the binder and at each use.
+    """
+
     who: str
     positions: dict[tuple, int]
     var_positions: dict[tuple, int]
     start: int
     depth: int
     step: int = 2
+    events: dict[str, Event] = field(default_factory=dict)
+    conflicts: set[frozenset[str]] = field(default_factory=set)
+    gens: set[tuple[frozenset[str], str]] = field(default_factory=set)
 
     def event_id(self, path: tuple, copy: tuple[int, ...]) -> str:
         base = self.start + self.step * self.positions[path]
         return f"e{base}" + "".join(f"@{k}" for k in copy)
 
+    def add(self, event: Event) -> None:
+        if event.id in self.events:
+            raise DenoteError(f"event id {event.id} already used")
+        self.events[event.id] = event
+
+    def add_initial(self, path: tuple, copy: tuple[int, ...], label, under: frozenset[str]) -> str:
+        event = Event(self.event_id(path, copy), self.who, label)
+        self.add(event)
+        self.gens.add((under, event.id))
+        return event.id
+
     def compile(self, term: SessionType, path: tuple, copy: tuple[int, ...],
-                env: dict) -> EventStructureGen:
+                env: dict, under: frozenset[str]) -> None:
         if isinstance(term, Success):
-            event = Event(self.event_id(path, copy), self.who, TICK)
-            return make_es([event], (), [((), event.id)])
-        if isinstance(term, Term0):
-            return EMPTY_ES
-        if isinstance(term, Var):
+            self.add_initial(path, copy, TICK, under)
+        elif isinstance(term, Term0):
+            pass
+        elif isinstance(term, Var):
             try:
                 binding = env[term.name]
             except KeyError:
                 raise DenoteError(f"free variable {term.name}") from None
             if isinstance(binding, EventStructureGen):
-                return binding
-            return binding.instantiate(self.var_positions[path], copy)
-        if isinstance(term, (InternalChoice, ExternalChoice)):
-            branches = []
+                for event in binding.events:
+                    self.add(event)
+                self.conflicts |= binding.conflicts
+                self.gens.update((premise or under, target) for premise, target in binding.gens)
+            else:
+                self.fix(binding, copy + (self.var_positions[path],), under)
+        elif isinstance(term, (InternalChoice, ExternalChoice)):
+            # each branch starts with its prefix event alone, so the branches
+            # conflict pairwise on those
+            firsts = []
             for i, (label, cont) in enumerate(term.branches):
-                cont_es = self.compile(cont, path + (i, "c"), copy, env)
-                event = Event(self.event_id(path + (i,), copy), self.who, label)
-                branches.append(_prefix(event, cont_es))
-            return _choice(branches)
-        if isinstance(term, Rec):
-            return self.fix(term.var, term.body, path + ("r",), copy, env)
-        raise DenoteError(f"cannot compile {term!r}")
+                first = self.add_initial(path + (i,), copy, label, under)
+                self.compile(cont, path + (i, "c"), copy, env, frozenset({first}))
+                firsts.append(first)
+            self.conflicts.update(frozenset(pair) for pair in combinations(firsts, 2))
+        elif isinstance(term, Rec):
+            self.fix((term.var, term.body, path + ("r",), env, self.depth), copy, under)
+        else:
+            raise DenoteError(f"cannot compile {term!r}")
 
-    def fix(self, var: str, body: SessionType, body_path: tuple, copy: tuple[int, ...],
-            env: dict) -> EventStructureGen:
-        if self.depth <= 0:
-            return EMPTY_ES
+    def fix(self, binding: tuple, copy: tuple[int, ...], under: frozenset[str]) -> None:
+        """Unroll a recursion binding once more, if its depth allows.
+
+        The variable maps to the next, shallower binding, resolved in the
+        environment of the binder.  Each use site passes its own ``copy``
+        chain, so copies reached along different occurrences never share
+        events.
+        """
+        var, body, body_path, env, depth = binding
+        if depth <= 0:
+            return
         inner = dict(env)
-        inner[var] = _RecBinding(self, var, body, body_path, dict(env), self.depth - 1)
-        return self.compile(body, body_path, copy, inner)
+        inner[var] = (var, body, body_path, env, depth - 1)
+        self.compile(body, body_path, copy, inner, under)
 
-
-@dataclass
-class _RecBinding:
-    """A recursion variable bound to the next approximant.
-
-    Each use site instantiates its own copy of the body, one level deeper
-    and tagged with the occurrence that reached it, so copies reached along
-    different occurrence chains never share events.
-    """
-
-    compiler: _Compiler
-    var: str
-    body: SessionType
-    body_path: tuple
-    env: dict
-    remaining: int
-
-    def instantiate(self, occurrence: int, copy: tuple[int, ...]) -> EventStructureGen:
-        if self.remaining <= 0:
-            return EMPTY_ES
-        inner = dict(self.env)
-        inner[self.var] = _RecBinding(
-            self.compiler, self.var, self.body, self.body_path, self.env, self.remaining - 1
+    def structure(self) -> EventStructureGen:
+        return EventStructureGen(
+            frozenset(self.events.values()), frozenset(self.conflicts), frozenset(self.gens)
         )
-        return self.compiler.compile(self.body, self.body_path, copy + (occurrence,), inner)
 
 
 def _check_env(env: dict[str, EventStructureGen] | None, who: str) -> dict[str, EventStructureGen]:
@@ -217,7 +193,9 @@ def denote(term: SessionType, who: str, env: dict[str, EventStructureGen] | None
     ``parity`` picks the id stream: ``odd`` (e1, e3, ...) for the first
     participant and ``even`` (e2, e4, ...) for the second.  ``unroll_depth``
     bounds every recursion; the result at a deeper bound extends the result
-    at a shallower one.
+    at a shallower one.  A structure bound in ``env`` is placed under the
+    prefix that reaches its variable; each may be used once, since a second
+    use would repeat its event ids.
     """
     if unroll_depth < 0:
         raise DenoteError("unroll depth must be non-negative")
@@ -228,7 +206,8 @@ def denote(term: SessionType, who: str, env: dict[str, EventStructureGen] | None
                           + "; ".join(str(v) for v in problems))
     positions, var_positions = _positions(term)
     compiler = _Compiler(who, positions, var_positions, PARITY_START[parity], unroll_depth)
-    return compiler.compile(term, (), (), env)
+    compiler.compile(term, (), (), env, frozenset())
+    return compiler.structure()
 
 
 def fix_approx(var: str, body: SessionType, who: str,
@@ -239,17 +218,7 @@ def fix_approx(var: str, body: SessionType, who: str,
     Depth 0 is the empty structure; depth n+1 compiles the body with the
     variable bound to the depth-n approximant, placed one unrolling deeper.
     """
-    if depth < 0:
-        raise DenoteError("depth must be non-negative")
-    env = _check_env(env, who)
-    term = Rec(var, body)
-    problems = [v for v in validate(term, bound=frozenset(env)) if v.rule != "runtime-only-term"]
-    if problems:
-        raise DenoteError(f"cannot compile invalid type {pretty(term)}: "
-                          + "; ".join(str(v) for v in problems))
-    positions, var_positions = _positions(term)
-    compiler = _Compiler(who, positions, var_positions, PARITY_START[parity], depth)
-    return compiler.fix(var, body, ("r",), (), env)
+    return denote(Rec(var, body), who, env, depth, parity)
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ class EventStructureGen:
         for premise, target in self.gens:
             if target not in by_id:
                 raise ValueError(f"enabling targets unknown event {target}")
-            unknown = premise - by_id.keys()
+            unknown = [eid for eid in premise if eid not in by_id]
             if unknown:
                 raise ValueError(f"enabling premise mentions unknown events {sorted(unknown)}")
             by_target.setdefault(target, []).append(premise)

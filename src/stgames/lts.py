@@ -32,11 +32,6 @@ class Lts:
     def successors(self, state: str) -> list[tuple[str, str]]:
         return sorted((label, dst) for src, label, dst in self.edges if src == state)
 
-    def relabel(self, mapping: dict[str, str]) -> Lts:
-        """Replace each edge label through ``mapping`` (identity if absent)."""
-        edges = frozenset((src, mapping.get(label, label), dst) for src, label, dst in self.edges)
-        return Lts(self.states, self.initial, edges, self.truncated)
-
     def has_cycle(self) -> bool:
         adjacency: dict[str, list[str]] = {s: [] for s in self.states}
         for src, _, dst in self.edges:

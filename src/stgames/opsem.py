@@ -152,11 +152,15 @@ def step_turn_sided(config: Configuration) -> set[tuple[object, str, Configurati
 # ---------------------------------------------------------------------------
 
 def _step_labelled(config: Configuration, semantics: str):
+    """Successors as ``(label, printed form, configuration)``, sorted by the
+    first two; configurations themselves are not orderable."""
     if semantics == "reduction":
-        return sorted(((tag, cfg) for tag, cfg in step_reduce(config)), key=lambda s: (s[0], s[1].key()))
-    if semantics == "turn":
-        return sorted(((str(lab), cfg) for lab, cfg in step_turn(config)), key=lambda s: (s[0], s[1].key()))
-    raise ValueError(f"unknown semantics {semantics!r}")
+        steps = step_reduce(config)
+    elif semantics == "turn":
+        steps = ((str(lab), cfg) for lab, cfg in step_turn(config))
+    else:
+        raise ValueError(f"unknown semantics {semantics!r}")
+    return sorted(((label, cfg.key(), cfg) for label, cfg in steps), key=lambda s: s[:2])
 
 
 @dataclass(frozen=True)
@@ -182,8 +186,7 @@ def _explore(config: Configuration, semantics: str, state_limit: int) -> _Explor
         successors = _step_labelled(seen[key], semantics)
         if not successors:
             stuck.add(key)
-        for label, nxt in successors:
-            nkey = nxt.key()
+        for label, nkey, nxt in successors:
             if nkey not in seen:
                 if len(seen) >= state_limit:
                     truncated = True

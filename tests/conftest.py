@@ -6,7 +6,9 @@ and ordering are evaluated on those sets, and the game search is replayed
 over raw play trees without memoisation.  Tests freeze expected values
 computed by these oracles; the oracles never call the code paths they
 check.  The reference game engine plays on rebuilt remainders memoised by
-canonical key, the design the configuration-indexed engine replaced.
+canonical key, the design the configuration-indexed engine replaced.  The
+reference compiler builds and validates a structure at every syntax node,
+the design the single-walk compiler replaced.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from itertools import chain, combinations
 import pytest
 
 from stgames.estructure import (
+    EMPTY_ES,
     Event,
     EventStructureGen,
     canonical_key,
@@ -24,7 +27,18 @@ from stgames.estructure import (
     make_es,
     remainder,
 )
-from stgames.syntax import TICK, inp, out, parse
+from stgames.syntax import (
+    TICK,
+    ExternalChoice,
+    InternalChoice,
+    Rec,
+    Success,
+    Term0,
+    Var,
+    inp,
+    out,
+    parse,
+)
 
 # ---------------------------------------------------------------------------
 # Worked-example fixtures
@@ -289,3 +303,73 @@ def reference_find_winning_strategy(contract, participant):
 
     replay(contract.es, False, ())
     return ExplicitStrategy(participant, table)
+
+
+# ---------------------------------------------------------------------------
+# Reference compiler: one structure per syntax node
+# ---------------------------------------------------------------------------
+
+def reference_denote(term, who, env=None, unroll_depth=6, parity="odd"):
+    """Compile as the per-node compiler did: each prefix copies its compiled
+    continuation, each choice unions its branches, and a recursion variable
+    is a closure that unrolls one copy deeper.  Shares only the position
+    numbering with the library."""
+    from stgames.denote import PARITY_START, DenoteError, _positions
+
+    positions, var_positions = _positions(term)
+    start = PARITY_START[parity]
+
+    def event_id(path, copy):
+        return f"e{start + 2 * positions[path]}" + "".join(f"@{k}" for k in copy)
+
+    def prefix(event, cont):
+        if event.id in cont.event_ids:
+            raise DenoteError(f"event id {event.id} already used")
+        gens = {(frozenset(), event.id)} | {
+            (premise or frozenset({event.id}), target) for premise, target in cont.gens
+        }
+        return EventStructureGen(cont.events | {event}, cont.conflicts, frozenset(gens))
+
+    def choice(branches):
+        ids, events, conflicts, gens = set(), set(), set(), set()
+        for es in branches:
+            if ids & es.event_ids:
+                raise DenoteError("branches share event ids")
+            ids |= es.event_ids
+            events |= es.events
+            conflicts |= es.conflicts
+            gens |= es.gens
+        initials = [{t for p, t in es.gens if not p} for es in branches]
+        for i, first in enumerate(initials):
+            for second in initials[i + 1:]:
+                conflicts |= {frozenset({a, b}) for a in first for b in second}
+        return EventStructureGen(frozenset(events), frozenset(conflicts), frozenset(gens))
+
+    def fix(var, body, body_path, copy, env, depth):
+        if depth <= 0:
+            return EMPTY_ES
+        inner = dict(env)
+        inner[var] = lambda occurrence, at: fix(var, body, body_path, at + (occurrence,), env, depth - 1)
+        return compile_(body, body_path, copy, inner)
+
+    def compile_(t, path, copy, env):
+        if isinstance(t, Success):
+            eid = event_id(path, copy)
+            return make_es([Event(eid, who, TICK)], (), [((), eid)])
+        if isinstance(t, Term0):
+            return EMPTY_ES
+        if isinstance(t, Var):
+            binding = env[t.name]
+            if isinstance(binding, EventStructureGen):
+                return binding
+            return binding(var_positions[path], copy)
+        if isinstance(t, (InternalChoice, ExternalChoice)):
+            return choice([
+                prefix(Event(event_id(path + (i,), copy), who, label),
+                       compile_(cont, path + (i, "c"), copy, env))
+                for i, (label, cont) in enumerate(t.branches)
+            ])
+        assert isinstance(t, Rec)
+        return fix(t.var, t.body, path + ("r",), copy, env, unroll_depth)
+
+    return compile_(term, (), (), dict(env or {}))

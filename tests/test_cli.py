@@ -5,6 +5,8 @@ from __future__ import annotations
 import io
 import json
 
+import pytest
+
 from stgames.cli import main
 
 EXAMPLE = ["!a (+) !b.!a", "?a.?b + ?b.?a + ?c"]
@@ -166,6 +168,14 @@ def test_corpus_recursive_command():
     assert code == 0
     data = json.loads(text)
     assert data["recursive"] is True and data["pairs"] == 5
+
+
+def test_corpus_rejects_depth(capsys):
+    # the corpus's one depth option is --unroll-depth
+    with pytest.raises(SystemExit) as exc:
+        run(["corpus", "--depth", "3"])
+    assert exc.value.code == 2
+    assert "--depth" in capsys.readouterr().err
 
 
 def test_text_format():

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import es_leq_oracle
+from conftest import es_leq_oracle, reference_denote
 from stgames.denote import DenoteError, denote, denote_par, fix_approx, occurrence_index
-from stgames.estructure import EMPTY_ES, es_leq, make_es, Event
-from stgames.syntax import TICK, out, parse
+from stgames.estructure import EMPTY_ES, Event, es_leq, es_to_json, make_es
+from stgames.harness import CorpusSpec, corpus_pair, dual
+from stgames.syntax import TICK, Rec, out, parse
 
 
 def gens_of(es):
@@ -118,6 +119,20 @@ def test_env_lookup_used_verbatim():
     assert es == bound
 
 
+def test_env_structure_used_twice_rejected():
+    bound = make_es([Event("e100", "A", out("z"))], (), [((), "e100")])
+    with pytest.raises(DenoteError, match="e100"):
+        denote(parse("!a.x (+) !b.x"), "A", env={"x": bound})
+
+
+def test_env_structure_placed_under_prefix():
+    bound = make_es([Event("e100", "A", out("z")), Event("e102", "A", out("y"))],
+                    [("e100", "e102")], [((), "e100"), ((), "e102")])
+    es = denote(parse("!a.x"), "A", env={"x": bound})
+    assert es == reference_denote(parse("!a.x"), "A", env={"x": bound})
+    assert gens_of(es) == G(((), "e1"), (("e1",), "e100"), (("e1",), "e102"))
+
+
 # -- parallel composition ------------------------------------------------------
 
 def test_par_of_two_successes():
@@ -188,6 +203,58 @@ def test_paycash_composition():
         (("e1",), "e2"),
         (("e2", "e1"), "e4"),
     )
+
+
+# -- oracle: the per-node compiler ----------------------------------------------
+
+# The recursive families of the deep-unroll benchmark, each up to the deepest
+# unroll depth it is run at there.
+DEEP_FAMILIES = (
+    ("rec x . (!a.!b.x (+) !c)", 12),
+    ("rec x . (!a.(?b.x + ?c) (+) !d)", 12),
+    ("rec x . !a.x", 12),
+    ("rec x . (!a.x (+) !b.x)", 6),
+)
+
+
+def _oracle_cases(kind):
+    if kind == "families":
+        for source, deepest in DEEP_FAMILIES:
+            client = parse(source)
+            for depth in range(deepest + 1):
+                yield client, dual(client), depth
+        return
+    if kind == "finite":
+        # without recursion the unroll depth is never read: one depth suffices
+        spec, depths = CorpusSpec(seed=42, count=500, max_depth=3, max_branch=3), range(1)
+    else:
+        spec = CorpusSpec(seed=42, count=100, max_depth=3, max_branch=3, allow_recursion=True)
+        depths = range(5)
+    pairs = [corpus_pair(spec, index) for index in range(spec.count)]
+    for depth in depths:
+        for client, server in pairs:
+            yield client, server, depth
+
+
+def _json(es):
+    # compact, so the C encoder runs; equal compact text means equal indented text
+    return es_to_json(es, indent=None)
+
+
+@pytest.mark.parametrize("kind", ["finite", "recursive", "families"])
+def test_denote_matches_per_node_reference(kind):
+    for client, server, depth in _oracle_cases(kind):
+        left = denote(client, "A", unroll_depth=depth, parity="odd")
+        right = denote(server, "B", unroll_depth=depth, parity="even")
+        ref_left = reference_denote(client, "A", unroll_depth=depth, parity="odd")
+        ref_right = reference_denote(server, "B", unroll_depth=depth, parity="even")
+        assert _json(left) == _json(ref_left)
+        assert _json(right) == _json(ref_right)
+        assert _json(denote_par(left, right)) == _json(denote_par(ref_left, ref_right))
+        for term, who, parity, ref in ((client, "A", "odd", ref_left), (server, "B", "even", ref_right)):
+            if isinstance(term, Rec):
+                approx = fix_approx(term.var, term.body, who, depth=depth, parity=parity)
+                assert _json(approx) == _json(ref)
 
 
 # -- recursion approximants ------------------------------------------------------
