@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .denote import DEFAULT_UNROLL_DEPTH, denote, denote_par
-from .estructure import es_to_json_dict, ets_to_dot
+from .estructure import es_to_json, ets_to_dot
 from .game import compose_session_contracts, eager_winning, find_winning_strategy
 from .harness import CorpusSpec, run_corpus, turn_lts
 from .opsem import DEFAULT_STATE_LIMIT, check_compliance, check_compliance_turn
@@ -110,7 +110,7 @@ def cmd_export(args, out) -> int:
     right = denote(q, b, unroll_depth=args.depth, parity="even")
     composed = denote_par(left, right)
     if args.what == "es":
-        text = json.dumps(es_to_json_dict(composed), indent=2, sort_keys=True, ensure_ascii=False)
+        text = es_to_json(composed)
     elif args.what == "ets":
         text = ets_to_dot(composed, step_bound=args.limit)
     elif args.what == "ts":

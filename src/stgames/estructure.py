@@ -129,29 +129,44 @@ class EventStructureGen:
 
 
 class PlayIndex:
-    """Configurations of one structure as bitmasks.
+    """Configurations of one structure as bitmasks, and the playability rule.
 
     Bit ``i`` stands for ``ids[i]``, in :func:`id_sort_key` order, so
-    walking a mask from its lowest bit lists events in sorted order.  Every
-    generator is kept, inert ones included, so :meth:`playable` answers
-    for any history exactly as the set-based definition does.
+    walking a mask from its lowest bit lists events in sorted order.  An
+    event can extend a configuration when it has not fired, conflicts with
+    nothing fired, and some generator premise of it has fully fired.
+
+    The rule is :attr:`initial`, the events playable before anything fires
+    (the targets of empty premises), plus :meth:`step`, which updates a
+    playable set as one event fires.  Firing ``e`` can remove only ``e``
+    and the events in conflict with it, and can add only targets of
+    generators whose premise contains ``e``: any other premise met after
+    ``e`` was met before, and its target was then already playable unless
+    ``e`` blocks it.  So the update is exact from any configuration, and
+    every generator is kept, inert ones included, to answer as the
+    set-based definition does.
     """
 
-    __slots__ = ("ids", "bit", "_rules")
+    __slots__ = ("ids", "bit", "initial", "_keep", "_woken")
 
     def __init__(self, es: EventStructureGen) -> None:
         self.ids = tuple(sorted(es.event_ids, key=id_sort_key))
-        self.bit = {eid: 1 << i for i, eid in enumerate(self.ids)}
-        # (bit, bit | conflict mask, premise masks) for every event with a
-        # generator; an event without one is never playable
-        self._rules = tuple(
-            (
-                self.bit[eid],
-                self.bit[eid] | self.mask(es.conflicts_of(eid)),
-                tuple(map(self.mask, premises)),
-            )
-            for eid, premises in es._gens_by_target.items()
-        )
+        position = {eid: i for i, eid in enumerate(self.ids)}
+        self.bit = {eid: 1 << i for eid, i in position.items()}
+        # an event's bit plus its conflict mask: what firing it rules out
+        kill = [self.bit[eid] | self.mask(es.conflicts_of(eid)) for eid in self.ids]
+        self._keep = [~mask for mask in kill]
+        # per bit position, the (target bit, target's kill mask, premise
+        # mask) rules whose premise contains that event
+        self._woken: list[list[tuple[int, int, int]]] = [[] for _ in self.ids]
+        self.initial = 0
+        for premise, target in es.gens:
+            if not premise:
+                self.initial |= self.bit[target]
+                continue
+            rule = (self.bit[target], kill[position[target]], self.mask(premise))
+            for eid in premise:
+                self._woken[position[eid]].append(rule)
 
     def mask(self, ids) -> int:
         """The configuration holding ``ids``; ids of other structures never
@@ -170,15 +185,17 @@ class PlayIndex:
             mask ^= low
         return out
 
-    def playable(self, fired: int) -> int:
-        """The playability rule: an event can extend ``fired`` when it has
-        not fired, conflicts with nothing fired, and some generator premise
-        of it has fully fired."""
-        out = 0
-        for bit, blocked, premises in self._rules:
-            if not fired & blocked and any(not premise & ~fired for premise in premises):
-                out |= bit
-        return out
+    def step(self, fired: int, moves: int, bit: int) -> int:
+        """The events playable after event ``bit`` fires from configuration
+        ``fired``, whose playable events are ``moves``."""
+        position = bit.bit_length() - 1
+        fired |= bit
+        unfired = ~fired
+        moves &= self._keep[position]
+        for target, blocked, premise in self._woken[position]:
+            if not fired & blocked and not premise & unfired:
+                moves |= target
+        return moves
 
 
 def make_es(events, conflicts=(), gens=()) -> EventStructureGen:
@@ -216,7 +233,12 @@ def playable(es: EventStructureGen, history) -> frozenset[str]:
     """Events that can extend a play with the given conflict-free past:
     enabled, not yet fired and not conflicted by anything fired."""
     index = es.play_index
-    return frozenset(index.members(index.playable(index.mask(history))))
+    fired, moves = 0, index.initial
+    for event_id in index.members(index.mask(history)):
+        bit = index.bit[event_id]
+        moves = index.step(fired, moves, bit)
+        fired |= bit
+    return frozenset(index.members(moves))
 
 
 # ---------------------------------------------------------------------------
@@ -288,23 +310,20 @@ def ets(es: EventStructureGen, step_bound: int = 10**5, relabel: bool = False) -
     names = {0: "{}"}
     edges: set[tuple[str, str, str]] = set()
     truncated = False
-    queue = deque([0])
+    queue = deque([(0, index.initial)])
     while queue:
-        fired = queue.popleft()
-        for event_id in index.members(index.playable(fired)):
-            nxt = fired | index.bit[event_id]
+        fired, moves = queue.popleft()
+        for event_id in index.members(moves):
+            bit = index.bit[event_id]
+            nxt = fired | bit
             if nxt not in names:
                 if len(names) >= step_bound:
                     truncated = True
                     continue
                 names[nxt] = "{" + ",".join(index.members(nxt)) + "}"
-                queue.append(nxt)
+                queue.append((nxt, index.step(fired, moves, bit)))
             edges.add((names[fired], labels[event_id], names[nxt]))
     return Lts(frozenset(names.values()), "{}", frozenset(edges), truncated)
-
-
-def event_action_map(es: EventStructureGen) -> dict[str, str]:
-    return {event.id: str(event.label) for event in es.events}
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +427,5 @@ def es_from_json(text: str) -> EventStructureGen:
 def ets_to_dot(es: EventStructureGen, step_bound: int = 10**5, name: str = "ets") -> str:
     """DOT rendering of the event-labelled system; edges show ``e / action``."""
     system = ets(es, step_bound=step_bound, relabel=False)
-    actions = event_action_map(es)
-    pretty_edges = {eid: f"{eid} / {action}" for eid, action in actions.items()}
+    pretty_edges = {e.id: f"{e.id} / {e.label}" for e in es.events}
     return system.to_dot(name=name, edge_label=pretty_edges)

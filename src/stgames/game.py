@@ -17,7 +17,9 @@ The engine's play state is the configuration reached, a bitmask over the
 original structure (:class:`~stgames.estructure.PlayIndex`), and its memo is
 keyed on that configuration alone: what is left to play depends only on
 the set of fired events, not on their order, and the owner has succeeded
-exactly when the configuration holds one of their ``✓`` events.
+exactly when the configuration holds one of their ``✓`` events.  Each
+configuration travels with its playable events, updated per fired event by
+:meth:`~stgames.estructure.PlayIndex.step`.
 """
 
 from __future__ import annotations
@@ -326,22 +328,23 @@ def eager_winning(contract: Contract, participant: str) -> GameVerdict:
     index, own, ticks = _arena(contract, participant)
     safe: set[int] = set()
 
-    def search(fired: int, trail: tuple[str, ...]):
-        if fired in safe:
-            return None
-        moves = index.playable(fired)
+    def search(fired: int, moves: int, trail: tuple[str, ...]):
         # with no own move the play may stop; anyone with a move is then
         # culpable, so only a maximal play without the payoff loses
         if not moves and not fired & ticks:
             return trail
         for move in index.members(moves & own) + index.members(moves & ~own):
-            failure = search(fired | index.bit[move], trail + (move,))
+            bit = index.bit[move]
+            nxt = fired | bit
+            if nxt in safe:
+                continue
+            failure = search(nxt, index.step(fired, moves, bit), trail + (move,))
             if failure is not None:
                 return failure
         safe.add(fired)
         return None
 
-    failure = search(0, ())
+    failure = search(0, index.initial, ())
     return GameVerdict(
         participant, "eager",
         winning=failure is None,
@@ -390,13 +393,18 @@ def find_winning_strategy(contract: Contract, participant: str) -> ExplicitStrat
     index, own, ticks = _arena(contract, participant)
     memo: dict[int, str | None] = {}
 
-    def win(fired: int) -> str | None:
+    def win_after(fired: int, moves: int, move: str) -> str | None:
+        """:func:`win` at the configuration ``move`` leads to."""
+        bit = index.bit[move]
+        nxt = fired | bit
+        if nxt in memo:
+            return memo[nxt]
+        return win(nxt, index.step(fired, moves, bit))
+
+    def win(fired: int, moves: int) -> str | None:
         """None when the owner loses, else the winning move ('' = stop)."""
-        if fired in memo:
-            return memo[fired]
-        moves = index.playable(fired)
         result = None
-        if all(win(fired | index.bit[move]) is not None for move in index.members(moves & ~own)):
+        if all(win_after(fired, moves, move) is not None for move in index.members(moves & ~own)):
             # a stop wins when someone else is culpable or the play is
             # maximal with the owner's payoff
             if not moves & own and (moves or fired & ticks):
@@ -404,24 +412,26 @@ def find_winning_strategy(contract: Contract, participant: str) -> ExplicitStrat
             else:
                 result = next(
                     (move for move in index.members(moves & own)
-                     if win(fired | index.bit[move]) is not None),
+                     if win_after(fired, moves, move) is not None),
                     None,
                 )
         memo[fired] = result
         return result
 
-    if win(0) is None:
+    if win(0, index.initial) is None:
         return None
 
-    # replay the winning policy over every conforming play to print a table
+    # replay the winning policy over every conforming play to print a table;
+    # a won configuration's opponent moves and chosen move were all decided
     table: dict[tuple[str, ...], frozenset[str]] = {}
 
-    def replay(fired: int, prefix: tuple[str, ...]) -> None:
-        choice = win(fired)
+    def replay(fired: int, moves: int, prefix: tuple[str, ...]) -> None:
+        choice = memo[fired]
         prescription = [choice] if choice else []
         table[prefix] = frozenset(prescription)
-        for move in prescription + index.members(index.playable(fired) & ~own):
-            replay(fired | index.bit[move], prefix + (move,))
+        for move in prescription + index.members(moves & ~own):
+            bit = index.bit[move]
+            replay(fired | bit, index.step(fired, moves, bit), prefix + (move,))
 
-    replay(0, ())
+    replay(0, index.initial, ())
     return ExplicitStrategy(participant, table)

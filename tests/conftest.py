@@ -8,12 +8,15 @@ computed by these oracles; the oracles never call the code paths they
 check.  The reference game engine plays on rebuilt remainders memoised by
 canonical key, the design the configuration-indexed engine replaced.  The
 reference compiler builds and validates a structure at every syntax node,
-the design the single-walk compiler replaced.
+the design the single-walk compiler replaced.  The reference playability
+rule scans every generator of every event, the design the per-event
+update replaced.
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import chain, combinations
 
 import pytest
@@ -177,6 +180,56 @@ def small_structures():
     rng = random.Random(20240)
     sampled = [random_structure(rng) for _ in range(300)]
     return exhaustive_tiny_structures() + sampled
+
+
+@lru_cache(maxsize=None)
+def acceptance_contracts(family: str):
+    """The composed contracts of the first 100 seed-42 finite pairs or the
+    first 20 seed-42 recursive pairs at unroll depth 4."""
+    from stgames.game import compose_session_contracts
+    from stgames.harness import CorpusSpec, corpus_pair
+
+    spec = (
+        CorpusSpec(seed=42, count=100) if family == "finite"
+        else CorpusSpec(seed=42, count=20, allow_recursion=True, unroll_depth=4)
+    )
+    contracts = []
+    for index in range(spec.count):
+        p, q = corpus_pair(spec, index)
+        contracts.append(compose_session_contracts(p, "A", q, "B", spec.unroll_depth))
+    return tuple(contracts)
+
+
+# ---------------------------------------------------------------------------
+# Reference playability: scan every generator
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=8)
+def _scan_rules(es: EventStructureGen):
+    """(bit, bit | conflict mask, premise masks) for every event with a
+    generator, over ``es.play_index``'s bits; an event without a generator
+    is never playable."""
+    index = es.play_index
+    return tuple(
+        (
+            index.bit[eid],
+            index.bit[eid] | index.mask(es.conflicts_of(eid)),
+            tuple(index.mask(premise) for premise in es.premises_of(eid)),
+        )
+        for eid in index.ids
+        if es.premises_of(eid)
+    )
+
+
+def reference_playable(es: EventStructureGen, fired: int) -> int:
+    """The playable events at configuration ``fired`` by a full scan: an
+    event can extend it when it has not fired, conflicts with nothing fired,
+    and some generator premise of it has fully fired."""
+    out_mask = 0
+    for bit, blocked, premises in _scan_rules(es):
+        if not fired & blocked and any(not premise & ~fired for premise in premises):
+            out_mask |= bit
+    return out_mask
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -138,6 +140,18 @@ def test_output_byte_stable():
     assert first == second
     assert run(["check", *EXAMPLE]) == run(["check", *EXAMPLE])
     assert run(["export", *EXAMPLE, "--what", "ets"]) == run(["export", *EXAMPLE, "--what", "ets"])
+
+
+def test_output_matches_golden_digests():
+    # SHA-256 of the stdout of `export --what es|ets`, `agree` and
+    # `agree --strategy search` on three fixed pairs, recorded once, so an
+    # output change between versions fails here unless it is deliberate
+    golden = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+    assert len(golden) == 12
+    for case in golden:
+        code, text = run(case["argv"])
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert (code, digest) == (case["exit"], case["sha256"]), case["argv"]
 
 
 def test_deeply_nested_type_exit_two(capsys):

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    acceptance_contracts,
     all_plays,
     conflict_free_raw,
     es_leq_oracle,
     exhaustive_tiny_structures,
     powerset,
     random_structure,
+    reference_playable,
     remainder_on_saturated,
     saturate,
 )
@@ -168,6 +170,46 @@ def test_playable_equals_initial_events_of_remainder(small_structures):
             if not moves:
                 break
             history.append(rng.choice(sorted(moves)))
+
+
+def _step_checks(es, configurations):
+    """Compare the incremental rule with the full scan: ``initial``, then
+    ``step`` by each event to be fired from each given configuration, and
+    the public ``playable`` at each configuration."""
+    index = es.play_index
+    assert index.initial == reference_playable(es, 0)
+    for fired, events in configurations:
+        moves = reference_playable(es, fired)
+        for event_id in index.members(events):
+            bit = index.bit[event_id]
+            assert index.step(fired, moves, bit) == reference_playable(es, fired | bit)
+        assert playable(es, index.members(fired)) == frozenset(index.members(moves))
+
+
+def _reachable(es):
+    """Every reachable configuration with its playable events, by the full scan."""
+    seen, stack = {0}, [0]
+    while stack:
+        fired = stack.pop()
+        moves = reference_playable(es, fired)
+        yield fired, moves
+        for event_id in es.play_index.members(moves):
+            nxt = fired | es.play_index.bit[event_id]
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+
+
+@pytest.mark.parametrize("family", ["small", "finite", "recursive"])
+def test_step_matches_full_scan(family, small_structures):
+    if family == "small":
+        # the update is exact from any set: try every event from every subset
+        for es in small_structures:
+            every = (1 << len(es.play_index.ids)) - 1
+            _step_checks(es, [(fired, every) for fired in range(every + 1)])
+        return
+    for contract in acceptance_contracts(family):
+        _step_checks(contract.es, _reachable(contract.es))
 
 
 # -- transition system --------------------------------------------------------

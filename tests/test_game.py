@@ -7,6 +7,7 @@ import random
 import pytest
 
 from conftest import (
+    acceptance_contracts,
     all_plays,
     brute_force_agreement,
     random_structure,
@@ -33,7 +34,6 @@ from stgames.game import (
     strategy_failures,
     winning_play,
 )
-from stgames.harness import CorpusSpec, corpus_pair
 from stgames.syntax import TICK, out, parse
 
 
@@ -357,15 +357,7 @@ def test_empty_play_is_losing_fair_stop_for_mismatched_inputs():
 def _engine_inputs(family, small_structures):
     if family == "small":
         return [Contract(es, {"A": "success", "B": "success"}) for es in small_structures]
-    spec = (
-        CorpusSpec(seed=42, count=100) if family == "finite"
-        else CorpusSpec(seed=42, count=20, allow_recursion=True, unroll_depth=4)
-    )
-    contracts = []
-    for index in range(spec.count):
-        p, q = corpus_pair(spec, index)
-        contracts.append(compose_session_contracts(p, "A", q, "B", spec.unroll_depth))
-    return contracts
+    return acceptance_contracts(family)
 
 
 @pytest.mark.parametrize("family", ["small", "finite", "recursive"])
