@@ -60,8 +60,9 @@ def _bound_line(depth: int | None) -> str | None:
 def cmd_check(args, out) -> int:
     p = _load_type(args.client)
     q = _load_type(args.server)
-    reduction = check_compliance(p, q, args.limit)
-    turn = check_compliance_turn(p, q, args.limit)
+    # _load_type has validated both types
+    reduction = check_compliance(p, q, args.limit, validate_inputs=False)
+    turn = check_compliance_turn(p, q, args.limit, validate_inputs=False)
     payload = {
         "client": pretty(p),
         "server": pretty(q),

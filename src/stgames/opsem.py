@@ -12,6 +12,10 @@ Compliance asks that every reachable stuck configuration leaves the client
 (left) side at ``1`` (reduction semantics) or at ``0`` (turn-based).
 Cycles never make a pair non-compliant: only stuck states are constrained,
 so livelocks count as compliant and the verdict says so.
+
+A state is keyed by its printed form ``left || right``.  Each exploration
+keeps one ``TermMemo``, so every distinct term object is printed and
+unfolded once per exploration, and a successor's key costs two lookups.
 """
 
 from __future__ import annotations
@@ -21,7 +25,9 @@ from dataclasses import dataclass
 
 from .lts import Lts
 from .syntax import (
+    TERM0,
     TICK,
+    ActionLabel,
     Buffer,
     ExternalChoice,
     InternalChoice,
@@ -29,6 +35,8 @@ from .syntax import (
     SessionType,
     Success,
     Term0,
+    TermMemo,
+    _pretty,
     assert_valid,
     pretty,
     unfold,
@@ -53,7 +61,7 @@ class Configuration:
 # Reduction (commit/sync) semantics
 # ---------------------------------------------------------------------------
 
-def _component_steps(term: SessionType):
+def _component_steps(term: SessionType, memo: TermMemo | None):
     """Internal and labelled moves of one side.
 
     Committing is only a move for choices with at least two branches; a
@@ -64,20 +72,33 @@ def _component_steps(term: SessionType):
     if isinstance(term, Buffer):
         raise ValueError("buffers do not occur under the reduction semantics")
     internal: list[tuple[str, SessionType]] = []
-    labelled: list[tuple[object, SessionType]] = []
+    labelled: list[tuple[ActionLabel, SessionType]] = []
     if isinstance(term, InternalChoice):
         if len(term.branches) >= 2:
             for label, cont in term.branches:
                 internal.append((f"commit {label}", InternalChoice(((label, cont),))))
         else:
-            label, cont = term.branches[0]
-            labelled.append((label, cont))
+            labelled.append(term.branches[0])
     elif isinstance(term, ExternalChoice):
-        for label, cont in term.branches:
-            labelled.append((label, cont))
+        labelled.extend(term.branches)
     elif isinstance(term, Rec):
-        internal.append(("unfold", unfold(term)))
+        internal.append(("unfold", unfold(term, memo)))
     return internal, labelled
+
+
+def _reduce_moves(left: SessionType, right: SessionType, memo: TermMemo | None = None):
+    """Reduction steps of ``left ∥ right`` as ``(tag, left', right')``."""
+    left_internal, left_labelled = _component_steps(left, memo)
+    right_internal, right_labelled = _component_steps(right, memo)
+    moves = [(f"{tag} (left)", successor, right) for tag, successor in left_internal]
+    moves.extend((f"{tag} (right)", left, successor) for tag, successor in right_internal)
+    for llabel, lcont in left_labelled:
+        for rlabel, rcont in right_labelled:
+            # rlabel == llabel.co(), without building the co-action
+            if (not llabel.is_tick and not rlabel.is_tick
+                    and llabel.name == rlabel.name and llabel.polarity != rlabel.polarity):
+                moves.append((f"sync {llabel.name}", lcont, rcont))
+    return moves
 
 
 def step_reduce(config: Configuration) -> set[tuple[str, Configuration]]:
@@ -87,80 +108,67 @@ def step_reduce(config: Configuration) -> set[tuple[str, Configuration]]:
     witness paths read well.  An empty result means the configuration is
     stuck.
     """
-    left_internal, left_labelled = _component_steps(config.left)
-    right_internal, right_labelled = _component_steps(config.right)
-    steps: set[tuple[str, Configuration]] = set()
-    for tag, successor in left_internal:
-        steps.add((f"{tag} (left)", Configuration(successor, config.right)))
-    for tag, successor in right_internal:
-        steps.add((f"{tag} (right)", Configuration(config.left, successor)))
-    for llabel, lcont in left_labelled:
-        for rlabel, rcont in right_labelled:
-            if not llabel.is_tick and not rlabel.is_tick and llabel.co() == rlabel:
-                steps.add((f"sync {llabel.name}", Configuration(lcont, rcont)))
-    return steps
+    return {(tag, Configuration(left, right))
+            for tag, left, right in _reduce_moves(config.left, config.right)}
 
 
 # ---------------------------------------------------------------------------
 # Turn-based semantics
 # ---------------------------------------------------------------------------
 
-def _turn_side_steps(own: SessionType, other: SessionType):
+def _turn_side_steps(own: SessionType, other: SessionType, memo: TermMemo | None):
     """Moves of one side against the other side's current term.
 
     Returns (label, own', other') triples; recursion on either side is
     unfolded on the fly and never shows up as a step.
     """
-    own = unfold_top(own)
+    own = unfold_top(own, memo)
     moves = []
     if isinstance(own, InternalChoice):
         for label, cont in own.branches:
             moves.append((label, Buffer(label, cont), other))
     elif isinstance(own, ExternalChoice):
-        peer = unfold_top(other)
-        if isinstance(peer, Buffer):
+        peer = unfold_top(other, memo)
+        if isinstance(peer, Buffer) and not peer.action.is_tick:
+            pending = peer.action
             for label, cont in own.branches:
-                if label == peer.action.co():
+                # label == pending.co(), without building the co-action
+                if label.name == pending.name and label.polarity != pending.polarity:
                     moves.append((label, cont, peer.cont))
     elif isinstance(own, Success):
-        moves.append((TICK, Term0(), other))
+        moves.append((TICK, TERM0, other))
     return moves
 
 
-def step_turn(config: Configuration) -> set[tuple[object, Configuration]]:
-    """Successors under the turn-based rules, labelled with the fired action."""
-    steps: set[tuple[object, Configuration]] = set()
-    for label, left, right in _turn_side_steps(config.left, config.right):
-        steps.add((label, Configuration(left, right)))
-    for label, right, left in _turn_side_steps(config.right, config.left):
-        steps.add((label, Configuration(left, right)))
-    return steps
+def _turn_moves(left: SessionType, right: SessionType, memo: TermMemo | None = None):
+    """Turn-based steps of ``left ∥ right`` as ``(label, side, left', right')``."""
+    moves = [(label, "left", nleft, nright)
+             for label, nleft, nright in _turn_side_steps(left, right, memo)]
+    moves.extend((label, "right", nleft, nright)
+                 for label, nright, nleft in _turn_side_steps(right, left, memo))
+    return moves
 
 
 def step_turn_sided(config: Configuration) -> set[tuple[object, str, Configuration]]:
     """Like :func:`step_turn` but tagging which side fired; used by tests."""
-    steps: set[tuple[object, str, Configuration]] = set()
-    for label, left, right in _turn_side_steps(config.left, config.right):
-        steps.add((label, "left", Configuration(left, right)))
-    for label, right, left in _turn_side_steps(config.right, config.left):
-        steps.add((label, "right", Configuration(left, right)))
-    return steps
+    return {(label, side, Configuration(left, right))
+            for label, side, left, right in _turn_moves(config.left, config.right)}
+
+
+def step_turn(config: Configuration) -> set[tuple[object, Configuration]]:
+    """Successors under the turn-based rules, labelled with the fired action."""
+    return {(label, successor) for label, _, successor in step_turn_sided(config)}
 
 
 # ---------------------------------------------------------------------------
 # Exploration
 # ---------------------------------------------------------------------------
 
-def _step_labelled(config: Configuration, semantics: str):
-    """Successors as ``(label, printed form, configuration)``, sorted by the
-    first two; configurations themselves are not orderable."""
-    if semantics == "reduction":
-        steps = step_reduce(config)
-    elif semantics == "turn":
-        steps = ((str(lab), cfg) for lab, cfg in step_turn(config))
-    else:
-        raise ValueError(f"unknown semantics {semantics!r}")
-    return sorted(((label, cfg.key(), cfg) for label, cfg in steps), key=lambda s: s[:2])
+def _turn_moves_named(left: SessionType, right: SessionType, memo: TermMemo):
+    return [(str(label), nleft, nright) for label, _, nleft, nright in _turn_moves(left, right, memo)]
+
+
+_MOVES = {"reduction": _reduce_moves, "turn": _turn_moves_named}
 
 
 @dataclass(frozen=True)
@@ -174,7 +182,15 @@ class _Exploration:
 def _explore(config: Configuration, semantics: str, state_limit: int) -> _Exploration:
     if state_limit <= 0:
         raise ValueError("state limit must be positive")
-    start = config.key()
+    if semantics not in _MOVES:
+        raise ValueError(f"unknown semantics {semantics!r}")
+    moves = _MOVES[semantics]
+    memo = TermMemo()
+
+    def key(left: SessionType, right: SessionType) -> str:
+        return _pretty(left, True, memo) + " || " + _pretty(right, True, memo)
+
+    start = key(config.left, config.right)
     seen: dict[str, Configuration] = {start: config}
     parents: dict[str, tuple[str, str]] = {}
     edges: set[tuple[str, str, str]] = set()
@@ -182,19 +198,25 @@ def _explore(config: Configuration, semantics: str, state_limit: int) -> _Explor
     truncated = False
     queue: deque[str] = deque([start])
     while queue:
-        key = queue.popleft()
-        successors = _step_labelled(seen[key], semantics)
+        state = queue.popleft()
+        current = seen[state]
+        # terms are not orderable: sort on (label, printed form) only
+        successors = sorted(
+            ((label, key(left, right), left, right)
+             for label, left, right in moves(current.left, current.right, memo)),
+            key=lambda s: s[:2],
+        )
         if not successors:
-            stuck.add(key)
-        for label, nkey, nxt in successors:
+            stuck.add(state)
+        for label, nkey, left, right in successors:
             if nkey not in seen:
                 if len(seen) >= state_limit:
                     truncated = True
                     continue
-                seen[nkey] = nxt
-                parents[nkey] = (key, label)
+                seen[nkey] = Configuration(left, right)
+                parents[nkey] = (state, label)
                 queue.append(nkey)
-            edges.add((key, label, nkey))
+            edges.add((state, label, nkey))
     lts = Lts(frozenset(seen), start, frozenset(edges), truncated)
     return _Exploration(lts, frozenset(stuck), parents, seen)
 
@@ -203,8 +225,8 @@ def explore(config: Configuration, state_limit: int = DEFAULT_STATE_LIMIT,
             semantics: str = "reduction") -> Lts:
     """Breadth-first closure of the chosen step relation from ``config``.
 
-    States are deduplicated by their canonical printed form; hitting the
-    state limit sets the truncation flag rather than failing.
+    States are deduplicated by their printed form (``Configuration.key``);
+    hitting the state limit sets the truncation flag rather than failing.
     """
     return _explore(config, semantics, state_limit).lts
 

@@ -313,34 +313,57 @@ def pretty(term: SessionType) -> str:
     return _pretty(term, top=True)
 
 
-def _pretty(term: SessionType, top: bool) -> str:
+class TermMemo:
+    """Printed forms and one-step unfoldings of terms, keyed by ``id``.
+
+    Each entry holds its term, so no id is reused while the memo lives.
+    Terms are immutable, so an entry never goes stale: with one memo per
+    exploration, each distinct term object is printed and unfolded once.
+    """
+
+    __slots__ = ("printed", "unfolded")
+
+    def __init__(self) -> None:
+        self.printed: dict[int, tuple[SessionType, str, str]] = {}  # term, top form, nested form
+        self.unfolded: dict[int, tuple[Rec, SessionType]] = {}
+
+
+def _pretty(term: SessionType, top: bool, memo: TermMemo | None = None) -> str:
+    """The form of ``term`` at the top level or, if not ``top``, as the
+    continuation of a prefix; ``memo`` keeps both forms of every subterm."""
+    if memo is not None:
+        entry = memo.printed.get(id(term))
+        if entry is not None:
+            return entry[1] if top else entry[2]
+    grouped = False
     if isinstance(term, Success):
-        return "1"
-    if isinstance(term, Term0):
-        return "0"
-    if isinstance(term, Var):
-        return term.name
-    if isinstance(term, Rec):
-        body = _pretty(term.body, top=True)
-        text = f"rec {term.var} . {body}"
-        return text if top else f"({text})"
-    if isinstance(term, Buffer):
-        return f"[{term.action}]{_pretty(term.cont, top=False)}"
-    if isinstance(term, (InternalChoice, ExternalChoice)):
+        text = "1"
+    elif isinstance(term, Term0):
+        text = "0"
+    elif isinstance(term, Var):
+        text = term.name
+    elif isinstance(term, Rec):
+        text = f"rec {term.var} . {_pretty(term.body, True, memo)}"
+        grouped = True
+    elif isinstance(term, Buffer):
+        text = f"[{term.action}]{_pretty(term.cont, False, memo)}"
+    elif isinstance(term, (InternalChoice, ExternalChoice)):
         sep = " (+) " if isinstance(term, InternalChoice) else " + "
-        parts = [_pretty_branch(label, cont) for label, cont in term.branches]
-        if len(parts) == 1:
-            return parts[0]
-        text = sep.join(parts)
-        return text if top else f"({text})"
-    raise TypeError(f"not a session type: {term!r}")
+        text = sep.join([_pretty_branch(label, cont, memo) for label, cont in term.branches])
+        grouped = len(term.branches) != 1
+    else:
+        raise TypeError(f"not a session type: {term!r}")
+    nested = f"({text})" if grouped else text
+    if memo is not None:
+        memo.printed[id(term)] = (term, text, nested)
+    return text if top else nested
 
 
-def _pretty_branch(label: ActionLabel, cont: SessionType) -> str:
+def _pretty_branch(label: ActionLabel, cont: SessionType, memo: TermMemo | None) -> str:
     head = f"{label.polarity}{label.name}"
     if isinstance(cont, Success):
         return head
-    return f"{head}.{_pretty(cont, top=False)}"
+    return f"{head}.{_pretty(cont, False, memo)}"
 
 
 # ---------------------------------------------------------------------------
@@ -470,17 +493,26 @@ def substitute(term: SessionType, var: str, replacement: SessionType) -> Session
     raise TypeError(f"not a session type: {term!r}")
 
 
-def unfold(term: Rec) -> SessionType:
-    """One unfolding of a recursive term: the body with the binder substituted in."""
+def unfold(term: Rec, memo: TermMemo | None = None) -> SessionType:
+    """One unfolding of a recursive term: the body with the binder substituted in.
+
+    With a ``memo``, each ``Rec`` object is unfolded once and later calls
+    return that same unfolding.
+    """
     if not isinstance(term, Rec):
         raise TypeError("unfold expects a rec term")
-    return substitute(term.body, term.var, term)
+    if memo is None:
+        return substitute(term.body, term.var, term)
+    entry = memo.unfolded.get(id(term))
+    if entry is None:
+        entry = memo.unfolded[id(term)] = (term, substitute(term.body, term.var, term))
+    return entry[1]
 
 
-def unfold_top(term: SessionType) -> SessionType:
+def unfold_top(term: SessionType, memo: TermMemo | None = None) -> SessionType:
     """Unfold leading recursions until a non-rec constructor is on top."""
     while isinstance(term, Rec):
-        term = unfold(term)
+        term = unfold(term, memo)
     return term
 
 

@@ -10,7 +10,9 @@ canonical key, the design the configuration-indexed engine replaced.  The
 reference compiler builds and validates a structure at every syntax node,
 the design the single-walk compiler replaced.  The reference playability
 rule scans every generator of every event, the design the per-event
-update replaced.
+update replaced.  The reference explorer prints every successor
+configuration from scratch, the design the per-exploration term memo
+replaced.
 """
 
 from __future__ import annotations
@@ -182,22 +184,31 @@ def small_structures():
     return exhaustive_tiny_structures() + sampled
 
 
+def acceptance_spec(family: str):
+    """The first 100 seed-42 finite pairs or the first 20 seed-42 recursive
+    pairs at unroll depth 4."""
+    from stgames.harness import CorpusSpec
+
+    if family == "finite":
+        return CorpusSpec(seed=42, count=100)
+    return CorpusSpec(seed=42, count=20, allow_recursion=True, unroll_depth=4)
+
+
+@lru_cache(maxsize=None)
+def acceptance_pairs(family: str):
+    from stgames.harness import corpus_pair
+
+    spec = acceptance_spec(family)
+    return tuple(corpus_pair(spec, index) for index in range(spec.count))
+
+
 @lru_cache(maxsize=None)
 def acceptance_contracts(family: str):
-    """The composed contracts of the first 100 seed-42 finite pairs or the
-    first 20 seed-42 recursive pairs at unroll depth 4."""
+    """The composed contracts of ``acceptance_pairs(family)``."""
     from stgames.game import compose_session_contracts
-    from stgames.harness import CorpusSpec, corpus_pair
 
-    spec = (
-        CorpusSpec(seed=42, count=100) if family == "finite"
-        else CorpusSpec(seed=42, count=20, allow_recursion=True, unroll_depth=4)
-    )
-    contracts = []
-    for index in range(spec.count):
-        p, q = corpus_pair(spec, index)
-        contracts.append(compose_session_contracts(p, "A", q, "B", spec.unroll_depth))
-    return tuple(contracts)
+    depth = acceptance_spec(family).unroll_depth
+    return tuple(compose_session_contracts(p, "A", q, "B", depth) for p, q in acceptance_pairs(family))
 
 
 # ---------------------------------------------------------------------------
@@ -426,3 +437,51 @@ def reference_denote(term, who, env=None, unroll_depth=6, parity="odd"):
         return fix(t.var, t.body, path + ("r",), copy, env, unroll_depth)
 
     return compile_(term, (), (), dict(env or {}))
+
+
+# ---------------------------------------------------------------------------
+# Reference explorer: every successor printed afresh
+# ---------------------------------------------------------------------------
+
+def reference_explore(config, semantics, state_limit):
+    """Breadth-first exploration as the string-keyed explorer did it: the
+    public set-returning step relations, and ``Configuration.key()`` on
+    every successor.  Returns the library's ``_Exploration`` record."""
+    from collections import deque
+
+    from stgames.lts import Lts
+    from stgames.opsem import _Exploration, step_reduce, step_turn
+
+    if state_limit <= 0:
+        raise ValueError("state limit must be positive")
+
+    def successors_of(cfg):
+        if semantics == "reduction":
+            steps = step_reduce(cfg)
+        elif semantics == "turn":
+            steps = ((str(label), nxt) for label, nxt in step_turn(cfg))
+        else:
+            raise ValueError(f"unknown semantics {semantics!r}")
+        return sorted(((label, nxt.key(), nxt) for label, nxt in steps), key=lambda s: s[:2])
+
+    start = config.key()
+    seen = {start: config}
+    parents, edges, stuck = {}, set(), set()
+    truncated = False
+    queue = deque([start])
+    while queue:
+        key = queue.popleft()
+        successors = successors_of(seen[key])
+        if not successors:
+            stuck.add(key)
+        for label, nkey, nxt in successors:
+            if nkey not in seen:
+                if len(seen) >= state_limit:
+                    truncated = True
+                    continue
+                seen[nkey] = nxt
+                parents[nkey] = (key, label)
+                queue.append(nkey)
+            edges.add((key, label, nkey))
+    lts = Lts(frozenset(seen), start, frozenset(edges), truncated)
+    return _Exploration(lts, frozenset(stuck), parents, seen)

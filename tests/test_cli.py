@@ -144,10 +144,12 @@ def test_output_byte_stable():
 
 def test_output_matches_golden_digests():
     # SHA-256 of the stdout of `export --what es|ets`, `agree` and
-    # `agree --strategy search` on three fixed pairs, recorded once, so an
-    # output change between versions fails here unless it is deliberate
+    # `agree --strategy search` on three fixed pairs, and of `check` and
+    # `export --what ts` on three more (one also at a truncating --limit),
+    # recorded once, so an output change between versions fails here
+    # unless it is deliberate
     golden = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
-    assert len(golden) == 12
+    assert len(golden) == 19
     for case in golden:
         code, text = run(case["argv"])
         digest = hashlib.sha256(text.encode()).hexdigest()

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from conftest import acceptance_pairs, reference_explore
 
+import stgames.opsem as opsem
+from stgames.harness import CorpusSpec, corpus_pair, dual
 from stgames.opsem import (
     Configuration,
     check_compliance,
@@ -215,3 +218,45 @@ def test_verdict_json_shape():
 ])
 def test_checkers_agree_on_fixture_pairs(p, q):
     assert check_compliance(parse(p), parse(q)).status == check_compliance_turn(parse(p), parse(q)).status
+
+
+# -- oracle: the string-keyed explorer ----------------------------------------
+
+def large_pairs():
+    """Pairs in the style of the check-large benchmark: generated types of up
+    to 3k characters, up to 643 states, against their duals and against a corpus partner, which
+    is a perturbed dual half of the time."""
+    pairs = []
+    for recursive in (False, True):
+        spec = CorpusSpec(seed=5, count=4, max_depth=8, max_branch=4,
+                          allow_recursion=recursive, actions=tuple("abcdef"))
+        for index in range(spec.count):
+            client, server = corpus_pair(spec, index)
+            pairs += [(client, server), (client, dual(client))]
+    return pairs
+
+
+@pytest.mark.parametrize("semantics", ["reduction", "turn"])
+@pytest.mark.parametrize("family,limits", [
+    ("finite", (10**5, 7)),
+    ("recursive", (10**5, 7)),
+    ("large", (10**5, 30)),
+])
+def test_explore_matches_string_keyed_reference(family, limits, semantics, monkeypatch):
+    # the memoised explorer against one that prints every successor afresh
+    # through Configuration.key(): same states, edges, stuck set, BFS parents
+    # and configurations, and the same verdicts, truncated runs included
+    pairs = large_pairs() if family == "large" else acceptance_pairs(family)
+    check = check_compliance if semantics == "reduction" else check_compliance_turn
+    runs = [(p, q, limit) for p, q in pairs for limit in limits]
+    truncated = 0
+    for p, q, limit in runs:
+        got = opsem._explore(Configuration(p, q), semantics, limit)
+        want = reference_explore(Configuration(p, q), semantics, limit)
+        assert (got.lts, got.stuck, got.parents, got.configs) == \
+            (want.lts, want.stuck, want.parents, want.configs), (pretty(p), pretty(q), limit)
+        truncated += got.lts.truncated
+    assert truncated > 0
+    verdicts = [check(p, q, limit).to_json() for p, q, limit in runs]
+    monkeypatch.setattr(opsem, "_explore", reference_explore)
+    assert [check(p, q, limit).to_json() for p, q, limit in runs] == verdicts
