@@ -106,19 +106,14 @@ def cmd_agree(args, out) -> int:
 def cmd_export(args, out) -> int:
     p = _load_type(args.client)
     q = _load_type(args.server)
-    a, b = args.participants
-    left = denote(p, a, unroll_depth=args.depth, parity="odd")
-    right = denote(q, b, unroll_depth=args.depth, parity="even")
-    composed = denote_par(left, right)
-    if args.what == "es":
-        text = es_to_json(composed)
-    elif args.what == "ets":
-        text = ets_to_dot(composed, step_bound=args.limit)
-    elif args.what == "ts":
-        system = turn_lts(p, q, args.limit)
-        text = system.to_dot(name="ts")
+    if args.what == "ts":
+        text = turn_lts(p, q, args.limit).to_dot(name="ts")
     else:
-        raise CliError(f"unknown export target {args.what}")
+        a, b = args.participants
+        left = denote(p, a, unroll_depth=args.depth, parity="odd")
+        right = denote(q, b, unroll_depth=args.depth, parity="even")
+        composed = denote_par(left, right)
+        text = es_to_json(composed) if args.what == "es" else ets_to_dot(composed, step_bound=args.limit)
     if args.output:
         try:
             Path(args.output).write_text(text + "\n")
@@ -150,10 +145,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_types: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, with_types: bool = True,
+               with_denotation: bool = True) -> None:
         if with_types:
             p.add_argument("client", help="client session type (inline text or @file)")
             p.add_argument("server", help="server session type (inline text or @file)")
+        if with_denotation:
             p.add_argument("--participants", nargs=2, default=("A", "B"), metavar=("A", "B"),
                            help="participant names (default: A B)")
             p.add_argument("--depth", type=int, default=DEFAULT_UNROLL_DEPTH,
@@ -163,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "text"), default="json")
 
     check = sub.add_parser("check", help="decide compliance under both semantics")
-    common(check)
+    common(check, with_denotation=False)
     check.set_defaults(run=cmd_check)
 
     agree = sub.add_parser("agree", help="eager verdict or winning-strategy search")
@@ -179,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     export.set_defaults(run=cmd_export)
 
     corpus = sub.add_parser("corpus", help="run the randomised theorem harness")
-    common(corpus, with_types=False)
+    common(corpus, with_types=False, with_denotation=False)
     corpus.add_argument("--seed", type=int, default=42)
     corpus.add_argument("--count", type=int, default=500)
     corpus.add_argument("--recursive", action="store_true")

@@ -515,7 +515,7 @@ def run_corpus(spec: CorpusSpec, state_limit: int = DEFAULT_STATE_LIMIT,
             else:
                 fail("winning-strategy-existence", "compliant pair without a winning strategy")
 
-        ts = turn_lts(p, q, state_limit)
+        ts = turn.lts
         es_lts = contract_ets(report.contract, state_limit)
         bound = bounded_bisim_depth(p, q, spec.unroll_depth)
         if ts.truncated or es_lts.truncated:

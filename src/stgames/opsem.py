@@ -13,15 +13,16 @@ Compliance asks that every reachable stuck configuration leaves the client
 Cycles never make a pair non-compliant: only stuck states are constrained,
 so livelocks count as compliant and the verdict says so.
 
-A state is keyed by its printed form ``left || right``.  Each exploration
-keeps one ``TermMemo``, so every distinct term object is printed and
-unfolded once per exploration, and a successor's key costs two lookups.
+A state is keyed by its printed form ``left || right``.  Terms keep their
+printed forms and unfoldings (see ``syntax``), so every distinct term
+object is printed and unfolded once, across explorations, and a
+successor's key costs two reads.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .lts import Lts
 from .syntax import (
@@ -35,7 +36,6 @@ from .syntax import (
     SessionType,
     Success,
     Term0,
-    TermMemo,
     _pretty,
     assert_valid,
     pretty,
@@ -61,7 +61,7 @@ class Configuration:
 # Reduction (commit/sync) semantics
 # ---------------------------------------------------------------------------
 
-def _component_steps(term: SessionType, memo: TermMemo | None):
+def _component_steps(term: SessionType):
     """Internal and labelled moves of one side.
 
     Committing is only a move for choices with at least two branches; a
@@ -82,14 +82,14 @@ def _component_steps(term: SessionType, memo: TermMemo | None):
     elif isinstance(term, ExternalChoice):
         labelled.extend(term.branches)
     elif isinstance(term, Rec):
-        internal.append(("unfold", unfold(term, memo)))
+        internal.append(("unfold", unfold(term)))
     return internal, labelled
 
 
-def _reduce_moves(left: SessionType, right: SessionType, memo: TermMemo | None = None):
+def _reduce_moves(left: SessionType, right: SessionType):
     """Reduction steps of ``left ∥ right`` as ``(tag, left', right')``."""
-    left_internal, left_labelled = _component_steps(left, memo)
-    right_internal, right_labelled = _component_steps(right, memo)
+    left_internal, left_labelled = _component_steps(left)
+    right_internal, right_labelled = _component_steps(right)
     moves = [(f"{tag} (left)", successor, right) for tag, successor in left_internal]
     moves.extend((f"{tag} (right)", left, successor) for tag, successor in right_internal)
     for llabel, lcont in left_labelled:
@@ -116,19 +116,19 @@ def step_reduce(config: Configuration) -> set[tuple[str, Configuration]]:
 # Turn-based semantics
 # ---------------------------------------------------------------------------
 
-def _turn_side_steps(own: SessionType, other: SessionType, memo: TermMemo | None):
+def _turn_side_steps(own: SessionType, other: SessionType):
     """Moves of one side against the other side's current term.
 
     Returns (label, own', other') triples; recursion on either side is
     unfolded on the fly and never shows up as a step.
     """
-    own = unfold_top(own, memo)
+    own = unfold_top(own)
     moves = []
     if isinstance(own, InternalChoice):
         for label, cont in own.branches:
             moves.append((label, Buffer(label, cont), other))
     elif isinstance(own, ExternalChoice):
-        peer = unfold_top(other, memo)
+        peer = unfold_top(other)
         if isinstance(peer, Buffer) and not peer.action.is_tick:
             pending = peer.action
             for label, cont in own.branches:
@@ -140,12 +140,12 @@ def _turn_side_steps(own: SessionType, other: SessionType, memo: TermMemo | None
     return moves
 
 
-def _turn_moves(left: SessionType, right: SessionType, memo: TermMemo | None = None):
+def _turn_moves(left: SessionType, right: SessionType):
     """Turn-based steps of ``left ∥ right`` as ``(label, side, left', right')``."""
     moves = [(label, "left", nleft, nright)
-             for label, nleft, nright in _turn_side_steps(left, right, memo)]
+             for label, nleft, nright in _turn_side_steps(left, right)]
     moves.extend((label, "right", nleft, nright)
-                 for label, nright, nleft in _turn_side_steps(right, left, memo))
+                 for label, nright, nleft in _turn_side_steps(right, left))
     return moves
 
 
@@ -164,8 +164,8 @@ def step_turn(config: Configuration) -> set[tuple[object, Configuration]]:
 # Exploration
 # ---------------------------------------------------------------------------
 
-def _turn_moves_named(left: SessionType, right: SessionType, memo: TermMemo):
-    return [(str(label), nleft, nright) for label, _, nleft, nright in _turn_moves(left, right, memo)]
+def _turn_moves_named(left: SessionType, right: SessionType):
+    return [(str(label), nleft, nright) for label, _, nleft, nright in _turn_moves(left, right)]
 
 
 _MOVES = {"reduction": _reduce_moves, "turn": _turn_moves_named}
@@ -185,10 +185,9 @@ def _explore(config: Configuration, semantics: str, state_limit: int) -> _Explor
     if semantics not in _MOVES:
         raise ValueError(f"unknown semantics {semantics!r}")
     moves = _MOVES[semantics]
-    memo = TermMemo()
 
     def key(left: SessionType, right: SessionType) -> str:
-        return _pretty(left, True, memo) + " || " + _pretty(right, True, memo)
+        return _pretty(left, True) + " || " + _pretty(right, True)
 
     start = key(config.left, config.right)
     seen: dict[str, Configuration] = {start: config}
@@ -203,7 +202,7 @@ def _explore(config: Configuration, semantics: str, state_limit: int) -> _Explor
         # terms are not orderable: sort on (label, printed form) only
         successors = sorted(
             ((label, key(left, right), left, right)
-             for label, left, right in moves(current.left, current.right, memo)),
+             for label, left, right in moves(current.left, current.right)),
             key=lambda s: s[:2],
         )
         if not successors:
@@ -240,11 +239,14 @@ LIVELOCK_NOTE = "cycles count as compliant: only stuck states are constrained"
 
 @dataclass(frozen=True)
 class ComplianceVerdict:
+    """A compliance verdict; ``lts`` is the system explored, kept for reuse, not in the JSON."""
+
     status: str  # "compliant" | "non-compliant" | "indeterminate"
     semantics: str  # "reduction" | "turn"
     witness: tuple[str, ...] | None = None
     truncated: bool = False
     note: str | None = None
+    lts: Lts | None = field(default=None, compare=False, repr=False)
 
     @property
     def is_compliant(self) -> bool:
@@ -283,6 +285,7 @@ def _check(p: SessionType, q: SessionType, semantics: str, state_limit: int,
         assert_valid(q, "server type")
     config = Configuration(p, q)
     exploration = _explore(config, semantics, state_limit)
+    lts = exploration.lts
     bad = sorted(
         key for key in exploration.stuck
         if not _left_term_ok(exploration.configs[key], semantics)
@@ -292,14 +295,14 @@ def _check(p: SessionType, q: SessionType, semantics: str, state_limit: int,
         # minimal-length; pick the lexicographically first among the shortest
         witnesses = [_witness_path(exploration.parents, config.key(), key) for key in bad]
         witness = min(witnesses, key=lambda w: (len(w), w))
-        return ComplianceVerdict("non-compliant", semantics, witness, exploration.lts.truncated)
-    if exploration.lts.truncated:
+        return ComplianceVerdict("non-compliant", semantics, witness, lts.truncated, lts=lts)
+    if lts.truncated:
         return ComplianceVerdict(
             "indeterminate", semantics, None, True,
-            note="state limit hit before the reachable set was exhausted",
+            note="state limit hit before the reachable set was exhausted", lts=lts,
         )
-    note = LIVELOCK_NOTE if exploration.lts.has_cycle() else None
-    return ComplianceVerdict("compliant", semantics, None, False, note)
+    note = LIVELOCK_NOTE if lts.has_cycle() else None
+    return ComplianceVerdict("compliant", semantics, None, False, note, lts)
 
 
 def check_compliance(p: SessionType, q: SessionType,

@@ -6,6 +6,10 @@ prefixes (``!a.P (+) !b.Q``), n-ary external choice over input prefixes
 extra constructors never appear in user-written source: ``Buffer`` (a
 one-position buffer holding a pending output) and ``Term0`` (the terminated
 process ``0``).  Both arise only while executing the turn-based semantics.
+
+Terms are immutable.  Each keeps its printed forms, and each ``Rec`` its
+one-step unfolding, once computed; both are deterministic, so terms stay
+safe to share.
 """
 
 from __future__ import annotations
@@ -313,57 +317,39 @@ def pretty(term: SessionType) -> str:
     return _pretty(term, top=True)
 
 
-class TermMemo:
-    """Printed forms and one-step unfoldings of terms, keyed by ``id``.
-
-    Each entry holds its term, so no id is reused while the memo lives.
-    Terms are immutable, so an entry never goes stale: with one memo per
-    exploration, each distinct term object is printed and unfolded once.
-    """
-
-    __slots__ = ("printed", "unfolded")
-
-    def __init__(self) -> None:
-        self.printed: dict[int, tuple[SessionType, str, str]] = {}  # term, top form, nested form
-        self.unfolded: dict[int, tuple[Rec, SessionType]] = {}
-
-
-def _pretty(term: SessionType, top: bool, memo: TermMemo | None = None) -> str:
+def _pretty(term: SessionType, top: bool) -> str:
     """The form of ``term`` at the top level or, if not ``top``, as the
-    continuation of a prefix; ``memo`` keeps both forms of every subterm."""
-    if memo is not None:
-        entry = memo.printed.get(id(term))
-        if entry is not None:
-            return entry[1] if top else entry[2]
-    grouped = False
-    if isinstance(term, Success):
-        text = "1"
-    elif isinstance(term, Term0):
-        text = "0"
-    elif isinstance(term, Var):
-        text = term.name
-    elif isinstance(term, Rec):
-        text = f"rec {term.var} . {_pretty(term.body, True, memo)}"
-        grouped = True
-    elif isinstance(term, Buffer):
-        text = f"[{term.action}]{_pretty(term.cont, False, memo)}"
-    elif isinstance(term, (InternalChoice, ExternalChoice)):
-        sep = " (+) " if isinstance(term, InternalChoice) else " + "
-        text = sep.join([_pretty_branch(label, cont, memo) for label, cont in term.branches])
-        grouped = len(term.branches) != 1
-    else:
-        raise TypeError(f"not a session type: {term!r}")
-    nested = f"({text})" if grouped else text
-    if memo is not None:
-        memo.printed[id(term)] = (term, text, nested)
-    return text if top else nested
+    continuation of a prefix; the first call keeps both forms on the term."""
+    forms = getattr(term, "_printed", None)
+    if forms is None:
+        grouped = False
+        if isinstance(term, Success):
+            text = "1"
+        elif isinstance(term, Term0):
+            text = "0"
+        elif isinstance(term, Var):
+            text = term.name
+        elif isinstance(term, Rec):
+            text = f"rec {term.var} . {_pretty(term.body, True)}"
+            grouped = True
+        elif isinstance(term, Buffer):
+            text = f"[{term.action}]{_pretty(term.cont, False)}"
+        elif isinstance(term, (InternalChoice, ExternalChoice)):
+            sep = " (+) " if isinstance(term, InternalChoice) else " + "
+            text = sep.join([_pretty_branch(label, cont) for label, cont in term.branches])
+            grouped = len(term.branches) != 1
+        else:
+            raise TypeError(f"not a session type: {term!r}")
+        forms = (text, f"({text})" if grouped else text)
+        object.__setattr__(term, "_printed", forms)  # frozen: write once, past the dataclass guard
+    return forms[0] if top else forms[1]
 
 
-def _pretty_branch(label: ActionLabel, cont: SessionType, memo: TermMemo | None) -> str:
+def _pretty_branch(label: ActionLabel, cont: SessionType) -> str:
     head = f"{label.polarity}{label.name}"
     if isinstance(cont, Success):
         return head
-    return f"{head}.{_pretty(cont, False, memo)}"
+    return f"{head}.{_pretty(cont, False)}"
 
 
 # ---------------------------------------------------------------------------
@@ -493,26 +479,25 @@ def substitute(term: SessionType, var: str, replacement: SessionType) -> Session
     raise TypeError(f"not a session type: {term!r}")
 
 
-def unfold(term: Rec, memo: TermMemo | None = None) -> SessionType:
+def unfold(term: Rec) -> SessionType:
     """One unfolding of a recursive term: the body with the binder substituted in.
 
-    With a ``memo``, each ``Rec`` object is unfolded once and later calls
-    return that same unfolding.
+    Each ``Rec`` object is unfolded once and keeps the result, so later
+    calls return that same unfolding.
     """
     if not isinstance(term, Rec):
         raise TypeError("unfold expects a rec term")
-    if memo is None:
-        return substitute(term.body, term.var, term)
-    entry = memo.unfolded.get(id(term))
-    if entry is None:
-        entry = memo.unfolded[id(term)] = (term, substitute(term.body, term.var, term))
-    return entry[1]
+    unfolded = getattr(term, "_unfolded", None)
+    if unfolded is None:
+        unfolded = substitute(term.body, term.var, term)
+        object.__setattr__(term, "_unfolded", unfolded)
+    return unfolded
 
 
-def unfold_top(term: SessionType, memo: TermMemo | None = None) -> SessionType:
+def unfold_top(term: SessionType) -> SessionType:
     """Unfold leading recursions until a non-rec constructor is on top."""
     while isinstance(term, Rec):
-        term = unfold(term, memo)
+        term = unfold(term)
     return term
 
 

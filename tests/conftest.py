@@ -11,8 +11,8 @@ reference compiler builds and validates a structure at every syntax node,
 the design the single-walk compiler replaced.  The reference playability
 rule scans every generator of every event, the design the per-event
 update replaced.  The reference explorer prints every successor
-configuration from scratch, the design the per-exploration term memo
-replaced.
+configuration from scratch with its own printer, the design that printed
+forms kept on the terms replaced.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from stgames.estructure import (
 )
 from stgames.syntax import (
     TICK,
+    Buffer,
     ExternalChoice,
     InternalChoice,
     Rec,
@@ -443,10 +444,38 @@ def reference_denote(term, who, env=None, unroll_depth=6, parity="odd"):
 # Reference explorer: every successor printed afresh
 # ---------------------------------------------------------------------------
 
+def reference_pretty(term, top=True):
+    """The printer without stored forms: every call prints the whole term."""
+    grouped = False
+    if isinstance(term, Success):
+        text = "1"
+    elif isinstance(term, Term0):
+        text = "0"
+    elif isinstance(term, Var):
+        text = term.name
+    elif isinstance(term, Rec):
+        text, grouped = f"rec {term.var} . {reference_pretty(term.body)}", True
+    elif isinstance(term, Buffer):
+        text = f"[{term.action}]{reference_pretty(term.cont, False)}"
+    elif isinstance(term, (InternalChoice, ExternalChoice)):
+        sep = " (+) " if isinstance(term, InternalChoice) else " + "
+        text = sep.join(f"{label.polarity}{label.name}"
+                        + ("" if isinstance(cont, Success) else "." + reference_pretty(cont, False))
+                        for label, cont in term.branches)
+        grouped = len(term.branches) != 1
+    else:
+        raise TypeError(f"not a session type: {term!r}")
+    return f"({text})" if grouped and not top else text
+
+
+def reference_key(config):
+    return f"{reference_pretty(config.left)} || {reference_pretty(config.right)}"
+
+
 def reference_explore(config, semantics, state_limit):
     """Breadth-first exploration as the string-keyed explorer did it: the
-    public set-returning step relations, and ``Configuration.key()`` on
-    every successor.  Returns the library's ``_Exploration`` record."""
+    public set-returning step relations, and ``reference_key`` on every
+    successor.  Returns the library's ``_Exploration`` record."""
     from collections import deque
 
     from stgames.lts import Lts
@@ -462,9 +491,9 @@ def reference_explore(config, semantics, state_limit):
             steps = ((str(label), nxt) for label, nxt in step_turn(cfg))
         else:
             raise ValueError(f"unknown semantics {semantics!r}")
-        return sorted(((label, nxt.key(), nxt) for label, nxt in steps), key=lambda s: s[:2])
+        return sorted(((label, reference_key(nxt), nxt) for label, nxt in steps), key=lambda s: s[:2])
 
-    start = config.key()
+    start = reference_key(config)
     seen = {start: config}
     parents, edges, stuck = {}, set(), set()
     truncated = False

@@ -162,6 +162,13 @@ def test_deeply_nested_type_exit_two(capsys):
     assert "nested too deeply" in capsys.readouterr().err
 
 
+def test_check_long_chain_exit_zero():
+    # a 300-prefix chain stays within the recursion limit: parsing, printing
+    # and exploring take a bounded number of frames per nesting level
+    code, _ = run(["check", ".".join(["!a"] * 300), ".".join(["?a"] * 300)])
+    assert code == 0
+
+
 def test_deep_unroll_exit_two(capsys):
     code, _ = run(["agree", "rec x . !a.x", "rec y . ?a.y", "--depth", "400"])
     assert code == 2
@@ -192,6 +199,16 @@ def test_corpus_rejects_depth(capsys):
         run(["corpus", "--depth", "3"])
     assert exc.value.code == 2
     assert "--depth" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", [["--depth", "3"], ["--participants", "C", "D"]],
+                         ids=["depth", "participants"])
+def test_check_rejects_depth(option, capsys):
+    # check composes no event structure, so it takes neither option
+    with pytest.raises(SystemExit) as exc:
+        run(["check", *EXAMPLE, *option])
+    assert exc.value.code == 2
+    assert option[0] in capsys.readouterr().err
 
 
 def test_text_format():

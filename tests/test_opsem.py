@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from conftest import acceptance_pairs, reference_explore
+from conftest import acceptance_pairs, reference_explore, reference_key
 
 import stgames.opsem as opsem
 from stgames.harness import CorpusSpec, corpus_pair, dual
@@ -243,9 +243,9 @@ def large_pairs():
     ("large", (10**5, 30)),
 ])
 def test_explore_matches_string_keyed_reference(family, limits, semantics, monkeypatch):
-    # the memoised explorer against one that prints every successor afresh
-    # through Configuration.key(): same states, edges, stuck set, BFS parents
-    # and configurations, and the same verdicts, truncated runs included
+    # the explorer against one that prints every successor afresh with its
+    # own printer: same states, edges, stuck set, BFS parents and
+    # configurations, and the same verdicts, truncated runs included
     pairs = large_pairs() if family == "large" else acceptance_pairs(family)
     check = check_compliance if semantics == "reduction" else check_compliance_turn
     runs = [(p, q, limit) for p, q in pairs for limit in limits]
@@ -260,3 +260,13 @@ def test_explore_matches_string_keyed_reference(family, limits, semantics, monke
     verdicts = [check(p, q, limit).to_json() for p, q, limit in runs]
     monkeypatch.setattr(opsem, "_explore", reference_explore)
     assert [check(p, q, limit).to_json() for p, q, limit in runs] == verdicts
+
+
+@pytest.mark.parametrize("semantics", ["reduction", "turn"])
+@pytest.mark.parametrize("family", ["finite", "recursive"])
+def test_state_keys_are_fresh_prints(family, semantics):
+    # every key, and Configuration.key() read from the stored forms, equals
+    # a print of the state's two sides from scratch
+    for p, q in acceptance_pairs(family):
+        for key, config in opsem._explore(Configuration(p, q), semantics, 10**5).configs.items():
+            assert key == config.key() == reference_key(config)

@@ -194,6 +194,11 @@ def test_unfold_spec_examples():
     )
 
 
+def test_unfold_is_kept_on_the_term():
+    term = parse("rec x . !a.(rec y . ?b.x)")
+    assert unfold(term) is unfold(term)
+
+
 def test_substitute_avoids_capture():
     # substituting a term with a free y under a binder for y must rename
     body = Rec("y", InternalChoice(((out("a"), Var("x")),)))
