@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, with_types: bool = True,
-               with_denotation: bool = True) -> None:
+               with_denotation: bool = True, with_limit: bool = True) -> None:
         if with_types:
             p.add_argument("client", help="client session type (inline text or @file)")
             p.add_argument("server", help="server session type (inline text or @file)")
@@ -155,8 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="participant names (default: A B)")
             p.add_argument("--depth", type=int, default=DEFAULT_UNROLL_DEPTH,
                            help="recursion unroll depth (default: %(default)s)")
-        p.add_argument("--limit", type=int, default=DEFAULT_STATE_LIMIT,
-                       help="state limit for explorations (default: %(default)s)")
+        if with_limit:
+            p.add_argument("--limit", type=int, default=DEFAULT_STATE_LIMIT,
+                           help="state limit for explorations (default: %(default)s)")
         p.add_argument("--format", choices=("json", "text"), default="json")
 
     check = sub.add_parser("check", help="decide compliance under both semantics")
@@ -164,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.set_defaults(run=cmd_check)
 
     agree = sub.add_parser("agree", help="eager verdict or winning-strategy search")
-    common(agree)
+    # neither game engine takes a state limit, so agree has no --limit
+    common(agree, with_limit=False)
     agree.add_argument("--strategy", choices=("eager", "search"), default="eager")
     agree.add_argument("--participant", help="whose side to check (default: the client's owner)")
     agree.set_defaults(run=cmd_agree)

@@ -19,14 +19,14 @@ therefore get disjoint copies, the outermost copy keeps bare ids, and
 deepening the bound only adds events, so approximants form an increasing
 chain.
 
-Parallel composition combines one side's enabling with the other side's
-acknowledgements: every output (or success) event needs, for each premise
-event, a complementary event of the other side, and every input event
-additionally needs the output it consumes.  Candidates must complement the
-label and occur at the same per-label position along their own causal
-chain, which pins each handshake to one acknowledgement per repetition
-while still allowing alternatives across incompatible branches.  Premises
-are not filtered for conflict-freeness; combinations drawing from mutually
+Parallel composition has one partner rule.  The partners of an event are
+the other side's events with the complementary label at the same per-label
+position along their own causal chain; a success event has none.  Each
+enabling of one side needs a partner for every premise event and, when its
+target is an input, for the target itself (the output it consumes).  The
+position pins each handshake to one partner per repetition while still
+allowing alternatives across incompatible branches.  Premises are not
+filtered for conflict-freeness; combinations drawing from mutually
 exclusive branches are inert.
 """
 
@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .estructure import Event, EventStructureGen, id_sort_key
+from .estructure import Event, EventStructureGen
 from .syntax import (
     TICK,
     ExternalChoice,
@@ -92,9 +92,9 @@ class _Compiler:
     of its structure.
 
     ``under`` is the premise of the events a subterm can start with: empty
-    at the top, the prefix event below a prefix.  A recursion binding is the
-    data ``(var, body, body_path, env, depth)``; :meth:`fix` unrolls it at
-    the binder and at each use.
+    at the top, the prefix event below a prefix.  ``env`` maps each variable
+    in scope to its recursion binding ``(var, body, body_path, env, depth)``;
+    :meth:`fix` unrolls it at the binder and at each use.
     """
 
     who: str
@@ -129,17 +129,8 @@ class _Compiler:
         elif isinstance(term, Term0):
             pass
         elif isinstance(term, Var):
-            try:
-                binding = env[term.name]
-            except KeyError:
-                raise DenoteError(f"free variable {term.name}") from None
-            if isinstance(binding, EventStructureGen):
-                for event in binding.events:
-                    self.add(event)
-                self.conflicts |= binding.conflicts
-                self.gens.update((premise or under, target) for premise, target in binding.gens)
-            else:
-                self.fix(binding, copy + (self.var_positions[path],), under)
+            # validate has rejected free variables, so the binding exists
+            self.fix(env[term.name], copy + (self.var_positions[path],), under)
         elif isinstance(term, (InternalChoice, ExternalChoice)):
             # each branch starts with its prefix event alone, so the branches
             # conflict pairwise on those
@@ -175,50 +166,36 @@ class _Compiler:
         )
 
 
-def _check_env(env: dict[str, EventStructureGen] | None, who: str) -> dict[str, EventStructureGen]:
-    env = dict(env or {})
-    for name, es in env.items():
-        foreign = es.participants() - {who}
-        if foreign:
-            raise DenoteError(
-                f"environment for {name} owns events of {sorted(foreign)}, expected only {who}"
-            )
-    return env
-
-
-def denote(term: SessionType, who: str, env: dict[str, EventStructureGen] | None = None,
-           unroll_depth: int = DEFAULT_UNROLL_DEPTH, parity: str = "odd") -> EventStructureGen:
-    """Compile one participant's session type to its event structure.
+def denote(term: SessionType, who: str, unroll_depth: int = DEFAULT_UNROLL_DEPTH,
+           parity: str = "odd") -> EventStructureGen:
+    """Compile one participant's closed session type to its event structure.
 
     ``parity`` picks the id stream: ``odd`` (e1, e3, ...) for the first
     participant and ``even`` (e2, e4, ...) for the second.  ``unroll_depth``
     bounds every recursion; the result at a deeper bound extends the result
-    at a shallower one.  A structure bound in ``env`` is placed under the
-    prefix that reaches its variable; each may be used once, since a second
-    use would repeat its event ids.
+    at a shallower one.  A free variable is a :class:`DenoteError`.
     """
     if unroll_depth < 0:
         raise DenoteError("unroll depth must be non-negative")
-    env = _check_env(env, who)
-    problems = [v for v in validate(term, bound=frozenset(env)) if v.rule != "runtime-only-term"]
+    problems = [v for v in validate(term) if v.rule != "runtime-only-term"]
     if problems:
         raise DenoteError(f"cannot compile invalid type {pretty(term)}: "
                           + "; ".join(str(v) for v in problems))
     positions, var_positions = _positions(term)
     compiler = _Compiler(who, positions, var_positions, PARITY_START[parity], unroll_depth)
-    compiler.compile(term, (), (), env, frozenset())
+    compiler.compile(term, (), (), {}, frozenset())
     return compiler.structure()
 
 
 def fix_approx(var: str, body: SessionType, who: str,
-               env: dict[str, EventStructureGen] | None = None,
                depth: int = DEFAULT_UNROLL_DEPTH, parity: str = "odd") -> EventStructureGen:
     """The ``depth``-th approximant of the recursion operator for ``rec var . body``.
 
     Depth 0 is the empty structure; depth n+1 compiles the body with the
     variable bound to the depth-n approximant, placed one unrolling deeper.
+    ``rec var . body`` must be closed.
     """
-    return denote(Rec(var, body), who, env, depth, parity)
+    return denote(Rec(var, body), who, depth, parity)
 
 
 # ---------------------------------------------------------------------------
@@ -261,57 +238,34 @@ def occurrence_index(es: EventStructureGen) -> dict[str, int]:
 def denote_par(left: EventStructureGen, right: EventStructureGen) -> EventStructureGen:
     """Compose the event structures of two interacting participants.
 
-    Events, conflicts and labels are unions.  For a component enabling
-    ``(X, e)``: when ``e`` is an output or success, one composite enabling
-    ``(X ∪ Y, e)`` is emitted per choice of acknowledgement function
-    mapping each member of ``X`` to a complementary same-occurrence event
-    of the other side; when ``e`` is an input, a synchronising output
-    (complementary label, same occurrence) is additionally added to the
-    premise, one enabling per choice.  A premise event labelled ``✓`` has
-    no complement and kills the enabling.  Duplicates collapse; premises
-    are kept even when not conflict-free (such enablings never fire).
+    Events, conflicts and labels are unions.  The partners of an event are
+    the other side's events with the complementary label at the same
+    occurrence (:func:`occurrence_index`); a ``✓`` event has none.  A
+    component enabling ``(X, e)`` needs a partner for each member of ``X``
+    and, when ``e`` is an input, for ``e`` itself (the output it consumes);
+    one composite enabling ``(X ∪ choice, e)`` is emitted per choice of
+    partners, so a needed event without partners kills the enabling.
+    Duplicates collapse; premises are kept even when not conflict-free
+    (such enablings never fire).
     """
     overlap = left.event_ids & right.event_ids
     if overlap:
         raise ValueError(f"component event sets overlap: {sorted(overlap)}")
-    occ = {}
-    occ.update(occurrence_index(left))
-    occ.update(occurrence_index(right))
-
-    def buckets(es: EventStructureGen) -> dict:
-        table: dict[tuple, list[str]] = {}
-        for event in sorted(es.events, key=lambda e: id_sort_key(e.id)):
-            table.setdefault((event.label, occ[event.id]), []).append(event.id)
-        return table
-
-    complements = {id(left): buckets(right), id(right): buckets(left)}
+    occ = {**occurrence_index(left), **occurrence_index(right)}
     gens: set[tuple[frozenset[str], str]] = set()
-    for side in (left, right):
-        matching = complements[id(side)]
+    for side, other in ((left, right), (right, left)):
+        table: dict[tuple, list[str]] = {}
+        for event in other.events:
+            table.setdefault((event.label, occ[event.id]), []).append(event.id)
+
+        def partners(eid: str) -> list[str]:
+            label = side.label_of(eid)
+            return [] if label.is_tick else table.get((label.co(), occ[eid]), [])
+
         for premise, target in side.gens:
-            target_label = side.label_of(target)
-            candidate_lists: list[list[str]] = []
-            dead = False
-            for pid in sorted(premise, key=id_sort_key):
-                plabel = side.label_of(pid)
-                if plabel.is_tick:
-                    dead = True
-                    break
-                matchers = matching.get((plabel.co(), occ[pid]), [])
-                if not matchers:
-                    dead = True
-                    break
-                candidate_lists.append(matchers)
-            if dead:
-                continue
-            if target_label.is_output:
-                for assignment in product(*candidate_lists):
-                    gens.add((premise | frozenset(assignment), target))
-            else:
-                synchronisers = matching.get((target_label.co(), occ[target]), [])
-                for sync in synchronisers:
-                    for assignment in product(*candidate_lists):
-                        gens.add((premise | frozenset(assignment) | {sync}, target))
+            needs = premise if side.label_of(target).is_output else (*premise, target)
+            for choice in product(*map(partners, needs)):
+                gens.add((premise.union(choice), target))
     return EventStructureGen(
         left.events | right.events,
         left.conflicts | right.conflicts,

@@ -140,22 +140,6 @@ def assert_play(es: EventStructureGen, sequence) -> tuple[str, ...]:
     return seq
 
 
-def plays(es: EventStructureGen, max_count: int | None = None):
-    """Enumerate plays depth-first in sorted event order (the empty play first)."""
-    count = 0
-
-    def walk(history: tuple[str, ...]):
-        nonlocal count
-        yield history
-        count += 1
-        if max_count is not None and count >= max_count:
-            return
-        for event_id in sorted(playable(es, history), key=id_sort_key):
-            yield from walk(history + (event_id,))
-
-    yield from walk(())
-
-
 # ---------------------------------------------------------------------------
 # Strategies
 # ---------------------------------------------------------------------------

@@ -409,18 +409,17 @@ class CorrespondenceReport:
 
 def correspondence_check(p: SessionType, q: SessionType,
                    unroll_depth: int = DEFAULT_UNROLL_DEPTH,
-                   participants: tuple[str, str] = ("A", "B"),
                    state_limit: int = DEFAULT_STATE_LIMIT,
                    check_corollary: bool = False) -> CorrespondenceReport:
     """Compare compliance with eager winning on one pair.
 
+    The client ``p`` belongs to participant A and the server ``q`` to B.
     For finite pairs the comparison is exact.  For recursive pairs both
     sides are taken at the same bound: the game on the depth-``d``
     denotation, compliance on the ``d``-times unfolded types.
     """
-    a, b = participants
-    contract = compose_session_contracts(p, a, q, b, unroll_depth)
-    eager = eager_winning(contract, a)
+    contract = compose_session_contracts(p, "A", q, "B", unroll_depth)
+    eager = eager_winning(contract, "A")
     bounded = contract.bounded_depth is not None
     if bounded:
         compliance = check_compliance(
@@ -435,7 +434,7 @@ def correspondence_check(p: SessionType, q: SessionType,
     )
     strategy_found: bool | None = None
     if check_corollary and compliance.is_compliant:
-        strategy_found = find_winning_strategy(contract, a) is not None
+        strategy_found = find_winning_strategy(contract, "A") is not None
     return CorrespondenceReport(compliance, eager, agree, bounded, contract, strategy_found)
 
 
@@ -470,8 +469,7 @@ class CorpusSummary:
         }
 
 
-def run_corpus(spec: CorpusSpec, state_limit: int = DEFAULT_STATE_LIMIT,
-               check_corollary: bool = True) -> CorpusSummary:
+def run_corpus(spec: CorpusSpec, state_limit: int = DEFAULT_STATE_LIMIT) -> CorpusSummary:
     """Assert the correspondence results over every pair of one corpus.
 
     Every disagreement is recorded with the pair that produced it; the
@@ -492,8 +490,7 @@ def run_corpus(spec: CorpusSpec, state_limit: int = DEFAULT_STATE_LIMIT,
             })
 
         report = correspondence_check(
-            p, q, spec.unroll_depth, state_limit=state_limit,
-            check_corollary=check_corollary,
+            p, q, spec.unroll_depth, state_limit=state_limit, check_corollary=True,
         )
         # an unbounded report already holds the untruncated reduction verdict
         reduction = check_compliance(p, q, state_limit) if report.bounded else report.compliance

@@ -366,15 +366,14 @@ class Violation:
         return f"{self.rule}: {self.detail} in {self.subterm}"
 
 
-def validate(term: SessionType, bound: frozenset[str] = frozenset()) -> list[Violation]:
+def validate(term: SessionType) -> list[Violation]:
     """Check closedness, guardedness and per-choice action distinctness.
 
     Violations are data, not failures; an empty report means the term is a
-    well-formed user-level session type.  ``bound`` names variables treated
-    as already bound (used when validating recursion bodies on their own).
+    well-formed user-level session type.
     """
     report: list[Violation] = []
-    _validate(term, dict.fromkeys(bound, True), report)
+    _validate(term, {}, report)
     return report
 
 

@@ -8,7 +8,9 @@ computed by these oracles; the oracles never call the code paths they
 check.  The reference game engine plays on rebuilt remainders memoised by
 canonical key, the design the configuration-indexed engine replaced.  The
 reference compiler builds and validates a structure at every syntax node,
-the design the single-walk compiler replaced.  The reference playability
+the design the single-walk compiler replaced.  The reference composition
+treats output and input targets in separate loops, the design the one
+partner rule replaced.  The reference playability
 rule scans every generator of every event, the design the per-event
 update replaced.  The reference explorer prints every successor
 configuration from scratch with its own printer, the design that printed
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 import pytest
 
@@ -374,7 +376,7 @@ def reference_find_winning_strategy(contract, participant):
 # Reference compiler: one structure per syntax node
 # ---------------------------------------------------------------------------
 
-def reference_denote(term, who, env=None, unroll_depth=6, parity="odd"):
+def reference_denote(term, who, unroll_depth=6, parity="odd"):
     """Compile as the per-node compiler did: each prefix copies its compiled
     continuation, each choice unions its branches, and a recursion variable
     is a closure that unrolls one copy deeper.  Shares only the position
@@ -424,10 +426,7 @@ def reference_denote(term, who, env=None, unroll_depth=6, parity="odd"):
         if isinstance(t, Term0):
             return EMPTY_ES
         if isinstance(t, Var):
-            binding = env[t.name]
-            if isinstance(binding, EventStructureGen):
-                return binding
-            return binding(var_positions[path], copy)
+            return env[t.name](var_positions[path], copy)
         if isinstance(t, (InternalChoice, ExternalChoice)):
             return choice([
                 prefix(Event(event_id(path + (i,), copy), who, label),
@@ -437,7 +436,107 @@ def reference_denote(term, who, env=None, unroll_depth=6, parity="odd"):
         assert isinstance(t, Rec)
         return fix(t.var, t.body, path + ("r",), copy, env, unroll_depth)
 
-    return compile_(term, (), (), dict(env or {}))
+    return compile_(term, (), (), {})
+
+
+# ---------------------------------------------------------------------------
+# Reference composition: separate output and input cases
+# ---------------------------------------------------------------------------
+
+def reference_occurrence_index(es: EventStructureGen) -> dict[str, int]:
+    """Position of each event among same-labelled events on its causal chain.
+
+    Ancestors are the transitive closure of generator premises.  Sequential
+    denotations are forests, so this is the occurrence count along the
+    unique path from the root; the index aligns the k-th repetition of an
+    action with the k-th complementary event on the other side.
+    """
+    ancestors: dict[str, frozenset[str]] = {}
+
+    def walk(eid: str, visiting: set[str]) -> frozenset[str]:
+        if eid in ancestors:
+            return ancestors[eid]
+        if eid in visiting:
+            return frozenset()
+        visiting.add(eid)
+        out: set[str] = set()
+        for premise in es.premises_of(eid):
+            for parent in premise:
+                out.add(parent)
+                out |= walk(parent, visiting)
+        visiting.discard(eid)
+        result = frozenset(out)
+        ancestors[eid] = result
+        return result
+
+    occ: dict[str, int] = {}
+    for event in es.events:
+        chain = walk(event.id, set())
+        occ[event.id] = 1 + sum(1 for p in chain if es.label_of(p) == event.label)
+    return occ
+
+
+def reference_denote_par(left: EventStructureGen, right: EventStructureGen) -> EventStructureGen:
+    """Compose as the output/input split composition did: a partner per
+    premise event, a ``dead`` flag on the first premise without one, and a
+    separate synchroniser loop for input targets.
+
+    Events, conflicts and labels are unions.  For a component enabling
+    ``(X, e)``: when ``e`` is an output or success, one composite enabling
+    ``(X ∪ Y, e)`` is emitted per choice of acknowledgement function
+    mapping each member of ``X`` to a complementary same-occurrence event
+    of the other side; when ``e`` is an input, a synchronising output
+    (complementary label, same occurrence) is additionally added to the
+    premise, one enabling per choice.  A premise event labelled ``✓`` has
+    no complement and kills the enabling.  Duplicates collapse; premises
+    are kept even when not conflict-free (such enablings never fire).
+    """
+    overlap = left.event_ids & right.event_ids
+    if overlap:
+        raise ValueError(f"component event sets overlap: {sorted(overlap)}")
+    occ = {}
+    occ.update(reference_occurrence_index(left))
+    occ.update(reference_occurrence_index(right))
+
+    def buckets(es: EventStructureGen) -> dict:
+        table: dict[tuple, list[str]] = {}
+        for event in sorted(es.events, key=lambda e: id_sort_key(e.id)):
+            table.setdefault((event.label, occ[event.id]), []).append(event.id)
+        return table
+
+    complements = {id(left): buckets(right), id(right): buckets(left)}
+    gens: set[tuple[frozenset[str], str]] = set()
+    for side in (left, right):
+        matching = complements[id(side)]
+        for premise, target in side.gens:
+            target_label = side.label_of(target)
+            candidate_lists: list[list[str]] = []
+            dead = False
+            for pid in sorted(premise, key=id_sort_key):
+                plabel = side.label_of(pid)
+                if plabel.is_tick:
+                    dead = True
+                    break
+                matchers = matching.get((plabel.co(), occ[pid]), [])
+                if not matchers:
+                    dead = True
+                    break
+                candidate_lists.append(matchers)
+            if dead:
+                continue
+            if target_label.is_output:
+                for assignment in product(*candidate_lists):
+                    gens.add((premise | frozenset(assignment), target))
+            else:
+                synchronisers = matching.get((target_label.co(), occ[target]), [])
+                for sync in synchronisers:
+                    for assignment in product(*candidate_lists):
+                        gens.add((premise | frozenset(assignment) | {sync}, target))
+    return EventStructureGen(
+        left.events | right.events,
+        left.conflicts | right.conflicts,
+        frozenset(gens),
+    )
 
 
 # ---------------------------------------------------------------------------

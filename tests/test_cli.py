@@ -211,6 +211,14 @@ def test_check_rejects_depth(option, capsys):
     assert option[0] in capsys.readouterr().err
 
 
+def test_agree_rejects_limit(capsys):
+    # neither game engine takes a state limit, so agree has no --limit
+    with pytest.raises(SystemExit) as exc:
+        run(["agree", *EXAMPLE, "--limit", "1"])
+    assert exc.value.code == 2
+    assert "--limit" in capsys.readouterr().err
+
+
 def test_text_format():
     code, text = run(["check", *EXAMPLE, "--format", "text"])
     assert code == 0

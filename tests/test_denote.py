@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import es_leq_oracle, reference_denote
+from conftest import es_leq_oracle, reference_denote, reference_denote_par
 from stgames.denote import DenoteError, denote, denote_par, fix_approx, occurrence_index
 from stgames.estructure import EMPTY_ES, Event, es_leq, es_to_json, make_es
 from stgames.harness import CorpusSpec, corpus_pair, dual
@@ -105,32 +105,6 @@ def test_participants_and_polarity():
 def test_free_variable_rejected():
     with pytest.raises(DenoteError):
         denote(parse("x"), "A")
-
-
-def test_env_must_belong_to_participant():
-    foreign = make_es([Event("e2", "B", out("a"))], (), [((), "e2")])
-    with pytest.raises(DenoteError):
-        denote(parse("x"), "A", env={"x": foreign})
-
-
-def test_env_lookup_used_verbatim():
-    bound = make_es([Event("e100", "A", out("z"))], (), [((), "e100")])
-    es = denote(parse("x"), "A", env={"x": bound})
-    assert es == bound
-
-
-def test_env_structure_used_twice_rejected():
-    bound = make_es([Event("e100", "A", out("z"))], (), [((), "e100")])
-    with pytest.raises(DenoteError, match="e100"):
-        denote(parse("!a.x (+) !b.x"), "A", env={"x": bound})
-
-
-def test_env_structure_placed_under_prefix():
-    bound = make_es([Event("e100", "A", out("z")), Event("e102", "A", out("y"))],
-                    [("e100", "e102")], [((), "e100"), ((), "e102")])
-    es = denote(parse("!a.x"), "A", env={"x": bound})
-    assert es == reference_denote(parse("!a.x"), "A", env={"x": bound})
-    assert gens_of(es) == G(((), "e1"), (("e1",), "e100"), (("e1",), "e102"))
 
 
 # -- parallel composition ------------------------------------------------------
@@ -250,11 +224,33 @@ def test_denote_matches_per_node_reference(kind):
         ref_right = reference_denote(server, "B", unroll_depth=depth, parity="even")
         assert _json(left) == _json(ref_left)
         assert _json(right) == _json(ref_right)
-        assert _json(denote_par(left, right)) == _json(denote_par(ref_left, ref_right))
+        assert _json(denote_par(left, right)) == _json(reference_denote_par(ref_left, ref_right))
         for term, who, parity, ref in ((client, "A", "odd", ref_left), (server, "B", "even", ref_right)):
             if isinstance(term, Rec):
                 approx = fix_approx(term.var, term.body, who, depth=depth, parity=parity)
                 assert _json(approx) == _json(ref)
+
+
+def _split_by_participant(es):
+    """The A and B sides of ``es``: each keeps its own events, the conflicts
+    among them and the generators whose premise lies on its side."""
+    sides = []
+    for who in ("A", "B"):
+        ids = es.events_of(who)
+        sides.append(make_es(
+            [event for event in es.events if event.id in ids],
+            [pair for pair in es.conflicts if pair <= ids],
+            [(premise, target) for premise, target in es.gens if target in ids and premise <= ids],
+        ))
+    return sides
+
+
+def test_denote_par_matches_reference_on_split_structures(small_structures):
+    # hand-built sides with repeated labels, and with ✓ in premises and
+    # generator cycles, which no compiled session type produces
+    for es in small_structures:
+        left, right = _split_by_participant(es)
+        assert _json(denote_par(left, right)) == _json(reference_denote_par(left, right))
 
 
 # -- recursion approximants ------------------------------------------------------
