@@ -6,13 +6,16 @@ structure JSON, event-labelled DOT, turn-based DOT) and ``corpus`` (the
 randomised theorem harness).  Types are given inline or with ``@file``.
 
 Exit codes: 0 for a positive verdict (compliant / winning / clean corpus),
-1 for a negative one, 2 for errors or indeterminate results.
+1 for a negative one, 2 for errors or indeterminate results, and 2 with
+nothing on stderr when the reader closes stdout before the output is all
+written (``stgames export ... | head``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -79,10 +82,10 @@ def cmd_check(args, out) -> int:
 def cmd_agree(args, out) -> int:
     p = _load_type(args.client)
     q = _load_type(args.server)
-    contract = compose_session_contracts(p, args.participants[0], q, args.participants[1], args.depth)
     who = args.participant or args.participants[0]
     if who not in args.participants:
         raise CliError(f"unknown participant {who}")
+    contract = compose_session_contracts(p, args.participants[0], q, args.participants[1], args.depth)
     if args.strategy == "eager":
         verdict = eager_winning(contract, who)
         payload = verdict.to_json()
@@ -110,6 +113,8 @@ def cmd_export(args, out) -> int:
         text = turn_lts(p, q, args.limit).to_dot(name="ts")
     else:
         a, b = args.participants
+        if a == b:
+            raise CliError("the two endpoints must belong to distinct participants")
         left = denote(p, a, unroll_depth=args.depth, parity="odd")
         right = denote(q, b, unroll_depth=args.depth, parity="even")
         composed = denote_par(left, right)
@@ -194,7 +199,16 @@ def main(argv: list[str] | None = None, out=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args, out)
+        code = args.run(args, out)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early: point it at devnull, so the flush
+        # at interpreter exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,6 +21,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
+from json.encoder import encode_basestring
 
 from .lts import Lts
 from .syntax import ActionLabel
@@ -390,24 +391,63 @@ def es_lub(chain) -> EventStructureGen:
 # ---------------------------------------------------------------------------
 
 def es_to_json_dict(es: EventStructureGen) -> dict:
-    events = sorted(es.events, key=lambda e: id_sort_key(e.id))
+    ids = sorted(es.event_ids, key=id_sort_key)
+    # id_sort_key is injective (its last component is the id), so sorting on
+    # positions in this order is sorting on id_sort_key
+    rank = {event_id: position for position, event_id in enumerate(ids)}.__getitem__
     return {
         "events": [
-            {"id": e.id, "participant": e.participant, "label": str(e.label)} for e in events
+            {"id": e.id, "participant": e.participant, "label": str(e.label)}
+            for e in map(es.event, ids)
         ],
-        "conflicts": sorted(sorted(pair, key=id_sort_key) for pair in es.conflicts),
-        "enablings": sorted(
-            (
-                {"premise": sorted(premise, key=id_sort_key), "target": target}
-                for premise, target in es.gens
-            ),
-            key=lambda g: (id_sort_key(g["target"]), g["premise"]),
-        ),
+        "conflicts": sorted(sorted(pair, key=rank) for pair in es.conflicts),
+        # by target rank, then by premise as a list of strings
+        "enablings": [
+            {"premise": premise, "target": target}
+            for target in ids
+            for premise in sorted(sorted(p, key=rank) for p in es.premises_of(target))
+        ],
     }
 
 
-def es_to_json(es: EventStructureGen, indent: int | None = 2) -> str:
-    return json.dumps(es_to_json_dict(es), indent=indent, ensure_ascii=False, sort_keys=True)
+def _array(items: list[str], pad: str) -> str:
+    """A JSON array of written ``items``, one per line, the array itself at indentation ``pad``."""
+    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]" if items else "[]"
+
+
+def _strings(items: list[str], pad: str) -> str:
+    """``_array`` of the JSON strings of ``items``."""
+    return _array([*map(encode_basestring, items)], pad)
+
+
+def es_to_json(es: EventStructureGen) -> str:
+    """``es_to_json_dict(es)`` as JSON in its one layout: two-space indent,
+    sorted keys and non-ASCII kept, the text of ``json.dumps(...,
+    indent=2, sort_keys=True, ensure_ascii=False)``.
+
+    ``json.dumps`` falls back to its pure-Python encoder whenever ``indent``
+    is set, and on a large structure that encoder was most of the cost of
+    exporting it.  The layout is fixed, so the text is written directly:
+    keys in sorted order, and every string quoted by
+    ``json.encoder.encode_basestring``, the C function that ``json.dumps``
+    uses for strings under ``ensure_ascii=False``.
+    """
+    data = es_to_json_dict(es)
+    conflicts = [_strings(pair, "    ") for pair in data["conflicts"]]
+    enablings = [
+        f'{{\n      "premise": {_strings(g["premise"], "      ")},\n'
+        f'      "target": {encode_basestring(g["target"])}\n    }}'
+        for g in data["enablings"]
+    ]
+    events = [
+        f'{{\n      "id": {encode_basestring(e["id"])},\n      "label": {encode_basestring(e["label"])},\n'
+        f'      "participant": {encode_basestring(e["participant"])}\n    }}'
+        for e in data["events"]
+    ]
+    return (
+        f'{{\n  "conflicts": {_array(conflicts, "  ")},\n  "enablings": {_array(enablings, "  ")},\n'
+        f'  "events": {_array(events, "  ")}\n}}'
+    )
 
 
 def es_from_json_dict(data: dict) -> EventStructureGen:

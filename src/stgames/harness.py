@@ -198,6 +198,14 @@ class CorpusSpec:
     unroll_depth: int = DEFAULT_UNROLL_DEPTH
     actions: tuple[str, ...] = ("a", "b", "c", "d")
 
+    def __post_init__(self) -> None:
+        if self.count < 0:
+            raise ValueError(f"corpus count must be at least 0, got {self.count}")
+        if self.max_depth < 0:
+            raise ValueError(f"corpus max depth must be at least 0, got {self.max_depth}")
+        if self.max_branch < 1:
+            raise ValueError(f"corpus max branch must be at least 1, got {self.max_branch}")
+
 
 def _gen_type(rng: random.Random, spec: CorpusSpec, role: str, budget: int,
               scope: dict[str, bool], rec_budget: int) -> SessionType:
@@ -225,7 +233,7 @@ def _gen_type(rng: random.Random, spec: CorpusSpec, role: str, budget: int,
         inner[name] = False
         body = _gen_type(rng, spec, role, budget - 1, inner, rec_budget - 1)
         return Rec(name, body) if name in free_vars(body) else body
-    width = rng.randint(1, max(1, min(spec.max_branch, budget)))
+    width = rng.randint(1, min(spec.max_branch, budget))
     names = rng.sample(spec.actions, min(width, len(spec.actions)))
     make = out if kind == "internal" else inp
     deeper = dict.fromkeys(scope, True)

@@ -14,11 +14,14 @@ partner rule replaced.  The reference playability
 rule scans every generator of every event, the design the per-event
 update replaced.  The reference explorer prints every successor
 configuration from scratch with its own printer, the design that printed
-forms kept on the terms replaced.
+forms kept on the terms replaced.  The reference JSON writer orders with
+``id_sort_key`` inside every sort and encodes with ``json.dumps(indent=2)``,
+the design the rank table and the fixed-layout writer replaced.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from functools import lru_cache
 from itertools import chain, combinations, product
@@ -58,6 +61,15 @@ PAYCASH_P = "!payCash (+) !payCC"
 PAYCASH_Q = "?payCash"
 COUNTER_P = "!a.!c (+) !b"
 COUNTER_Q = "?a + ?b"
+
+# The recursive families of the deep-unroll benchmark, each up to the deepest
+# unroll depth it is run at there.
+DEEP_FAMILIES = (
+    ("rec x . (!a.!b.x (+) !c)", 12),
+    ("rec x . (!a.(?b.x + ?c) (+) !d)", 12),
+    ("rec x . !a.x", 12),
+    ("rec x . (!a.x (+) !b.x)", 6),
+)
 
 
 @pytest.fixture(scope="session")
@@ -212,6 +224,28 @@ def acceptance_contracts(family: str):
 
     depth = acceptance_spec(family).unroll_depth
     return tuple(compose_session_contracts(p, "A", q, "B", depth) for p, q in acceptance_pairs(family))
+
+
+# ---------------------------------------------------------------------------
+# Reference JSON writer: id_sort_key in every sort, then json.dumps
+# ---------------------------------------------------------------------------
+
+def reference_es_to_json(es: EventStructureGen) -> str:
+    data = {
+        "events": [
+            {"id": e.id, "participant": e.participant, "label": str(e.label)}
+            for e in sorted(es.events, key=lambda e: id_sort_key(e.id))
+        ],
+        "conflicts": sorted(sorted(pair, key=id_sort_key) for pair in es.conflicts),
+        "enablings": sorted(
+            (
+                {"premise": sorted(premise, key=id_sort_key), "target": target}
+                for premise, target in es.gens
+            ),
+            key=lambda g: (id_sort_key(g["target"]), g["premise"]),
+        ),
+    }
+    return json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False)
 
 
 # ---------------------------------------------------------------------------

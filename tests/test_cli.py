@@ -5,10 +5,15 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import stgames
+from stgames import cli
 from stgames.cli import main
 
 EXAMPLE = ["!a (+) !b.!a", "?a.?b + ?b.?a + ?c"]
@@ -156,6 +161,51 @@ def test_output_matches_golden_digests():
         assert (code, digest) == (case["exit"], case["sha256"]), case["argv"]
 
 
+def test_export_non_ascii_participant_matches_golden_digest():
+    # recorded once, like golden_cli.json: "Ä" is written as itself, not
+    # as an escape, so the JSON writer's non-ASCII handling is pinned end to end
+    code, text = run(["export", *EXAMPLE, "--what", "es", "--participants", "Ä", "B"])
+    assert code == 0
+    assert '"participant": "Ä"' in text
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "720aeb582f06bede97ed7ed7bc7f569745c249ad9210db4e6e7152c043e55142"
+    )
+
+
+def test_export_closed_pipe_exit_two():
+    # the reader takes one line of a large export and closes the pipe
+    env = {**os.environ, "PYTHONPATH": str(Path(stgames.__file__).parents[1])}
+    argv = [sys.executable, "-m", "stgames.cli", "export",
+            "rec x . (!a.x (+) !b.x)", "rec x . (?a.x + ?b.x)", "--depth", "6"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 2
+    assert err == b""
+
+
+@pytest.mark.parametrize("argv", [
+    ["export", *EXAMPLE, "--what", "es"],
+    ["export", *EXAMPLE, "--what", "ets"],
+    ["agree", *EXAMPLE],
+], ids=["es", "ets", "agree"])
+def test_equal_participants_exit_two(argv, capsys):
+    code, text = run([*argv, "--participants", "A", "A"])
+    assert (code, text) == (2, "")
+    assert "distinct participants" in capsys.readouterr().err
+
+
+def test_agree_unknown_participant_fails_before_composing(monkeypatch, capsys):
+    def compose(*args):
+        raise AssertionError("composed before checking --participant")
+
+    monkeypatch.setattr(cli, "compose_session_contracts", compose)
+    code, _ = run(["agree", *EXAMPLE, "--participant", "C"])
+    assert code == 2
+    assert "unknown participant C" in capsys.readouterr().err
+
+
 def test_deeply_nested_type_exit_two(capsys):
     code, _ = run(["check", "!a." * 3000 + "1", "?a"])
     assert code == 2
@@ -191,6 +241,14 @@ def test_corpus_recursive_command():
     assert code == 0
     data = json.loads(text)
     assert data["recursive"] is True and data["pairs"] == 5
+
+
+@pytest.mark.parametrize("option", [["--count", "-1"], ["--max-depth", "-2"], ["--max-branch", "0"]],
+                         ids=["count", "max-depth", "max-branch"])
+def test_corpus_out_of_range_exit_two(option, capsys):
+    code, text = run(["corpus", *option])
+    assert (code, text) == (2, "")
+    assert "error: corpus" in capsys.readouterr().err
 
 
 def test_corpus_rejects_depth(capsys):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import es_leq_oracle, reference_denote, reference_denote_par
+from conftest import DEEP_FAMILIES, es_leq_oracle, reference_denote, reference_denote_par
 from stgames.denote import DenoteError, denote, denote_par, fix_approx, occurrence_index
 from stgames.estructure import EMPTY_ES, Event, es_leq, es_to_json, make_es
 from stgames.harness import CorpusSpec, corpus_pair, dual
@@ -181,16 +181,6 @@ def test_paycash_composition():
 
 # -- oracle: the per-node compiler ----------------------------------------------
 
-# The recursive families of the deep-unroll benchmark, each up to the deepest
-# unroll depth it is run at there.
-DEEP_FAMILIES = (
-    ("rec x . (!a.!b.x (+) !c)", 12),
-    ("rec x . (!a.(?b.x + ?c) (+) !d)", 12),
-    ("rec x . !a.x", 12),
-    ("rec x . (!a.x (+) !b.x)", 6),
-)
-
-
 def _oracle_cases(kind):
     if kind == "families":
         for source, deepest in DEEP_FAMILIES:
@@ -210,11 +200,6 @@ def _oracle_cases(kind):
             yield client, server, depth
 
 
-def _json(es):
-    # compact, so the C encoder runs; equal compact text means equal indented text
-    return es_to_json(es, indent=None)
-
-
 @pytest.mark.parametrize("kind", ["finite", "recursive", "families"])
 def test_denote_matches_per_node_reference(kind):
     for client, server, depth in _oracle_cases(kind):
@@ -222,13 +207,13 @@ def test_denote_matches_per_node_reference(kind):
         right = denote(server, "B", unroll_depth=depth, parity="even")
         ref_left = reference_denote(client, "A", unroll_depth=depth, parity="odd")
         ref_right = reference_denote(server, "B", unroll_depth=depth, parity="even")
-        assert _json(left) == _json(ref_left)
-        assert _json(right) == _json(ref_right)
-        assert _json(denote_par(left, right)) == _json(reference_denote_par(ref_left, ref_right))
+        assert es_to_json(left) == es_to_json(ref_left)
+        assert es_to_json(right) == es_to_json(ref_right)
+        assert es_to_json(denote_par(left, right)) == es_to_json(reference_denote_par(ref_left, ref_right))
         for term, who, parity, ref in ((client, "A", "odd", ref_left), (server, "B", "even", ref_right)):
             if isinstance(term, Rec):
                 approx = fix_approx(term.var, term.body, who, depth=depth, parity=parity)
-                assert _json(approx) == _json(ref)
+                assert es_to_json(approx) == es_to_json(ref)
 
 
 def _split_by_participant(es):
@@ -250,7 +235,7 @@ def test_denote_par_matches_reference_on_split_structures(small_structures):
     # generator cycles, which no compiled session type produces
     for es in small_structures:
         left, right = _split_by_participant(es)
-        assert _json(denote_par(left, right)) == _json(reference_denote_par(left, right))
+        assert es_to_json(denote_par(left, right)) == es_to_json(reference_denote_par(left, right))
 
 
 # -- recursion approximants ------------------------------------------------------

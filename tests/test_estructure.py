@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    DEEP_FAMILIES,
     acceptance_contracts,
     all_plays,
     conflict_free_raw,
@@ -16,6 +18,7 @@ from conftest import (
     exhaustive_tiny_structures,
     powerset,
     random_structure,
+    reference_es_to_json,
     reference_playable,
     remainder_on_saturated,
     saturate,
@@ -37,7 +40,8 @@ from stgames.estructure import (
     remainder,
     remainder_after,
 )
-from stgames.syntax import out, parse
+from stgames.harness import dual
+from stgames.syntax import INPUT, OUTPUT, TICK, ActionLabel, out, parse
 
 
 @pytest.fixture(scope="module")
@@ -392,4 +396,54 @@ def test_json_is_deterministic(example_composed):
 @given(st.integers(min_value=0, max_value=10**6))
 def test_random_structures_round_trip(seed):
     es = random_structure(random.Random(seed))
+    assert es_from_json(es_to_json(es)) == es
+
+
+# -- the JSON writer against json.dumps ----------------------------------------
+
+@pytest.mark.parametrize("family", ["finite", "recursive"])
+def test_json_matches_reference_on_contracts(family):
+    for contract in acceptance_contracts(family):
+        assert es_to_json(contract.es) == reference_es_to_json(contract.es)
+
+
+def test_json_matches_reference_on_deep_families():
+    for source, deepest in DEEP_FAMILIES:
+        client = parse(source)
+        for depth in range(deepest + 1):
+            es = denote_par(denote(client, "A", unroll_depth=depth, parity="odd"),
+                            denote(dual(client), "B", unroll_depth=depth, parity="even"))
+            assert es_to_json(es) == reference_es_to_json(es), (source, depth)
+
+
+def test_json_matches_reference_on_small_structures(small_structures):
+    for es in [EMPTY_ES, *small_structures]:
+        assert es_to_json(es) == reference_es_to_json(es)
+
+
+# quotes, backslashes, control characters, ✓, non-ASCII and non-BMP
+# characters, and ids both of the e<n>[@<k>...] form and outside it
+_CHARS = st.sampled_from('ab"\\\n\t\x00\x1f\x7f✓Äé€😀')
+_TEXT = st.text(_CHARS, max_size=4)
+_IDS = st.one_of(st.from_regex(r"e[0-9]{1,2}(@[0-9])?", fullmatch=True), _TEXT)
+# a label's name is never empty: "!" alone does not read back as a label
+_LABELS = st.one_of(st.just(TICK), st.builds(ActionLabel, st.text(_CHARS, min_size=1, max_size=4),
+                                             st.sampled_from((OUTPUT, INPUT))))
+
+
+@st.composite
+def _text_structures(draw):
+    ids = draw(st.lists(_IDS, max_size=6, unique=True))
+    events = [Event(event_id, draw(_TEXT), draw(_LABELS)) for event_id in ids]
+    pairs = [frozenset(pair) for pair in combinations(ids, 2)]
+    conflicts = draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+    gens = [(draw(st.frozensets(st.sampled_from(ids), max_size=3)), target)
+            for target in ids for _ in range(draw(st.integers(0, 2)))]
+    return make_es(events, conflicts, gens)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_text_structures())
+def test_json_matches_reference_on_any_text(es):
+    assert es_to_json(es) == reference_es_to_json(es)
     assert es_from_json(es_to_json(es)) == es

@@ -246,6 +246,21 @@ def test_empty_corpus():
     assert summary.pairs == 0 and summary.ok
 
 
+@pytest.mark.parametrize("field", [{"count": -1}, {"max_depth": -1}, {"max_branch": 0}],
+                         ids=["count", "max_depth", "max_branch"])
+def test_corpus_spec_rejects_out_of_range(field):
+    with pytest.raises(ValueError):
+        CorpusSpec(**{"seed": 1, "count": 1, **field})
+
+
+def test_corpus_spec_smallest_shapes():
+    # max_depth 0 draws only successes; max_branch 1 only one-branch choices
+    pair = corpus_pair(CorpusSpec(seed=1, count=1, max_depth=0), 0)
+    assert [pretty(t) for t in pair] == ["1", "1"]
+    for p, q in (corpus_pair(CorpusSpec(seed=2, count=8, max_branch=1), i) for i in range(8)):
+        assert "+" not in pretty(p) + pretty(q)
+
+
 def test_small_corpus_zero_failures():
     summary = run_corpus(CorpusSpec(seed=7, count=40))
     assert summary.pairs == 40
