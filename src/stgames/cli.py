@@ -195,6 +195,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
+    """Run one command and return its exit code (see the module docstring).
+
+    ``argv`` defaults to ``sys.argv[1:]`` and ``out`` to ``sys.stdout``.
+    Argparse errors and ``--help`` raise ``SystemExit`` (2 and 0) as
+    argparse does; every other failure is a one-line ``error:`` on stderr
+    and exit 2.
+    """
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)

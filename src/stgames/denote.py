@@ -38,6 +38,7 @@ from itertools import combinations, product
 from .estructure import Event, EventStructureGen
 from .syntax import (
     TICK,
+    ActionLabel,
     ExternalChoice,
     InternalChoice,
     Rec,
@@ -205,34 +206,35 @@ def fix_approx(var: str, body: SessionType, who: str,
 def occurrence_index(es: EventStructureGen) -> dict[str, int]:
     """Position of each event among same-labelled events on its causal chain.
 
-    Ancestors are the transitive closure of generator premises.  Sequential
-    denotations are forests, so this is the occurrence count along the
-    unique path from the root; the index aligns the k-th repetition of an
-    action with the k-th complementary event on the other side.
+    Ancestors are the transitive closure of generator premises, so a member
+    of a generator cycle is its own ancestor.  Sequential denotations are
+    forests, so this is the occurrence count along the unique path from the
+    root; the index aligns the k-th repetition of an action with the k-th
+    complementary event on the other side.
+
+    Each event's ancestors are found by a walk up its premises that stops at
+    events whose ancestors are already known and takes those in whole; a
+    known set is the full closure, so the result does not depend on the
+    order of ``es.events``.
     """
-    ancestors: dict[str, frozenset[str]] = {}
-
-    def walk(eid: str, visiting: set[str]) -> frozenset[str]:
-        if eid in ancestors:
-            return ancestors[eid]
-        if eid in visiting:
-            return frozenset()
-        visiting.add(eid)
-        out: set[str] = set()
-        for premise in es.premises_of(eid):
-            for parent in premise:
-                out.add(parent)
-                out |= walk(parent, visiting)
-        visiting.discard(eid)
-        result = frozenset(out)
-        ancestors[eid] = result
-        return result
-
-    occ: dict[str, int] = {}
+    ancestors: dict[str, set[str]] = {}
     for event in es.events:
-        chain = walk(event.id, set())
-        occ[event.id] = 1 + sum(1 for p in chain if es.label_of(p) == event.label)
-    return occ
+        found: set[str] = set()
+        stack = [event.id]
+        while stack:
+            for premise in es.premises_of(stack.pop()):
+                for parent in premise - found:
+                    found.add(parent)
+                    known = ancestors.get(parent)
+                    if known is None:
+                        stack.append(parent)
+                    else:
+                        found |= known
+        ancestors[event.id] = found
+    labelled: dict[ActionLabel, set[str]] = {}
+    for event in es.events:
+        labelled.setdefault(event.label, set()).add(event.id)
+    return {event.id: 1 + len(ancestors[event.id] & labelled[event.label]) for event in es.events}
 
 
 def denote_par(left: EventStructureGen, right: EventStructureGen) -> EventStructureGen:

@@ -73,12 +73,12 @@ class EventStructureGen:
                 if eid not in by_id:
                     raise ValueError(f"conflict mentions unknown event {eid}")
         by_target: dict[str, list[frozenset[str]]] = {}
+        known = by_id.keys()
         for premise, target in self.gens:
             if target not in by_id:
                 raise ValueError(f"enabling targets unknown event {target}")
-            unknown = [eid for eid in premise if eid not in by_id]
-            if unknown:
-                raise ValueError(f"enabling premise mentions unknown events {sorted(unknown)}")
+            if not known >= premise:
+                raise ValueError(f"enabling premise mentions unknown events {sorted(premise - known)}")
             by_target.setdefault(target, []).append(premise)
         conflict_sets: dict[str, set[str]] = {eid: set() for eid in by_id}
         for pair in self.conflicts:
@@ -390,64 +390,58 @@ def es_lub(chain) -> EventStructureGen:
 # Serialisation
 # ---------------------------------------------------------------------------
 
-def es_to_json_dict(es: EventStructureGen) -> dict:
-    ids = sorted(es.event_ids, key=id_sort_key)
-    # id_sort_key is injective (its last component is the id), so sorting on
-    # positions in this order is sorting on id_sort_key
-    rank = {event_id: position for position, event_id in enumerate(ids)}.__getitem__
-    return {
-        "events": [
-            {"id": e.id, "participant": e.participant, "label": str(e.label)}
-            for e in map(es.event, ids)
-        ],
-        "conflicts": sorted(sorted(pair, key=rank) for pair in es.conflicts),
-        # by target rank, then by premise as a list of strings
-        "enablings": [
-            {"premise": premise, "target": target}
-            for target in ids
-            for premise in sorted(sorted(p, key=rank) for p in es.premises_of(target))
-        ],
-    }
-
-
 def _array(items: list[str], pad: str) -> str:
     """A JSON array of written ``items``, one per line, the array itself at indentation ``pad``."""
     return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]" if items else "[]"
 
 
-def _strings(items: list[str], pad: str) -> str:
-    """``_array`` of the JSON strings of ``items``."""
-    return _array([*map(encode_basestring, items)], pad)
-
-
 def es_to_json(es: EventStructureGen) -> str:
-    """``es_to_json_dict(es)`` as JSON in its one layout: two-space indent,
-    sorted keys and non-ASCII kept, the text of ``json.dumps(...,
-    indent=2, sort_keys=True, ensure_ascii=False)``.
+    """The structure as a JSON object of ``conflicts`` (id pairs),
+    ``enablings`` (``premise`` ids and ``target`` id) and ``events``
+    (``id``, ``label``, ``participant``), in its one layout: two-space
+    indent, sorted keys and non-ASCII kept, the text ``json.dumps(...,
+    indent=2, sort_keys=True, ensure_ascii=False)`` gives for that data.
+
+    Events come in :func:`id_sort_key` order; each conflict pair and each
+    premise is in that order too.  Conflicts are sorted as lists of
+    strings, and enablings by target in that order, then by premise as a
+    list of strings.
 
     ``json.dumps`` falls back to its pure-Python encoder whenever ``indent``
-    is set, and on a large structure that encoder was most of the cost of
-    exporting it.  The layout is fixed, so the text is written directly:
-    keys in sorted order, and every string quoted by
-    ``json.encoder.encode_basestring``, the C function that ``json.dumps``
-    uses for strings under ``ensure_ascii=False``.
+    is set, so the text is written directly from the structure, with no
+    intermediate dict: one rank table orders the ids, and one table holds
+    each id quoted by ``json.encoder.encode_basestring``, the C function
+    ``json.dumps`` uses for strings under ``ensure_ascii=False``.
     """
-    data = es_to_json_dict(es)
-    conflicts = [_strings(pair, "    ") for pair in data["conflicts"]]
-    enablings = [
-        f'{{\n      "premise": {_strings(g["premise"], "      ")},\n'
-        f'      "target": {encode_basestring(g["target"])}\n    }}'
-        for g in data["enablings"]
+    ids = sorted(es.event_ids, key=id_sort_key)
+    # id_sort_key is injective (its last component is the id), so sorting on
+    # positions in this order is sorting on id_sort_key
+    rank = {event_id: position for position, event_id in enumerate(ids)}.__getitem__
+    quoted = dict(zip(ids, map(encode_basestring, ids))).__getitem__
+    conflicts = [
+        _array([*map(quoted, pair)], "    ")
+        for pair in sorted(sorted(c, key=rank) for c in es.conflicts)
     ]
+    enablings = []
+    for target in ids:
+        end = f',\n      "target": {quoted(target)}\n    }}'
+        for premise in sorted(sorted(p, key=rank) for p in es._gens_by_target.get(target, ())):
+            enablings.append('{\n      "premise": ' + _array([*map(quoted, premise)], "      ") + end)
     events = [
-        f'{{\n      "id": {encode_basestring(e["id"])},\n      "label": {encode_basestring(e["label"])},\n'
-        f'      "participant": {encode_basestring(e["participant"])}\n    }}'
-        for e in data["events"]
+        f'{{\n      "id": {quoted(e.id)},\n      "label": {encode_basestring(str(e.label))},\n'
+        f'      "participant": {encode_basestring(e.participant)}\n    }}'
+        for e in map(es._by_id.__getitem__, ids)
     ]
     return (
         f'{{\n  "conflicts": {_array(conflicts, "  ")},\n  "enablings": {_array(enablings, "  ")},\n'
         f'  "events": {_array(events, "  ")}\n}}'
     )
+
+
+def es_to_json_dict(es: EventStructureGen) -> dict:
+    """The data :func:`es_to_json` writes, in its order, read back from its
+    text: a derived view, so the two cannot disagree on the order."""
+    return json.loads(es_to_json(es))
 
 
 def es_from_json_dict(data: dict) -> EventStructureGen:

@@ -480,34 +480,24 @@ def reference_denote(term, who, unroll_depth=6, parity="odd"):
 def reference_occurrence_index(es: EventStructureGen) -> dict[str, int]:
     """Position of each event among same-labelled events on its causal chain.
 
-    Ancestors are the transitive closure of generator premises.  Sequential
-    denotations are forests, so this is the occurrence count along the
-    unique path from the root; the index aligns the k-th repetition of an
-    action with the k-th complementary event on the other side.
+    Ancestors are the transitive closure of generator premises, computed as
+    a fixpoint: each round adds the ancestors of every known ancestor, until
+    nothing changes.  A member of a generator cycle is its own ancestor.
     """
-    ancestors: dict[str, frozenset[str]] = {}
-
-    def walk(eid: str, visiting: set[str]) -> frozenset[str]:
-        if eid in ancestors:
-            return ancestors[eid]
-        if eid in visiting:
-            return frozenset()
-        visiting.add(eid)
-        out: set[str] = set()
-        for premise in es.premises_of(eid):
-            for parent in premise:
-                out.add(parent)
-                out |= walk(parent, visiting)
-        visiting.discard(eid)
-        result = frozenset(out)
-        ancestors[eid] = result
-        return result
-
-    occ: dict[str, int] = {}
-    for event in es.events:
-        chain = walk(event.id, set())
-        occ[event.id] = 1 + sum(1 for p in chain if es.label_of(p) == event.label)
-    return occ
+    parents = {eid: set().union(*es.premises_of(eid)) for eid in es.event_ids}
+    ancestors = {eid: set(direct) for eid, direct in parents.items()}
+    changed = True
+    while changed:
+        changed = False
+        for found in ancestors.values():
+            grown = found.union(*(parents[a] for a in found))
+            if grown != found:
+                found |= grown
+                changed = True
+    return {
+        eid: 1 + sum(1 for a in found if es.label_of(a) == es.label_of(eid))
+        for eid, found in ancestors.items()
+    }
 
 
 def reference_denote_par(left: EventStructureGen, right: EventStructureGen) -> EventStructureGen:

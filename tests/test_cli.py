@@ -11,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stgames
 from stgames import cli
@@ -159,6 +161,74 @@ def test_output_matches_golden_digests():
         code, text = run(case["argv"])
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert (code, digest) == (case["exit"], case["sha256"]), case["argv"]
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["check", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: stgames check")
+
+
+# types the totality property mutates: every kind of term, none that
+# compiles to a large structure at the default unroll depth
+VALID_TYPES = (
+    "1", "0", "!a", "?a", *EXAMPLE, "!payCash (+) !payCC", "?payCash", "!a.!c (+) !b",
+    "?a + ?b", "rec x . !a.x", "rec y . ?a.y", "rec x . (!a.!b.x (+) !c)",
+    "rec x . !a.(?b.x + ?c) (+) !d",
+)
+
+EXTRA_OPTIONS = (
+    [], ["--format", "text"], ["--depth", "2"], ["--depth", "-1"], ["--limit", "5"],
+    ["--limit", "0"], ["--participant", "B"], ["--strategy", "search"], ["--what", "ets"],
+    ["--what", "ts"], ["--participants", "A", "A"],
+)
+
+ACCEPTED_OPTIONS = {
+    "check": {"--format", "--limit"},
+    "agree": {"--format", "--depth", "--participant", "--strategy", "--participants"},
+    "export": {"--format", "--depth", "--limit", "--what", "--participants"},
+}
+
+
+@st.composite
+def mutated_type(draw):
+    text = draw(st.sampled_from(VALID_TYPES))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        piece = draw(st.sampled_from(["", "!", "?", ".", "(", ")", "+", "(+)", "rec", "x", " ", "1", "0"]))
+        cut = draw(st.integers(0, 2))
+        text = text[:at] + piece + text[at + cut:]
+    return text
+
+
+# text naming a file reads the file system, and a help request exits 0 by
+# design (test_help_exits_zero), so the property draws neither
+free_text = st.text(max_size=30).filter(
+    lambda t: not t.startswith(("@", "-h")) and not (len(t) >= 3 and "--help".startswith(t))
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(["check", "agree", "export"]),
+    types=st.lists(st.one_of(free_text, mutated_type(), st.sampled_from(VALID_TYPES)),
+                   min_size=2, max_size=2),
+    extra=st.sampled_from(EXTRA_OPTIONS),
+)
+def test_main_is_total(command, types, extra):
+    # ROADMAP item 4: every input ends in exit 0, 1 or 2, never a traceback;
+    # argparse rejects what it cannot parse with SystemExit(2), and only
+    # option-like text or an option the command does not take gets that far
+    argv = [command, *types, *extra]
+    usage_error = (any(t.startswith("-") for t in types)
+                   or (extra and extra[0] not in ACCEPTED_OPTIONS[command]))
+    try:
+        code, _ = run(argv)
+    except SystemExit as exc:
+        assert exc.code == 2 and usage_error, argv
+    else:
+        assert code in (0, 1, 2), argv
 
 
 def test_export_non_ascii_participant_matches_golden_digest():

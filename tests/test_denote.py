@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import stgames
 
 from conftest import DEEP_FAMILIES, es_leq_oracle, reference_denote, reference_denote_par
 from stgames.denote import DenoteError, denote, denote_par, fix_approx, occurrence_index
@@ -163,6 +170,38 @@ def test_occurrence_index_counts_same_label_ancestors():
     assert occ["e1"] == 1  # first !a
     assert occ["e3"] == 1  # the !b
     assert occ["e5"] == 2  # second !a
+
+
+# a left side whose two !a events enable each other, against a ?a chain
+CYCLIC_PAR = """
+from stgames.denote import denote_par
+from stgames.estructure import Event, es_to_json, make_es
+from stgames.syntax import inp, out
+
+left = make_es([Event("e1", "A", out("a")), Event("e3", "A", out("a"))], (),
+               [(("e3",), "e1"), (("e1",), "e3"), ((), "e1")])
+right = make_es([Event(f"e{i}", "B", inp("a")) for i in (2, 4, 6)], (),
+                [((), "e2"), (("e2",), "e4"), (("e4",), "e6")])
+print(es_to_json(denote_par(left, right)))
+"""
+
+
+def test_occurrence_index_on_a_cycle_is_the_closure():
+    left = make_es([Event("e1", "A", out("a")), Event("e3", "A", out("a"))], (),
+                   [(("e3",), "e1"), (("e1",), "e3"), ((), "e1")])
+    # each !a has both !a events, itself included, as ancestors
+    assert occurrence_index(left) == {"e1": 3, "e3": 3}
+
+
+def test_denote_par_on_a_cycle_does_not_depend_on_hash_order():
+    env = {**os.environ, "PYTHONPATH": str(Path(stgames.__file__).parents[1])}
+    outputs = {
+        subprocess.run([sys.executable, "-c", CYCLIC_PAR], env={**env, "PYTHONHASHSEED": seed},
+                       capture_output=True, text=True, check=True).stdout
+        for seed in ("1", "2")
+    }
+    assert len(outputs) == 1
+    assert '"premise": [\n        "e1",\n        "e6"\n      ],\n      "target": "e3"' in outputs.pop()
 
 
 def test_paycash_composition():

@@ -30,9 +30,11 @@ from stgames.estructure import (
     conflict_free,
     enabled,
     es_from_json,
+    es_from_json_dict,
     es_leq,
     es_lub,
     es_to_json,
+    es_to_json_dict,
     ets,
     id_sort_key,
     make_es,
@@ -370,22 +372,26 @@ def test_lub_componentwise_union():
 
 def test_conflict_must_be_known_and_binary():
     events = [Event("e1", "A", out("a"))]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^conflict mentions unknown event e9$"):
         make_es(events, [("e1", "e9")], ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^conflict must relate two distinct events: \['e1'\]$"):
         make_es(events, [("e1", "e1")], ())
 
 
 def test_generator_endpoints_checked():
     events = [Event("e1", "A", out("a"))]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^enabling targets unknown event e9$"):
         make_es(events, (), [((), "e9")])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^enabling premise mentions unknown events \['e9'\]$"):
         make_es(events, (), [(("e9",), "e1")])
+    # the unknown ids are named in sorted order, whatever the set's order
+    with pytest.raises(ValueError, match=r"^enabling premise mentions unknown events \['e7', 'e9'\]$"):
+        make_es(events, (), [(("e9", "e1", "e7"), "e1")])
 
 
 def test_json_round_trip(example_composed):
     assert es_from_json(es_to_json(example_composed)) == example_composed
+    assert es_from_json_dict(es_to_json_dict(example_composed)) == example_composed
 
 
 def test_json_is_deterministic(example_composed):
