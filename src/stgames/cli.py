@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from .denote import DEFAULT_UNROLL_DEPTH, denote, denote_par
+from .denote import DEFAULT_UNROLL_DEPTH
 from .estructure import es_to_json, ets_to_dot
 from .game import compose_session_contracts, eager_winning, find_winning_strategy
 from .harness import CorpusSpec, run_corpus, turn_lts
@@ -113,11 +113,7 @@ def cmd_export(args, out) -> int:
         text = turn_lts(p, q, args.limit).to_dot(name="ts")
     else:
         a, b = args.participants
-        if a == b:
-            raise CliError("the two endpoints must belong to distinct participants")
-        left = denote(p, a, unroll_depth=args.depth, parity="odd")
-        right = denote(q, b, unroll_depth=args.depth, parity="even")
-        composed = denote_par(left, right)
+        composed = compose_session_contracts(p, a, q, b, args.depth).es
         text = es_to_json(composed) if args.what == "es" else ets_to_dot(composed, step_bound=args.limit)
     if args.output:
         try:

@@ -51,7 +51,7 @@ class Contract:
         for kind in self.payoffs.values():
             if kind != SUCCESS_PAYOFF:
                 raise ValueError(f"unknown payoff kind {kind!r}")
-        obliged = {self.es.participant_of(target) for _, target in self.es.gens}
+        obliged = {e.participant for e in self.es.events if self.es.premises_of(e.id)}
         missing = obliged - self.payoffs.keys()
         if missing:
             raise ValueError(f"participants with obligations but no payoff: {sorted(missing)}")
@@ -99,7 +99,7 @@ def _merge_bounds(a: int | None, b: int | None) -> int | None:
 
 
 def compose_session_contracts(p: SessionType, a: str, q: SessionType, b: str,
-                              unroll_depth: int | None = None) -> Contract:
+                              unroll_depth: int = DEFAULT_UNROLL_DEPTH) -> Contract:
     """The game arena for a client type ``p`` of ``a`` against server ``q`` of ``b``.
 
     The event structure is the parallel composition of the two denotations;
@@ -110,12 +110,11 @@ def compose_session_contracts(p: SessionType, a: str, q: SessionType, b: str,
         raise ValueError("the two endpoints must belong to distinct participants")
     assert_valid(p, "client type")
     assert_valid(q, "server type")
-    depth = DEFAULT_UNROLL_DEPTH if unroll_depth is None else unroll_depth
     es = denote_par(
-        denote(p, a, unroll_depth=depth, parity="odd"),
-        denote(q, b, unroll_depth=depth, parity="even"),
+        denote(p, a, unroll_depth=unroll_depth, parity="odd"),
+        denote(q, b, unroll_depth=unroll_depth, parity="even"),
     )
-    bounded = depth if (is_recursive(p) or is_recursive(q)) else None
+    bounded = unroll_depth if (is_recursive(p) or is_recursive(q)) else None
     return Contract(es, {a: SUCCESS_PAYOFF, b: SUCCESS_PAYOFF}, bounded)
 
 
@@ -337,8 +336,9 @@ def eager_winning(contract: Contract, participant: str) -> GameVerdict:
     )
 
 
-def strategy_failures(contract: Contract, strategy: Strategy, max_failures: int = 1):
-    """Fair conforming plays the strategy's owner loses.
+def strategy_failures(contract: Contract, strategy: Strategy):
+    """The first fair conforming play the strategy's owner loses, as a
+    one-element list; empty when the strategy wins.
 
     Walks the conforming play tree literally (prescriptions may depend on
     the whole prefix), stopping wherever the prescription is empty.
@@ -347,7 +347,7 @@ def strategy_failures(contract: Contract, strategy: Strategy, max_failures: int 
     failures: list[tuple[str, ...]] = []
 
     def walk(prefix: tuple[str, ...]) -> None:
-        if len(failures) >= max_failures:
+        if failures:
             return
         prescription = prescribed(strategy, contract, prefix)
         others = sorted(

@@ -42,6 +42,7 @@ from .opsem import (
     explore,
 )
 from .syntax import (
+    IDENT_RE,
     SUCCESS,
     TERM0,
     ExternalChoice,
@@ -188,7 +189,13 @@ def truncate(term: SessionType, depth: int) -> SessionType:
 
 @dataclass(frozen=True)
 class CorpusSpec:
-    """Reproducible corpus parameters; generation is a pure function of these."""
+    """Reproducible corpus parameters; generation is a pure function of these.
+
+    ``actions`` is the alphabet the generator draws action names from: at
+    least one name, no name twice, and each an identifier (a letter, then
+    letters, digits or ``_``), so every pair it draws validates and prints
+    as text that parses back.
+    """
 
     seed: int
     count: int
@@ -205,6 +212,13 @@ class CorpusSpec:
             raise ValueError(f"corpus max depth must be at least 0, got {self.max_depth}")
         if self.max_branch < 1:
             raise ValueError(f"corpus max branch must be at least 1, got {self.max_branch}")
+        if not self.actions:
+            raise ValueError("corpus actions must name at least one action")
+        if len(set(self.actions)) != len(self.actions):
+            raise ValueError(f"corpus actions must be distinct, got {self.actions}")
+        for name in self.actions:
+            if not IDENT_RE.fullmatch(name):
+                raise ValueError(f"corpus action {name!r} is not an identifier")
 
 
 def _gen_type(rng: random.Random, spec: CorpusSpec, role: str, budget: int,
@@ -244,38 +258,40 @@ def _gen_type(rng: random.Random, spec: CorpusSpec, role: str, budget: int,
     return InternalChoice(branches) if kind == "internal" else ExternalChoice(branches)
 
 
+def _subterms(term: SessionType, path: tuple = ()):
+    """Every ``(path, subterm)`` of ``term`` in pre-order; a path step is a
+    branch index, or ``"r"`` into a ``Rec`` body."""
+    yield path, term
+    if isinstance(term, (InternalChoice, ExternalChoice)):
+        for i, (_, cont) in enumerate(term.branches):
+            yield from _subterms(cont, path + (i,))
+    elif isinstance(term, Rec):
+        yield from _subterms(term.body, path + ("r",))
+
+
+def _replace(term: SessionType, path: tuple, edit) -> SessionType:
+    """``term`` with the subterm at ``path`` replaced by ``edit`` of it;
+    only the nodes on the path are rebuilt."""
+    if not path:
+        return edit(term)
+    step, rest = path[0], path[1:]
+    if step == "r":
+        return Rec(term.var, _replace(term.body, rest, edit))
+    branches = list(term.branches)
+    label, cont = branches[step]
+    branches[step] = (label, _replace(cont, rest, edit))
+    return type(term)(tuple(branches))
+
+
 def _ensure_recursive(term: SessionType, rng: random.Random) -> SessionType:
     """Wrap a non-recursive term in a loop by redirecting one success leaf."""
     if is_recursive(term):
         return term
     fresh = "loop"
-    slots: list[tuple] = []
-
-    def find(t: SessionType, path: tuple, depth: int) -> None:
-        if isinstance(t, Success) and depth >= 1:
-            slots.append(path)
-        elif isinstance(t, (InternalChoice, ExternalChoice)):
-            for i, (_, cont) in enumerate(t.branches):
-                find(cont, path + (i,), depth + 1)
-
-    find(term, (), 0)
+    slots = sorted(path for path, t in _subterms(term) if path and isinstance(t, Success))
     if not slots:
         return Rec(fresh, InternalChoice(((out("a"), Var(fresh)),)))
-
-    target = rng.choice(sorted(slots))
-
-    def rewrite(t: SessionType, path: tuple) -> SessionType:
-        if path == target and isinstance(t, Success):
-            return Var(fresh)
-        if isinstance(t, (InternalChoice, ExternalChoice)):
-            branches = tuple(
-                (label, rewrite(cont, path + (i,)) if target[: len(path) + 1] == path + (i,) else cont)
-                for i, (label, cont) in enumerate(t.branches)
-            )
-            return type(t)(branches)
-        return t
-
-    return Rec(fresh, rewrite(term, ()))
+    return Rec(fresh, _replace(term, rng.choice(slots), lambda _: Var(fresh)))
 
 
 def random_session_type(spec: CorpusSpec, role: str, index: int = 0) -> SessionType:
@@ -310,68 +326,36 @@ def dual(term: SessionType) -> SessionType:
 
 
 def _perturb(term: SessionType, rng: random.Random, spec: CorpusSpec) -> SessionType:
-    """A small deterministic edit; keeps the term well-formed."""
+    """A small deterministic edit at one random choice node; keeps the term
+    well-formed.  ``cut`` ends any branch in success; ``drop`` and ``widen``
+    remove or add an input branch, so they only edit external choices."""
     kind = rng.choice(["none", "drop", "widen", "cut"])
     if kind == "none":
         return term
-
-    def edit(t: SessionType) -> SessionType:
-        if isinstance(t, ExternalChoice):
-            branches = list(t.branches)
-            if kind == "drop" and len(branches) >= 2:
-                branches.pop(rng.randrange(len(branches)))
-                return ExternalChoice(tuple(branches))
-            if kind == "widen":
-                used = {label.name for label, _ in branches}
-                unused = [name for name in spec.actions if name not in used]
-                if unused:
-                    branches.append((inp(rng.choice(unused)), SUCCESS))
-                    return ExternalChoice(tuple(branches))
-            if kind == "cut":
-                i = rng.randrange(len(branches))
-                label, _ = branches[i]
-                branches[i] = (label, SUCCESS)
-                return ExternalChoice(tuple(branches))
-            return t
-        if isinstance(t, InternalChoice):
-            if kind == "cut":
-                branches = list(t.branches)
-                i = rng.randrange(len(branches))
-                label, _ = branches[i]
-                branches[i] = (label, SUCCESS)
-                return InternalChoice(tuple(branches))
-            return t
-        return t
-
-    # apply the edit at one random choice node, outermost first
-    nodes: list[tuple] = []
-
-    def collect(t: SessionType, path: tuple) -> None:
-        if isinstance(t, (InternalChoice, ExternalChoice)):
-            nodes.append(path)
-            for i, (_, cont) in enumerate(t.branches):
-                collect(cont, path + (i,))
-        elif isinstance(t, Rec):
-            collect(t.body, path + ("r",))
-
-    collect(term, ())
+    nodes = sorted((path for path, t in _subterms(term)
+                    if isinstance(t, (InternalChoice, ExternalChoice))), key=str)
     if not nodes:
         return term
-    target = rng.choice(sorted(nodes, key=str))
 
-    def rewrite(t: SessionType, path: tuple) -> SessionType:
-        if path == target:
-            return edit(t)
-        if isinstance(t, (InternalChoice, ExternalChoice)):
-            return type(t)(tuple(
-                (label, rewrite(cont, path + (i,)))
-                for i, (label, cont) in enumerate(t.branches)
-            ))
-        if isinstance(t, Rec):
-            return Rec(t.var, rewrite(t.body, path + ("r",)))
-        return t
+    def edit(t: SessionType) -> SessionType:
+        branches = list(t.branches)
+        external = isinstance(t, ExternalChoice)
+        if kind == "cut":
+            i = rng.randrange(len(branches))
+            branches[i] = (branches[i][0], SUCCESS)
+        elif kind == "drop" and external and len(branches) >= 2:
+            branches.pop(rng.randrange(len(branches)))
+        elif kind == "widen" and external:
+            used = {label.name for label, _ in branches}
+            unused = [name for name in spec.actions if name not in used]
+            if not unused:
+                return t
+            branches.append((inp(rng.choice(unused)), SUCCESS))
+        else:
+            return t
+        return type(t)(tuple(branches))
 
-    return rewrite(term, ())
+    return _replace(term, rng.choice(nodes), edit)
 
 
 def corpus_pair(spec: CorpusSpec, index: int) -> tuple[SessionType, SessionType]:
@@ -417,14 +401,15 @@ class CorrespondenceReport:
 
 def correspondence_check(p: SessionType, q: SessionType,
                    unroll_depth: int = DEFAULT_UNROLL_DEPTH,
-                   state_limit: int = DEFAULT_STATE_LIMIT,
-                   check_corollary: bool = False) -> CorrespondenceReport:
+                   state_limit: int = DEFAULT_STATE_LIMIT) -> CorrespondenceReport:
     """Compare compliance with eager winning on one pair.
 
     The client ``p`` belongs to participant A and the server ``q`` to B.
     For finite pairs the comparison is exact.  For recursive pairs both
     sides are taken at the same bound: the game on the depth-``d``
-    denotation, compliance on the ``d``-times unfolded types.
+    denotation, compliance on the ``d``-times unfolded types.  A compliant
+    pair is also searched for a winning strategy of A (the corollary);
+    ``strategy_found`` is ``None`` for the others.
     """
     contract = compose_session_contracts(p, "A", q, "B", unroll_depth)
     eager = eager_winning(contract, "A")
@@ -440,9 +425,9 @@ def correspondence_check(p: SessionType, q: SessionType,
         compliance.status != "indeterminate"
         and compliance.is_compliant == eager.winning
     )
-    strategy_found: bool | None = None
-    if check_corollary and compliance.is_compliant:
-        strategy_found = find_winning_strategy(contract, "A") is not None
+    strategy_found = (
+        find_winning_strategy(contract, "A") is not None if compliance.is_compliant else None
+    )
     return CorrespondenceReport(compliance, eager, agree, bounded, contract, strategy_found)
 
 
@@ -497,9 +482,7 @@ def run_corpus(spec: CorpusSpec, state_limit: int = DEFAULT_STATE_LIMIT) -> Corp
                 "detail": detail,
             })
 
-        report = correspondence_check(
-            p, q, spec.unroll_depth, state_limit=state_limit, check_corollary=True,
-        )
+        report = correspondence_check(p, q, spec.unroll_depth, state_limit=state_limit)
         # an unbounded report already holds the untruncated reduction verdict
         reduction = check_compliance(p, q, state_limit) if report.bounded else report.compliance
         turn = check_compliance_turn(p, q, state_limit)

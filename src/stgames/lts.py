@@ -33,30 +33,23 @@ class Lts:
         return sorted((label, dst) for src, label, dst in self.edges if src == state)
 
     def has_cycle(self) -> bool:
-        adjacency: dict[str, list[str]] = {s: [] for s in self.states}
+        """Whether any cycle exists, reachable from ``initial`` or not: peel
+        off states with no incoming edge left (Kahn's algorithm); the states
+        that remain lie on or behind a cycle."""
+        successors: dict[str, list[str]] = {s: [] for s in self.states}
+        indegree = dict.fromkeys(self.states, 0)
         for src, _, dst in self.edges:
-            adjacency[src].append(dst)
-        WHITE, GREY, BLACK = 0, 1, 2
-        colour = dict.fromkeys(self.states, WHITE)
-        for root in sorted(self.states):
-            if colour[root] != WHITE:
-                continue
-            stack: list[tuple[str, int]] = [(root, 0)]
-            colour[root] = GREY
-            while stack:
-                node, idx = stack[-1]
-                if idx < len(adjacency[node]):
-                    stack[-1] = (node, idx + 1)
-                    nxt = adjacency[node][idx]
-                    if colour[nxt] == GREY:
-                        return True
-                    if colour[nxt] == WHITE:
-                        colour[nxt] = GREY
-                        stack.append((nxt, 0))
-                else:
-                    colour[node] = BLACK
-                    stack.pop()
-        return False
+            successors[src].append(dst)
+            indegree[dst] += 1
+        sources = [s for s, n in indegree.items() if not n]
+        peeled = 0
+        while sources:
+            peeled += 1
+            for dst in successors[sources.pop()]:
+                indegree[dst] -= 1
+                if not indegree[dst]:
+                    sources.append(dst)
+        return peeled < len(self.states)
 
     def to_dot(self, name: str = "lts", edge_label: dict[str, str] | None = None) -> str:
         """Render as DOT.  ``edge_label`` optionally rewrites labels for display."""

@@ -146,7 +146,7 @@ class ParseError(ValueError):
         self.position = position
 
 
-_IDENT_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
+IDENT_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -185,7 +185,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append(("one", ch, i))
             i += 1
         else:
-            m = _IDENT_RE.match(text, i)
+            m = IDENT_RE.match(text, i)
             if not m:
                 raise ParseError(f"unexpected character {ch!r}", i)
             tokens.append(("ident", m.group(), i))

@@ -7,6 +7,7 @@ from conftest import acceptance_pairs, reference_explore, reference_key
 
 import stgames.opsem as opsem
 from stgames.harness import CorpusSpec, corpus_pair, dual
+from stgames.lts import Lts
 from stgames.opsem import (
     Configuration,
     check_compliance,
@@ -132,6 +133,19 @@ def test_explore_recursive_pair_closes_cycle():
     assert len(lts.states) == 4
     assert len(lts.edges) == 5
     assert lts.has_cycle()
+
+
+@pytest.mark.parametrize("edges, cyclic", [
+    ([("s0", "x", "s0")], True),
+    ([("s0", "x", "s1"), ("s0", "y", "s1")], False),
+    ([("s0", "x", "s1"), ("s0", "y", "s1"), ("s1", "z", "s0")], True),
+    ([("s0", "x", "s1"), ("s0", "y", "s2"), ("s1", "x", "s3"), ("s2", "y", "s3")], False),
+    ([("s0", "x", "s1"), ("s2", "x", "s3"), ("s3", "y", "s2")], True),
+], ids=["self-loop", "parallel-edges", "parallel-edges-in-a-cycle", "dag-with-join",
+        "cycle-unreachable-from-initial"])
+def test_has_cycle_shapes(edges, cyclic):
+    states = frozenset({"s0"} | {s for s, _, _ in edges} | {t for _, _, t in edges})
+    assert Lts(states, "s0", frozenset(edges)).has_cycle() is cyclic
 
 
 def test_explore_determinism():
