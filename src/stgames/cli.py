@@ -6,9 +6,11 @@ structure JSON, event-labelled DOT, turn-based DOT) and ``corpus`` (the
 randomised theorem harness).  Types are given inline or with ``@file``.
 
 Exit codes: 0 for a positive verdict (compliant / winning / clean corpus),
-1 for a negative one, 2 for errors or indeterminate results, and 2 with
-nothing on stderr when the reader closes stdout before the output is all
-written (``stgames export ... | head``).
+1 for a negative one, 2 for errors and indeterminate results, 2 for an
+``export --what ts|ets`` whose system hit ``--limit`` (the truncated
+system is still written, and stderr says so), and 2 with nothing on
+stderr when the reader closes stdout before the output is all written
+(``stgames export ... | head``).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .denote import DEFAULT_UNROLL_DEPTH
-from .estructure import es_to_json, ets_to_dot
+from .estructure import es_to_json, ets
 from .game import compose_session_contracts, eager_winning, find_winning_strategy
 from .harness import CorpusSpec, run_corpus, turn_lts
 from .opsem import DEFAULT_STATE_LIMIT, check_compliance, check_compliance_turn
@@ -109,12 +111,19 @@ def cmd_agree(args, out) -> int:
 def cmd_export(args, out) -> int:
     p = _load_type(args.client)
     q = _load_type(args.server)
+    system = None
     if args.what == "ts":
-        text = turn_lts(p, q, args.limit).to_dot(name="ts")
+        system = turn_lts(p, q, args.limit)
+        text = system.to_dot(name="ts")
     else:
         a, b = args.participants
         composed = compose_session_contracts(p, a, q, b, args.depth).es
-        text = es_to_json(composed) if args.what == "es" else ets_to_dot(composed, step_bound=args.limit)
+        if args.what == "es":
+            text = es_to_json(composed)
+        else:
+            system = ets(composed, step_bound=args.limit)
+            shown = {e.id: f"{e.id} / {e.label}" for e in composed.events}
+            text = system.to_dot(name="ets", edge_label=shown)
     if args.output:
         try:
             Path(args.output).write_text(text + "\n")
@@ -122,6 +131,8 @@ def cmd_export(args, out) -> int:
             raise CliError(f"cannot write {args.output}: {exc}") from None
     else:
         print(text, file=out)
+    if system is not None and system.truncated:
+        raise CliError(f"state limit {args.limit} reached; the exported system is truncated")
     return 0
 
 

@@ -16,6 +16,13 @@ Recursive pairs are handled at a bound: the game side uses the depth-d
 denotation, and the compliance side of the correspondence is taken on the
 d-times unfolded types with the recursion tail replaced by the dead
 process ``0``, which is the protocol the approximant denotes.
+
+Bisimilarity is decided by worklist partition refinement (Kanellakis and
+Smolka, Inf. Comput. 1990; Paige and Tarjan, SIAM J. Comput. 1987).
+Block ids stay stable across rounds, so after the first round only the
+predecessors of states that changed block are signed again: every other
+state's signature is unchanged, so round ``k`` is still the ``k``-th
+approximant of the fixpoint, which is what a bounded check compares at.
 """
 
 from __future__ import annotations
@@ -65,37 +72,70 @@ from .syntax import (
 # ---------------------------------------------------------------------------
 
 def bisim(a: Lts, b: Lts, bound: int | None = None) -> bool:
-    """Strong bisimilarity of two finite LTSs by partition refinement.
+    """Strong bisimilarity of two finite LTSs by worklist partition refinement.
 
-    With ``bound`` set, decides n-step bisimilarity instead (the n-th
-    approximant of the bisimulation fixpoint), which is what a truncated
-    system can honestly be compared at.  Completely disjoint label
-    alphabets are rejected: that is the signature of comparing an
-    event-labelled system that was never relabelled to actions.
+    Round ``k`` splits the states by their signature, the set of
+    ``(label, block)`` pairs of their successors over the partition of
+    round ``k - 1``, starting from one block (Kanellakis and Smolka's
+    naive method).  Block ids are kept across rounds: when a block splits,
+    its largest part keeps the id.  A state none of whose successors
+    changed id since it was last signed has the same signature as then, so
+    a round after the first re-signs only the predecessors of the states
+    that moved in the round before, and regroups only their blocks; round
+    ``k`` is still exactly the ``k``-th approximant of the bisimulation
+    fixpoint.  Refinement stops when no block splits.
+
+    With ``bound`` set, stops after that many rounds and so decides
+    ``bound``-step bisimilarity, which is what a truncated system can
+    honestly be compared at; ``bound=0`` relates every pair.  Completely
+    disjoint label alphabets are rejected: that is the signature of
+    comparing an event-labelled system that was never relabelled to
+    actions.
     """
-    if a.labels and b.labels and not (a.labels & b.labels):
+    if bound is not None and bound < 0:
+        raise ValueError("bisimulation bound must be non-negative")
+    labels_a, labels_b = a.labels, b.labels
+    if labels_a and labels_b and not (labels_a & labels_b):
         raise ValueError(
             "edge label alphabets are disjoint; relabel event-identified edges to actions first"
         )
-    states = [("a", s) for s in a.states] + [("b", s) for s in b.states]
-    successors: dict[tuple[str, str], list[tuple[str, tuple[str, str]]]] = {s: [] for s in states}
-    for tag, lts in (("a", a), ("b", b)):
+    number_a = {s: i for i, s in enumerate(a.states)}
+    number_b = {s: i for i, s in enumerate(b.states, len(number_a))}
+    size = len(number_a) + len(number_b)
+    successors: list[list[tuple[str, int]]] = [[] for _ in range(size)]
+    predecessors: list[list[int]] = [[] for _ in range(size)]
+    for number, lts in ((number_a, a), (number_b, b)):
         for src, label, dst in lts.edges:
-            successors[(tag, src)].append((label, (tag, dst)))
-    block: dict[tuple[str, str], int] = dict.fromkeys(states, 0)
+            successors[number[src]].append((label, number[dst]))
+            predecessors[number[dst]].append(number[src])
+    block = [0] * size
+    members = [list(range(size))]
+    signature: list[frozenset] = [frozenset()] * size
+    dirty = range(size)
     rounds = 0
-    while bound is None or rounds < bound:
-        groups: dict[frozenset, int] = {}
-        new_block: dict[tuple[str, str], int] = {}
-        for state in states:
-            signature = frozenset((label, block[dst]) for label, dst in successors[state])
-            new_block[state] = groups.setdefault(signature, len(groups))
+    while dirty and (bound is None or rounds < bound):
         rounds += 1
-        stable = len(set(new_block.values())) == len(set(block.values()))
-        block = new_block
-        if stable:
-            break
-    return block[("a", a.initial)] == block[("b", b.initial)]
+        touched = set()
+        for state in dirty:
+            signature[state] = frozenset([(label, block[dst]) for label, dst in successors[state]])
+            touched.add(block[state])
+        moved: list[int] = []
+        for old in touched:
+            parts: dict[frozenset, list[int]] = {}
+            for state in members[old]:
+                parts.setdefault(signature[state], []).append(state)
+            if len(parts) == 1:
+                continue
+            keep = max(parts.values(), key=len)
+            members[old] = keep
+            for part in parts.values():
+                if part is not keep:
+                    for state in part:
+                        block[state] = len(members)
+                    members.append(part)
+                    moved += part
+        dirty = {pred for state in moved for pred in predecessors[state]}
+    return block[number_a[a.initial]] == block[number_b[b.initial]]
 
 
 def turn_lts(p: SessionType, q: SessionType,
@@ -411,16 +451,13 @@ def correspondence_check(p: SessionType, q: SessionType,
     pair is also searched for a winning strategy of A (the corollary);
     ``strategy_found`` is ``None`` for the others.
     """
+    # composing validates both types, so the compliance checks do not again
     contract = compose_session_contracts(p, "A", q, "B", unroll_depth)
     eager = eager_winning(contract, "A")
     bounded = contract.bounded_depth is not None
     if bounded:
-        compliance = check_compliance(
-            truncate(p, unroll_depth), truncate(q, unroll_depth),
-            state_limit, validate_inputs=False,
-        )
-    else:
-        compliance = check_compliance(p, q, state_limit)
+        p, q = truncate(p, unroll_depth), truncate(q, unroll_depth)
+    compliance = check_compliance(p, q, state_limit, validate_inputs=False)
     agree = (
         compliance.status != "indeterminate"
         and compliance.is_compliant == eager.winning
@@ -482,10 +519,12 @@ def run_corpus(spec: CorpusSpec, state_limit: int = DEFAULT_STATE_LIMIT) -> Corp
                 "detail": detail,
             })
 
+        # correspondence_check validates both types as it composes them
         report = correspondence_check(p, q, spec.unroll_depth, state_limit=state_limit)
         # an unbounded report already holds the untruncated reduction verdict
-        reduction = check_compliance(p, q, state_limit) if report.bounded else report.compliance
-        turn = check_compliance_turn(p, q, state_limit)
+        reduction = (check_compliance(p, q, state_limit, validate_inputs=False)
+                     if report.bounded else report.compliance)
+        turn = check_compliance_turn(p, q, state_limit, validate_inputs=False)
         if reduction.status == turn.status and reduction.status != "indeterminate":
             summary.checker_agreements += 1
         else:

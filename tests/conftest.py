@@ -16,7 +16,9 @@ update replaced.  The reference explorer prints every successor
 configuration from scratch with its own printer, the design that printed
 forms kept on the terms replaced.  The reference JSON writer orders with
 ``id_sort_key`` inside every sort and encodes with ``json.dumps(indent=2)``,
-the design the rank table and the fixed-layout writer replaced.
+the design the rank table and the fixed-layout writer replaced.  The
+reference bisimulation re-signs every state in every refinement round,
+the design the worklist refinement replaced.
 """
 
 from __future__ import annotations
@@ -637,3 +639,37 @@ def reference_explore(config, semantics, state_limit):
             edges.add((key, label, nkey))
     lts = Lts(frozenset(seen), start, frozenset(edges), truncated)
     return _Exploration(lts, frozenset(stuck), parents, seen)
+
+
+# ---------------------------------------------------------------------------
+# Reference bisimulation: every state re-signed in every round
+# ---------------------------------------------------------------------------
+
+def reference_bisim(a, b, bound=None):
+    """Partition refinement as the whole-partition loop did it: each round
+    signs every state over the previous round's blocks and numbers the
+    blocks afresh, until the block count stops growing or ``bound`` rounds
+    have run."""
+    if a.labels and b.labels and not (a.labels & b.labels):
+        raise ValueError(
+            "edge label alphabets are disjoint; relabel event-identified edges to actions first"
+        )
+    states = [("a", s) for s in a.states] + [("b", s) for s in b.states]
+    successors = {s: [] for s in states}
+    for tag, lts in (("a", a), ("b", b)):
+        for src, label, dst in lts.edges:
+            successors[(tag, src)].append((label, (tag, dst)))
+    block = dict.fromkeys(states, 0)
+    rounds = 0
+    while bound is None or rounds < bound:
+        groups = {}
+        new_block = {}
+        for state in states:
+            signature = frozenset((label, block[dst]) for label, dst in successors[state])
+            new_block[state] = groups.setdefault(signature, len(groups))
+        rounds += 1
+        stable = len(set(new_block.values())) == len(set(block.values()))
+        block = new_block
+        if stable:
+            break
+    return block[("a", a.initial)] == block[("b", b.initial)]

@@ -17,6 +17,10 @@ from hypothesis import strategies as st
 import stgames
 from stgames import cli
 from stgames.cli import main
+from stgames.estructure import ets_to_dot
+from stgames.game import compose_session_contracts
+from stgames.harness import turn_lts
+from stgames.syntax import parse
 
 EXAMPLE = ["!a (+) !b.!a", "?a.?b + ?b.?a + ?c"]
 
@@ -119,6 +123,21 @@ def test_export_ts_dot():
     assert code == 0
     assert text.startswith("digraph")
     assert "!b" in text and "✓" in text
+
+
+@pytest.mark.parametrize("what", ["ts", "ets"])
+def test_export_truncated_system_exit_two(what, capsys):
+    # the truncated system is still written as before, but the exit code and
+    # stderr say that it is only a prefix of the real one
+    p, q = parse("!a"), parse("?a")
+    if what == "ts":
+        expected = turn_lts(p, q, 1).to_dot(name="ts")
+    else:
+        expected = ets_to_dot(compose_session_contracts(p, "A", q, "B").es, step_bound=1)
+    code, text = run(["export", "!a", "?a", "--what", what, "--limit", "1"])
+    assert (code, text) == (2, expected + "\n")
+    assert capsys.readouterr().err == "error: state limit 1 reached; the exported system is truncated\n"
+    assert run(["export", "!a", "?a", "--what", what])[0] == 0
 
 
 def test_export_to_file(tmp_path):

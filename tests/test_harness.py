@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import acceptance_contracts, acceptance_pairs, acceptance_spec, reference_bisim
 from stgames.denote import denote, denote_par
 from stgames.estructure import EventStructureGen, ets
 from stgames.game import compose_session_contracts
@@ -25,7 +29,7 @@ from stgames.harness import (
 )
 from stgames.lts import Lts
 from stgames.opsem import check_compliance
-from stgames.syntax import Term0, is_recursive, parse, pretty, validate
+from stgames.syntax import Term0, Var, is_recursive, parse, pretty, validate
 
 
 # -- bisimulation ---------------------------------------------------------------
@@ -58,6 +62,77 @@ def test_bounded_bisim_sees_only_the_horizon():
     assert bisim(a, b, bound=2)
     assert not bisim(a, b, bound=3)
     assert not bisim(a, b)
+
+
+def test_bisim_rejects_negative_bound():
+    # a negative bound ran no round, and the one-block partition related everything
+    a = lts([("s0", "x", "s1")])
+    b = lts([("s0", "x", "s1"), ("s0", "y", "s2")])
+    assert bisim(a, b, bound=0)
+    assert not bisim(a, b, bound=1)
+    with pytest.raises(ValueError, match="bisimulation bound must be non-negative"):
+        bisim(a, b, bound=-1)
+
+
+def _bisim_outcome(check, a, b, bound):
+    try:
+        return check(a, b, bound)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def lts_pairs(draw):
+    """Two systems of one to six states over the labels x and y, with any
+    initial state, so self-loops, cycles and unreachable states all occur;
+    half the time the second is the first with one state split in two,
+    which is bisimilar by construction."""
+    def system(tag):
+        states = [f"{tag}{i}" for i in range(draw(st.integers(1, 6)))]
+        edges = draw(st.sets(
+            st.tuples(st.sampled_from(states), st.sampled_from("xy"), st.sampled_from(states)),
+            max_size=12,
+        ))
+        return Lts(frozenset(states), draw(st.sampled_from(states)), frozenset(edges))
+
+    a = system("a")
+    if draw(st.booleans()):
+        return a, system("b")
+    rename = {state: "b" + state[1:] for state in a.states}
+    split = rename[draw(st.sampled_from(sorted(a.states)))]
+    edges = set()
+    for src, label, dst in a.edges:
+        src, dst = rename[src], rename[dst]
+        targets = draw(st.sampled_from([(dst,), ("copy",), (dst, "copy")])) if dst == split else (dst,)
+        edges |= {(src, label, target) for target in targets}
+    edges |= {("copy", label, dst) for src, label, dst in edges if src == split}
+    states = frozenset(rename.values()) | {"copy"}
+    return a, Lts(states, rename[a.initial], frozenset(edges))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pair=lts_pairs(), bound=st.sampled_from([None, 0, 1, 2, 3, 4, 5]))
+def test_bisim_matches_reference_on_small_systems(pair, bound):
+    a, b = pair
+    assert _bisim_outcome(bisim, a, b, bound) == _bisim_outcome(reference_bisim, a, b, bound)
+
+
+@pytest.mark.parametrize("family", ["finite", "recursive"])
+def test_bisim_matches_reference(family):
+    # ROADMAP aim 3: the worklist refinement against the whole-partition
+    # loop it replaced, on every acceptance pair's turn-based system against
+    # its own event-labelled system (bisimilar) and the previous pair's
+    # (mostly not), at the pair's own bound and at 0-3
+    depth = acceptance_spec(family).unroll_depth
+    pairs = acceptance_pairs(family)
+    systems = [(turn_lts(p, q), contract_ets(contract))
+               for (p, q), contract in zip(pairs, acceptance_contracts(family))]
+    for index, (p, q) in enumerate(pairs):
+        ts = systems[index][0]
+        for es_lts in (systems[index][1], systems[index - 1][1]):
+            for bound in (bounded_bisim_depth(p, q, depth), 0, 1, 2, 3):
+                assert (_bisim_outcome(bisim, ts, es_lts, bound)
+                        == _bisim_outcome(reference_bisim, ts, es_lts, bound)), (index, bound)
 
 
 def test_bisim_rejects_disjoint_alphabets():
@@ -279,6 +354,33 @@ def test_correspondence_recursive_pair_bounded():
     report = correspondence_check(parse("rec x . !a.x"), parse("rec y . ?a.y"), unroll_depth=4)
     assert report.bounded
     assert report.agree
+
+
+@pytest.mark.parametrize("role, p, q", [
+    ("client", Var("x"), parse("?a")),
+    ("server", parse("rec x . !a.x"), Var("x")),
+])
+def test_correspondence_rejects_invalid_type_as_it_composes(role, p, q):
+    # the compliance checks skip validation, so composing must still reject
+    with pytest.raises(ValueError, match=f"^invalid {role} type: free-variable: x is not bound in x$"):
+        correspondence_check(p, q)
+
+
+@pytest.mark.parametrize("recursive", [False, True], ids=["finite", "recursive"])
+def test_corpus_validates_each_type_twice_per_pair(recursive, monkeypatch):
+    # composing validates each type and denote walks it once more; the
+    # compliance checks reuse that validation instead of walking it again
+    walks = []
+
+    def counting(term):
+        walks.append(term)
+        return validate(term)
+
+    for module in ("stgames.syntax", "stgames.denote"):
+        monkeypatch.setattr(sys.modules[module], "validate", counting)
+    summary = run_corpus(CorpusSpec(seed=3, count=6, allow_recursion=recursive))
+    assert summary.ok
+    assert len(walks) == 4 * summary.pairs
 
 
 def test_empty_corpus():
