@@ -10,7 +10,9 @@ Exit codes: 0 for a positive verdict (compliant / winning / clean corpus),
 ``export --what ts|ets`` whose system hit ``--limit`` (the truncated
 system is still written, and stderr says so), and 2 with nothing on
 stderr when the reader closes stdout before the output is all written
-(``stgames export ... | head``).
+(``stgames export ... | head``).  ``export`` writes its pieces as it
+makes them, so such an export has already written part of its output;
+it still exits 2.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import sys
 from pathlib import Path
 
 from .denote import DEFAULT_UNROLL_DEPTH
-from .estructure import es_to_json, ets
+from .estructure import es_json_chunks, ets
 from .game import compose_session_contracts, eager_winning, find_winning_strategy
 from .harness import CorpusSpec, run_corpus, turn_lts
 from .opsem import DEFAULT_STATE_LIMIT, check_compliance, check_compliance_turn
@@ -108,29 +110,37 @@ def cmd_agree(args, out) -> int:
     return 0 if strategy is not None else 1
 
 
+def _write(chunks, out) -> None:
+    for chunk in chunks:
+        out.write(chunk)
+    out.write("\n")
+
+
 def cmd_export(args, out) -> int:
     p = _load_type(args.client)
     q = _load_type(args.server)
     system = None
     if args.what == "ts":
         system = turn_lts(p, q, args.limit)
-        text = system.to_dot(name="ts")
+        chunks = [system.to_dot(name="ts")]
     else:
         a, b = args.participants
         composed = compose_session_contracts(p, a, q, b, args.depth).es
         if args.what == "es":
-            text = es_to_json(composed)
+            # written as it is made: the whole text is never held
+            chunks = es_json_chunks(composed)
         else:
             system = ets(composed, step_bound=args.limit)
             shown = {e.id: f"{e.id} / {e.label}" for e in composed.events}
-            text = system.to_dot(name="ets", edge_label=shown)
+            chunks = [system.to_dot(name="ets", edge_label=shown)]
     if args.output:
         try:
-            Path(args.output).write_text(text + "\n")
+            with open(args.output, "w") as dest:
+                _write(chunks, dest)
         except OSError as exc:
             raise CliError(f"cannot write {args.output}: {exc}") from None
     else:
-        print(text, file=out)
+        _write(chunks, out)
     if system is not None and system.truncated:
         raise CliError(f"state limit {args.limit} reached; the exported system is truncated")
     return 0

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import re
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -395,6 +396,43 @@ def _array(items: list[str], pad: str) -> str:
     return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]" if items else "[]"
 
 
+def es_json_chunks(es: EventStructureGen) -> Iterator[str]:
+    """The text of :func:`es_to_json` in pieces, for writing as it is made:
+    the head with the conflicts, then one piece per target holding that
+    target's enablings, then the events.  Their concatenation is the text.
+
+    A piece per target keeps the pieces few (one write each) while no more
+    than one target's enablings is held as text at a time.
+    """
+    ids = sorted(es.event_ids, key=id_sort_key)
+    # id_sort_key is injective (its last component is the id), so sorting on
+    # positions in this order is sorting on id_sort_key
+    rank = {event_id: position for position, event_id in enumerate(ids)}.__getitem__
+    quoted = dict(zip(ids, map(encode_basestring, ids))).__getitem__
+    conflicts = [
+        _array([*map(quoted, pair)], "    ")
+        for pair in sorted(sorted(c, key=rank) for c in es.conflicts)
+    ]
+    yield f'{{\n  "conflicts": {_array(conflicts, "  ")},\n  "enablings": '
+    opening = sep = "[\n    "
+    for target in ids:
+        premises = es._gens_by_target.get(target)
+        if not premises:
+            continue
+        end = f',\n      "target": {quoted(target)}\n    }}'
+        yield sep + ",\n    ".join([
+            '{\n      "premise": ' + _array([*map(quoted, premise)], "      ") + end
+            for premise in sorted(sorted(p, key=rank) for p in premises)
+        ])
+        sep = ",\n    "
+    events = [
+        f'{{\n      "id": {quoted(e.id)},\n      "label": {encode_basestring(str(e.label))},\n'
+        f'      "participant": {encode_basestring(e.participant)}\n    }}'
+        for e in map(es._by_id.__getitem__, ids)
+    ]
+    yield ("[]" if sep == opening else "\n  ]") + f',\n  "events": {_array(events, "  ")}\n}}'
+
+
 def es_to_json(es: EventStructureGen) -> str:
     """The structure as a JSON object of ``conflicts`` (id pairs),
     ``enablings`` (``premise`` ids and ``target`` id) and ``events``
@@ -407,35 +445,16 @@ def es_to_json(es: EventStructureGen) -> str:
     strings, and enablings by target in that order, then by premise as a
     list of strings.
 
-    ``json.dumps`` falls back to its pure-Python encoder whenever ``indent``
-    is set, so the text is written directly from the structure, with no
+    The text is the join of :func:`es_json_chunks`, which writers that
+    stream (``stgames export``) use piece by piece: the head and conflicts,
+    one piece per target's enablings, then the events.  ``json.dumps``
+    falls back to its pure-Python encoder whenever ``indent`` is set, so
+    the pieces are written directly from the structure, with no
     intermediate dict: one rank table orders the ids, and one table holds
     each id quoted by ``json.encoder.encode_basestring``, the C function
     ``json.dumps`` uses for strings under ``ensure_ascii=False``.
     """
-    ids = sorted(es.event_ids, key=id_sort_key)
-    # id_sort_key is injective (its last component is the id), so sorting on
-    # positions in this order is sorting on id_sort_key
-    rank = {event_id: position for position, event_id in enumerate(ids)}.__getitem__
-    quoted = dict(zip(ids, map(encode_basestring, ids))).__getitem__
-    conflicts = [
-        _array([*map(quoted, pair)], "    ")
-        for pair in sorted(sorted(c, key=rank) for c in es.conflicts)
-    ]
-    enablings = []
-    for target in ids:
-        end = f',\n      "target": {quoted(target)}\n    }}'
-        for premise in sorted(sorted(p, key=rank) for p in es._gens_by_target.get(target, ())):
-            enablings.append('{\n      "premise": ' + _array([*map(quoted, premise)], "      ") + end)
-    events = [
-        f'{{\n      "id": {quoted(e.id)},\n      "label": {encode_basestring(str(e.label))},\n'
-        f'      "participant": {encode_basestring(e.participant)}\n    }}'
-        for e in map(es._by_id.__getitem__, ids)
-    ]
-    return (
-        f'{{\n  "conflicts": {_array(conflicts, "  ")},\n  "enablings": {_array(enablings, "  ")},\n'
-        f'  "events": {_array(events, "  ")}\n}}'
-    )
+    return "".join(es_json_chunks(es))
 
 
 def es_to_json_dict(es: EventStructureGen) -> dict:

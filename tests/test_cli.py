@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -17,12 +18,15 @@ from hypothesis import strategies as st
 import stgames
 from stgames import cli
 from stgames.cli import main
-from stgames.estructure import ets_to_dot
+from stgames.denote import DEFAULT_UNROLL_DEPTH
+from stgames.estructure import es_to_json, ets_to_dot
 from stgames.game import compose_session_contracts
 from stgames.harness import turn_lts
 from stgames.syntax import parse
 
 EXAMPLE = ["!a (+) !b.!a", "?a.?b + ?b.?a + ?c"]
+# a recursion using its variable twice: its export doubles with each depth
+DOUBLING = ["rec x . (!a.x (+) !b.x)", "rec x . (?a.x + ?b.x)"]
 
 
 def run(argv):
@@ -140,11 +144,58 @@ def test_export_truncated_system_exit_two(what, capsys):
     assert run(["export", "!a", "?a", "--what", what])[0] == 0
 
 
-def test_export_to_file(tmp_path):
+@pytest.mark.parametrize("pair, depth", [(EXAMPLE, DEFAULT_UNROLL_DEPTH), (DOUBLING, 3)],
+                         ids=["example", "doubling"])
+def test_export_to_file(tmp_path, pair, depth):
+    # stdout, the -o file and the whole-text writer give the same bytes
+    argv = ["export", *pair, "--what", "es", "--depth", str(depth)]
     target = tmp_path / "es.json"
-    code, _ = run(["export", *EXAMPLE, "--what", "es", "-o", str(target)])
+    code, text = run(argv)
     assert code == 0
-    assert json.loads(target.read_text())["events"]
+    assert run([*argv, "-o", str(target)]) == (0, "")
+    composed = compose_session_contracts(parse(pair[0]), "A", parse(pair[1]), "B", depth).es
+    assert target.read_bytes() == text.encode() == (es_to_json(composed) + "\n").encode()
+    assert json.loads(text)["events"]
+
+
+class _CountingSink:
+    """A text stream that counts the characters written and keeps none."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_export_memory_follows_the_structure_not_its_text():
+    # export writes as it goes, so its peak stays near that of composing the
+    # pair; holding the whole text as well would about double it
+    p, q = map(parse, DOUBLING)
+    sink = _CountingSink()
+
+    def export():
+        assert main(["export", *DOUBLING, "--depth", "5"], out=sink) == 0
+
+    def compose():
+        return compose_session_contracts(p, "A", q, "B", 5)
+
+    export(), compose()  # fill the caches both share before measuring
+    assert _traced_peak(export) <= 1.25 * _traced_peak(compose)
+    assert sink.chars == 2 * (len(es_to_json(compose().es)) + 1)
 
 
 def test_export_unwritable_path_exit_two():
@@ -264,8 +315,7 @@ def test_export_non_ascii_participant_matches_golden_digest():
 def test_export_closed_pipe_exit_two():
     # the reader takes one line of a large export and closes the pipe
     env = {**os.environ, "PYTHONPATH": str(Path(stgames.__file__).parents[1])}
-    argv = [sys.executable, "-m", "stgames.cli", "export",
-            "rec x . (!a.x (+) !b.x)", "rec x . (?a.x + ?b.x)", "--depth", "6"]
+    argv = [sys.executable, "-m", "stgames.cli", "export", *DOUBLING, "--depth", "6"]
     with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
         assert proc.stdout.readline() == b"{\n"
         proc.stdout.close()

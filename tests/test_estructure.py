@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -31,6 +32,7 @@ from stgames.estructure import (
     enabled,
     es_from_json,
     es_from_json_dict,
+    es_json_chunks,
     es_leq,
     es_lub,
     es_to_json,
@@ -420,6 +422,16 @@ def test_json_matches_reference_on_deep_families():
             es = denote_par(denote(client, "A", unroll_depth=depth, parity="odd"),
                             denote(dual(client), "B", unroll_depth=depth, parity="even"))
             assert es_to_json(es) == reference_es_to_json(es), (source, depth)
+
+
+def test_json_chunks_hold_one_target_each(example_composed):
+    # the head with the conflicts, one piece per target, then the events
+    for es in (EMPTY_ES, example_composed):
+        targets = sorted({target for _, target in es.gens}, key=id_sort_key)
+        pieces = list(es_json_chunks(es))
+        assert len(pieces) == len(targets) + 2
+        for target, piece in zip(targets, pieces[1:-1]):
+            assert set(re.findall(r'"target": "([^"]*)"', piece)) == {target}
 
 
 def test_json_matches_reference_on_small_structures(small_structures):
