@@ -252,6 +252,8 @@ class CorpusSpec:
             raise ValueError(f"corpus max depth must be at least 0, got {self.max_depth}")
         if self.max_branch < 1:
             raise ValueError(f"corpus max branch must be at least 1, got {self.max_branch}")
+        if self.unroll_depth < 0:
+            raise ValueError(f"corpus unroll depth must be at least 0, got {self.unroll_depth}")
         if not self.actions:
             raise ValueError("corpus actions must name at least one action")
         if len(set(self.actions)) != len(self.actions):

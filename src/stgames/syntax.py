@@ -10,6 +10,11 @@ process ``0``).  Both arise only while executing the turn-based semantics.
 Terms are immutable.  Each keeps its printed forms, and each ``Rec`` its
 one-step unfolding, once computed; both are deterministic, so terms stay
 safe to share.
+
+``parse`` scans its text once with ``re.findall`` over one token rule, which
+yields the tokens as plain strings, and descends over those strings.  Only a
+malformed text is scanned again, with ``re.finditer`` over the same rule, to
+find character positions for the ``ParseError``.
 """
 
 from __future__ import annotations
@@ -129,11 +134,6 @@ SUCCESS = Success()
 TERM0 = Term0()
 
 
-def choice(kind: str, branches) -> SessionType:
-    cls = InternalChoice if kind == OUTPUT else ExternalChoice
-    return cls(tuple(branches))
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
@@ -148,153 +148,119 @@ class ParseError(ValueError):
 
 IDENT_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens: list[tuple[str, str, int]] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        while i < n and text[i].isspace():
-            i += 1
-        if i >= n:
-            break
-        if text.startswith("(+)", i):
-            tokens.append(("iop", "(+)", i))
-            i += 3
-            continue
-        ch = text[i]
-        if ch == "(":
-            tokens.append(("lpar", ch, i))
-            i += 1
-        elif ch == ")":
-            tokens.append(("rpar", ch, i))
-            i += 1
-        elif ch == "+":
-            tokens.append(("eop", ch, i))
-            i += 1
-        elif ch == ".":
-            tokens.append(("dot", ch, i))
-            i += 1
-        elif ch == "!":
-            tokens.append(("bang", ch, i))
-            i += 1
-        elif ch == "?":
-            tokens.append(("query", ch, i))
-            i += 1
-        elif ch == "1":
-            tokens.append(("one", ch, i))
-            i += 1
-        else:
-            m = IDENT_RE.match(text, i)
-            if not m:
-                raise ParseError(f"unexpected character {ch!r}", i)
-            tokens.append(("ident", m.group(), i))
-            i = m.end()
-    tokens.append(("eof", "", n))
-    return tokens
+# The one token rule: ``(+)``, an identifier, or any other non-space
+# character.  Whitespace (what ``str.isspace`` calls whitespace) separates
+# tokens.  A character that is neither a symbol of the grammar nor the start
+# of an identifier comes out as a token of its own, which no rule accepts.
+_TOKEN_RE = re.compile(rf"\(\+\)|{IDENT_RE.pattern}|\S")
+_SYMBOLS = frozenset(("(+)", "(", ")", "+", ".", "!", "?", "1"))
+_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_CHOICE = {OUTPUT: InternalChoice, INPUT: ExternalChoice}
 
 
-class _Parser:
-    """Recursive descent over the grammar.
+class _Failure(Exception):
+    """A parse error at a token index; ``parse`` turns it into a ``ParseError``."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.message = message
+        self.index = index
+
+
+class _Descent:
+    """Recursive descent over the token strings of one text.
 
     ``rec x . P`` takes the longest possible body; prefix continuations bind
     tightly (a choice or rec continuation must be parenthesised); a choice
     level is homogeneous, so mixing ``(+)`` and ``+`` is a parse error.
+
+    Each method takes the index of its first token and returns the parsed
+    form with the index after it.  ``atom`` returns a prefix as its
+    ``(label, continuation)`` branch, which its caller wraps in a one-branch
+    choice unless the prefix is an operand of a larger choice.  A prefix
+    chain costs one frame per prefix, a parenthesised choice three per level.
     """
 
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+    __slots__ = ("tokens", "labels")
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
+    def __init__(self, tokens: list[str]):
+        self.tokens = tokens  # ends with "", the end of the input
+        self.labels: dict[str, ActionLabel] = {}  # one label per polarity and name
 
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def term(self, i: int) -> tuple[SessionType, int]:
+        tokens = self.tokens
+        if tokens[i] == "rec":
+            var = tokens[i + 1]
+            if var[:1] not in _LETTERS:
+                raise _Failure(f"expected ident, found {var!r}", i + 1)
+            if tokens[i + 2] != ".":
+                raise _Failure(f"expected dot, found {tokens[i + 2]!r}", i + 2)
+            body, i = self.term(i + 3)
+            return Rec(var, body), i
+        start = i
+        first, i = self.atom(i)
+        op = tokens[i]
+        if op != "(+)" and op != "+":
+            return (_one_branch(first) if first.__class__ is tuple else first), i
+        branches = [first if first.__class__ is tuple else _as_branch(first)]
+        while True:
+            part, i = self.atom(i + 1)
+            branches.append(part if part.__class__ is tuple else _as_branch(part))
+            if tokens[i] != op:
+                if tokens[i] == "(+)" or tokens[i] == "+":
+                    raise _Failure("cannot mix '(+)' and '+' in one choice", i)
+                break
+        polarity = OUTPUT if op == "(+)" else INPUT
+        # every branch's polarity is checked before a duplicate is reported
+        names: set[str] = set()
+        for branch in branches:
+            if branch is None or branch[0].polarity != polarity:
+                raise _Failure("choice branches must be action prefixes of matching polarity", start)
+            names.add(branch[0].name)
+        if len(names) < len(branches):
+            names.clear()
+            for label, _ in branches:
+                if label.name in names:
+                    raise _Failure(f"duplicate action {label} in a choice", start)
+                names.add(label.name)
+        return _CHOICE[polarity](tuple(branches)), i
 
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
-        return tok
-
-    def parse(self) -> SessionType:
-        term = self.parse_term()
-        tok = self.peek()
-        if tok[0] != "eof":
-            raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-        return term
-
-    def parse_term(self) -> SessionType:
-        kind, value, at = self.peek()
-        if kind == "ident" and value == "rec":
-            self.next()
-            var = self.expect("ident")[1]
-            self.expect("dot")
-            body = self.parse_term()
-            return Rec(var, body)
-        return self.parse_choice()
-
-    def parse_choice(self) -> SessionType:
-        first_at = self.peek()[2]
-        first = self.parse_atom()
-        op: str | None = None
-        parts = [first]
-        while self.peek()[0] in ("iop", "eop"):
-            kind, value, at = self.next()
-            if op is None:
-                op = kind
-            elif op != kind:
-                raise ParseError("cannot mix '(+)' and '+' in one choice", at)
-            parts.append(self.parse_atom())
-        if op is None:
-            return first
-        polarity = OUTPUT if op == "iop" else INPUT
-        branches: list[tuple[ActionLabel, SessionType]] = []
-        for part in parts:
-            branch = _as_branch(part, polarity)
-            if branch is None:
-                raise ParseError(
-                    "choice branches must be action prefixes of matching polarity", first_at
-                )
-            branches.append(branch)
-        seen: set[str] = set()
-        for label, _ in branches:
-            if label.name in seen:
-                raise ParseError(f"duplicate action {label} in a choice", first_at)
-            seen.add(label.name)
-        return choice(polarity, branches)
-
-    def parse_atom(self) -> SessionType:
-        kind, value, at = self.next()
-        if kind == "one":
-            return SUCCESS
-        if kind == "lpar":
-            inner = self.parse_term()
-            self.expect("rpar")
-            return inner
-        if kind in ("bang", "query"):
-            polarity = OUTPUT if kind == "bang" else INPUT
-            name = self.expect("ident")[1]
-            cont: SessionType = SUCCESS
-            if self.peek()[0] == "dot":
-                self.next()
-                cont = self.parse_atom()
-            return choice(polarity, [(ActionLabel(name, polarity), cont)])
-        if kind == "ident":
-            if value == "rec":
-                raise ParseError("'rec' must start a term (parenthesise it here)", at)
-            return Var(value)
-        raise ParseError(f"unexpected token {value!r}", at)
+    def atom(self, i: int) -> tuple[SessionType | tuple[ActionLabel, SessionType], int]:
+        tokens = self.tokens
+        tok = tokens[i]
+        if tok == "!" or tok == "?":
+            name = tokens[i + 1]
+            if name[:1] not in _LETTERS:
+                raise _Failure(f"expected ident, found {name!r}", i + 1)
+            label = self.labels.get(tok + name)
+            if label is None:
+                label = self.labels[tok + name] = ActionLabel(name, tok)
+            if tokens[i + 2] != ".":
+                return (label, SUCCESS), i + 2
+            cont, i = self.atom(i + 3)
+            return (label, _one_branch(cont) if cont.__class__ is tuple else cont), i
+        if tok == "1":
+            return SUCCESS, i + 1
+        if tok == "(":
+            inner, i = self.term(i + 1)
+            if tokens[i] != ")":
+                raise _Failure(f"expected rpar, found {tokens[i]!r}", i)
+            return inner, i + 1
+        if tok[:1] in _LETTERS:
+            if tok == "rec":
+                raise _Failure("'rec' must start a term (parenthesise it here)", i)
+            return Var(tok), i + 1
+        raise _Failure(f"unexpected token {tok!r}", i)
 
 
-def _as_branch(term: SessionType, polarity: str) -> tuple[ActionLabel, SessionType] | None:
-    """A choice operand must be a one-branch choice of the same polarity."""
-    cls = InternalChoice if polarity == OUTPUT else ExternalChoice
-    if isinstance(term, cls) and len(term.branches) == 1:
+def _one_branch(branch: tuple[ActionLabel, SessionType]) -> SessionType:
+    """A prefix that is not an operand of a larger choice: a one-branch choice."""
+    return _CHOICE[branch[0].polarity]((branch,))
+
+
+def _as_branch(term: SessionType) -> tuple[ActionLabel, SessionType] | None:
+    """A parenthesised choice operand must be a one-branch choice."""
+    if isinstance(term, (InternalChoice, ExternalChoice)) and len(term.branches) == 1:
         return term.branches[0]
     return None
 
@@ -304,8 +270,31 @@ def parse(text: str) -> SessionType:
 
     ``!a`` with no continuation abbreviates ``!a.1``; a bare prefix is a
     one-branch choice.
+
+    The text is split into token strings by one ``re.findall`` over the
+    token rule, and the descent reads those strings.  Character positions
+    are found only for an error, by ``re.finditer`` over the same rule; a
+    character that can start no token is reported before any other error,
+    as if the whole text were scanned first.
     """
-    return _Parser(text).parse()
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")
+    try:
+        term, i = _Descent(tokens).term(0)
+        if tokens[i]:
+            raise _Failure(f"trailing input {tokens[i]!r}", i)
+    except (_Failure, RecursionError) as failure:
+        starts = []
+        for match in _TOKEN_RE.finditer(text):
+            tok = match.group()
+            if tok not in _SYMBOLS and tok[0] not in _LETTERS:
+                raise ParseError(f"unexpected character {tok!r}", match.start()) from None
+            starts.append(match.start())
+        if isinstance(failure, RecursionError):
+            raise
+        starts.append(len(text))
+        raise ParseError(failure.message, starts[failure.index]) from None
+    return term
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,10 @@ forms kept on the terms replaced.  The reference JSON writer orders with
 ``id_sort_key`` inside every sort and encodes with ``json.dumps(indent=2)``,
 the design the rank table and the fixed-layout writer replaced.  The
 reference bisimulation re-signs every state in every refinement round,
-the design the worklist refinement replaced.
+the design the worklist refinement replaced.  The reference parser
+tokenizes the whole text with a per-character loop into ``(kind, value,
+position)`` tuples and wraps every prefix in a one-branch choice before a
+choice unwraps it, the design the string-token descent replaced.
 """
 
 from __future__ import annotations
@@ -40,11 +43,18 @@ from stgames.estructure import (
     remainder,
 )
 from stgames.syntax import (
+    IDENT_RE,
+    INPUT,
+    OUTPUT,
+    SUCCESS,
     TICK,
+    ActionLabel,
     Buffer,
     ExternalChoice,
     InternalChoice,
+    ParseError,
     Rec,
+    SessionType,
     Success,
     Term0,
     Var,
@@ -217,6 +227,23 @@ def acceptance_pairs(family: str):
 
     spec = acceptance_spec(family)
     return tuple(corpus_pair(spec, index) for index in range(spec.count))
+
+
+@lru_cache(maxsize=None)
+def large_pairs():
+    """Pairs in the style of the check-large benchmark: generated types of up
+    to 3k characters, up to 643 states, against their duals and against a corpus partner, which
+    is a perturbed dual half of the time."""
+    from stgames.harness import CorpusSpec, corpus_pair, dual
+
+    pairs = []
+    for recursive in (False, True):
+        spec = CorpusSpec(seed=5, count=4, max_depth=8, max_branch=4,
+                          allow_recursion=recursive, actions=tuple("abcdef"))
+        for index in range(spec.count):
+            client, server = corpus_pair(spec, index)
+            pairs += [(client, server), (client, dual(client))]
+    return tuple(pairs)
 
 
 @lru_cache(maxsize=None)
@@ -406,6 +433,169 @@ def reference_find_winning_strategy(contract, participant):
 
     replay(contract.es, False, ())
     return ExplicitStrategy(participant, table)
+
+
+# ---------------------------------------------------------------------------
+# Reference parser: a character loop into token tuples, every prefix wrapped
+# ---------------------------------------------------------------------------
+
+def reference_parse(text: str) -> SessionType:
+    return _ReferenceParser(text).parse()
+
+
+def choice(kind: str, branches) -> SessionType:
+    cls = InternalChoice if kind == OUTPUT else ExternalChoice
+    return cls(tuple(branches))
+
+
+def _reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens: list[tuple[str, str, int]] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        while i < n and text[i].isspace():
+            i += 1
+        if i >= n:
+            break
+        if text.startswith("(+)", i):
+            tokens.append(("iop", "(+)", i))
+            i += 3
+            continue
+        ch = text[i]
+        if ch == "(":
+            tokens.append(("lpar", ch, i))
+            i += 1
+        elif ch == ")":
+            tokens.append(("rpar", ch, i))
+            i += 1
+        elif ch == "+":
+            tokens.append(("eop", ch, i))
+            i += 1
+        elif ch == ".":
+            tokens.append(("dot", ch, i))
+            i += 1
+        elif ch == "!":
+            tokens.append(("bang", ch, i))
+            i += 1
+        elif ch == "?":
+            tokens.append(("query", ch, i))
+            i += 1
+        elif ch == "1":
+            tokens.append(("one", ch, i))
+            i += 1
+        else:
+            m = IDENT_RE.match(text, i)
+            if not m:
+                raise ParseError(f"unexpected character {ch!r}", i)
+            tokens.append(("ident", m.group(), i))
+            i = m.end()
+    tokens.append(("eof", "", n))
+    return tokens
+
+
+class _ReferenceParser:
+    """Recursive descent over the grammar.
+
+    ``rec x . P`` takes the longest possible body; prefix continuations bind
+    tightly (a choice or rec continuation must be parenthesised); a choice
+    level is homogeneous, so mixing ``(+)`` and ``+`` is a parse error.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _reference_tokenize(text)
+        self.pos = 0
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.pos]
+
+    def next(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str) -> tuple[str, str, int]:
+        tok = self.next()
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
+        return tok
+
+    def parse(self) -> SessionType:
+        term = self.parse_term()
+        tok = self.peek()
+        if tok[0] != "eof":
+            raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+        return term
+
+    def parse_term(self) -> SessionType:
+        kind, value, at = self.peek()
+        if kind == "ident" and value == "rec":
+            self.next()
+            var = self.expect("ident")[1]
+            self.expect("dot")
+            body = self.parse_term()
+            return Rec(var, body)
+        return self.parse_choice()
+
+    def parse_choice(self) -> SessionType:
+        first_at = self.peek()[2]
+        first = self.parse_atom()
+        op: str | None = None
+        parts = [first]
+        while self.peek()[0] in ("iop", "eop"):
+            kind, value, at = self.next()
+            if op is None:
+                op = kind
+            elif op != kind:
+                raise ParseError("cannot mix '(+)' and '+' in one choice", at)
+            parts.append(self.parse_atom())
+        if op is None:
+            return first
+        polarity = OUTPUT if op == "iop" else INPUT
+        branches: list[tuple[ActionLabel, SessionType]] = []
+        for part in parts:
+            branch = _reference_as_branch(part, polarity)
+            if branch is None:
+                raise ParseError(
+                    "choice branches must be action prefixes of matching polarity", first_at
+                )
+            branches.append(branch)
+        seen: set[str] = set()
+        for label, _ in branches:
+            if label.name in seen:
+                raise ParseError(f"duplicate action {label} in a choice", first_at)
+            seen.add(label.name)
+        return choice(polarity, branches)
+
+    def parse_atom(self) -> SessionType:
+        kind, value, at = self.next()
+        if kind == "one":
+            return SUCCESS
+        if kind == "lpar":
+            inner = self.parse_term()
+            self.expect("rpar")
+            return inner
+        if kind in ("bang", "query"):
+            polarity = OUTPUT if kind == "bang" else INPUT
+            name = self.expect("ident")[1]
+            cont: SessionType = SUCCESS
+            if self.peek()[0] == "dot":
+                self.next()
+                cont = self.parse_atom()
+            return choice(polarity, [(ActionLabel(name, polarity), cont)])
+        if kind == "ident":
+            if value == "rec":
+                raise ParseError("'rec' must start a term (parenthesise it here)", at)
+            return Var(value)
+        raise ParseError(f"unexpected token {value!r}", at)
+
+
+def _reference_as_branch(term: SessionType, polarity: str) -> tuple[ActionLabel, SessionType] | None:
+    """A choice operand must be a one-branch choice of the same polarity."""
+    cls = InternalChoice if polarity == OUTPUT else ExternalChoice
+    if isinstance(term, cls) and len(term.branches) == 1:
+        return term.branches[0]
+    return None
 
 
 # ---------------------------------------------------------------------------

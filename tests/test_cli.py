@@ -358,6 +358,16 @@ def test_check_long_chain_exit_zero():
     assert code == 0
 
 
+def test_check_nested_choices_exit_zero():
+    # 240 levels of !a.( ... ) (+) !c against the dual stay within the
+    # recursion limit; on this shape the parser spends the most frames per level
+    client, server = "1", "1"
+    for _ in range(240):
+        client, server = f"!a.({client}) (+) !c", f"?a.({server}) + ?c"
+    code, _ = run(["check", client, server])
+    assert code == 0
+
+
 def test_deep_unroll_exit_two(capsys):
     code, _ = run(["agree", "rec x . !a.x", "rec y . ?a.y", "--depth", "400"])
     assert code == 2
@@ -382,8 +392,11 @@ def test_corpus_recursive_command():
     assert data["recursive"] is True and data["pairs"] == 5
 
 
-@pytest.mark.parametrize("option", [["--count", "-1"], ["--max-depth", "-2"], ["--max-branch", "0"]],
-                         ids=["count", "max-depth", "max-branch"])
+@pytest.mark.parametrize("option", [["--count", "-1"], ["--max-depth", "-2"], ["--max-branch", "0"],
+                                    ["--count", "0", "--unroll-depth", "-1"],
+                                    ["--count", "3", "--unroll-depth", "-1"]],
+                         ids=["count", "max-depth", "max-branch", "unroll-depth-empty",
+                              "unroll-depth"])
 def test_corpus_out_of_range_exit_two(option, capsys):
     code, text = run(["corpus", *option])
     assert (code, text) == (2, "")

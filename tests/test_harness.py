@@ -389,11 +389,11 @@ def test_empty_corpus():
 
 
 @pytest.mark.parametrize("field", [
-    {"count": -1}, {"max_depth": -1}, {"max_branch": 0},
+    {"count": -1}, {"max_depth": -1}, {"max_branch": 0}, {"unroll_depth": -1},
     {"actions": ()}, {"actions": ("a", "a")}, {"actions": ("✓",)}, {"actions": ("1",)},
     {"actions": ("x y",)},
-], ids=["count", "max_depth", "max_branch", "no-actions", "duplicate-action", "tick-action",
-        "digit-action", "space-in-action"])
+], ids=["count", "max_depth", "max_branch", "unroll_depth", "no-actions", "duplicate-action",
+        "tick-action", "digit-action", "space-in-action"])
 def test_corpus_spec_rejects_out_of_range(field):
     with pytest.raises(ValueError):
         CorpusSpec(**{"seed": 1, "count": 1, **field})

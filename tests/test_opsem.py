@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import pytest
-from conftest import acceptance_pairs, reference_explore, reference_key
+from conftest import acceptance_pairs, large_pairs, reference_explore, reference_key
 
 import stgames.opsem as opsem
-from stgames.harness import CorpusSpec, corpus_pair, dual
 from stgames.lts import Lts
 from stgames.opsem import (
     Configuration,
@@ -235,20 +234,6 @@ def test_checkers_agree_on_fixture_pairs(p, q):
 
 
 # -- oracle: the string-keyed explorer ----------------------------------------
-
-def large_pairs():
-    """Pairs in the style of the check-large benchmark: generated types of up
-    to 3k characters, up to 643 states, against their duals and against a corpus partner, which
-    is a perturbed dual half of the time."""
-    pairs = []
-    for recursive in (False, True):
-        spec = CorpusSpec(seed=5, count=4, max_depth=8, max_branch=4,
-                          allow_recursion=recursive, actions=tuple("abcdef"))
-        for index in range(spec.count):
-            client, server = corpus_pair(spec, index)
-            pairs += [(client, server), (client, dual(client))]
-    return pairs
-
 
 @pytest.mark.parametrize("semantics", ["reduction", "turn"])
 @pytest.mark.parametrize("family,limits", [

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from conftest import large_pairs, reference_parse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stgames.harness import CorpusSpec, corpus_pair
 from stgames.syntax import (
     SUCCESS,
     TICK,
@@ -60,6 +62,78 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as excinfo:
         parse("!a (+) $")
     assert excinfo.value.position == "!a (+) $".index("$")
+
+
+@pytest.mark.parametrize("text,message,position", [
+    ("!1", "expected ident, found '1'", 1),
+    ("rec x", "expected dot, found ''", 5),
+    ("!a.(?b", "expected rpar, found ''", 6),
+    ("!a )", "trailing input ')'", 3),
+    ("!a (+) !b + ?c", "cannot mix '(+)' and '+' in one choice", 10),
+    ("!a (+) ?b", "choice branches must be action prefixes of matching polarity", 0),
+    ("!a.!a (+) !a", "duplicate action !a in a choice", 0),
+    ("!a.rec x . x", "'rec' must start a term (parenthesise it here)", 3),
+    ("", "unexpected token ''", 0),
+    ("é", "unexpected character 'é'", 0),
+    (") $", "unexpected character '$'", 2),
+    ("x" * 20000 + "$", "unexpected character '$'", 20000),
+    ("!a." * 3000 + "$", "unexpected character '$'", 9000),
+], ids=["ident", "dot", "rpar", "trailing", "mix", "polarity", "duplicate", "rec", "empty",
+        "non-ascii", "character-first", "long-identifier", "too-deep"])
+def test_parse_error_table(text, message, position):
+    # a character that starts no token is reported before any error the
+    # tokens before it would raise, however long the identifier before it
+    # and however deeply nested the text before it
+    with pytest.raises(ParseError) as excinfo:
+        parse(text)
+    assert (str(excinfo.value), excinfo.value.position) == \
+        (f"{message} (at position {position})", position)
+
+
+def parse_outcome(parser, text):
+    """The term, or the message and position of the ``ParseError``."""
+    try:
+        return parser(text)
+    except ParseError as error:
+        return str(error), error.position
+
+
+def test_parse_matches_reference_on_corpus_types():
+    # the printed types of the 600 seed-42 acceptance pairs and the large pairs
+    specs = [CorpusSpec(seed=42, count=500),
+             CorpusSpec(seed=42, count=100, allow_recursion=True, unroll_depth=4)]
+    pairs = [corpus_pair(spec, index) for spec in specs for index in range(spec.count)]
+    texts = [pretty(term) for pair in pairs + list(large_pairs()) for term in pair]
+    assert len(texts) == 1232
+    for text in texts:
+        assert parse(text) == reference_parse(text), text
+
+
+# tokens of the grammar, tokens run together and stray characters: whitespace
+# str.isspace accepts beyond ASCII, a separator below the space, digits and
+# letters outside [a-zA-Z]
+_fragments = st.sampled_from([
+    "!", "?", ".", "(", ")", "(+)", "+", "1", "rec", "a", "b", "x", "a_1", "b2",
+    "(+", "+)", "$", "_", "2", "0", "é", "ß", "Ω",
+    " ", "\t", "\n", "\u00a0", "\u2003", "\x1c",
+])
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(_fragments, max_size=24).map("".join))
+def test_parse_matches_reference_on_token_soup(text):
+    assert parse_outcome(parse, text) == parse_outcome(reference_parse, text)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(_fragments, max_size=8).map("".join), st.sampled_from([
+    "!a (+) !b.(?c + ?d)", "rec x . !a.x", "(!a) (+) !b", "?a.(!b) + ?c", "!a.!b.!c",
+]))
+def test_parse_matches_reference_on_types_with_stray_text(stray, text):
+    # a valid type with stray text put in at every position
+    for cut in range(len(text) + 1):
+        spliced = text[:cut] + stray + text[cut:]
+        assert parse_outcome(parse, spliced) == parse_outcome(reference_parse, spliced)
 
 
 def test_parse_rec_body_extends_right():
