@@ -24,15 +24,15 @@ import sys
 from pathlib import Path
 
 from .denote import DEFAULT_UNROLL_DEPTH
-from .estructure import es_json_chunks, ets
+from .estructure import es_json_chunks, ets, ets_to_dot
 from .game import compose_session_contracts, eager_winning, find_winning_strategy
 from .harness import CorpusSpec, run_corpus, turn_lts
 from .opsem import DEFAULT_STATE_LIMIT, check_compliance, check_compliance_turn
 from .syntax import ParseError, assert_valid, parse, pretty
 
 
-class CliError(Exception):
-    pass
+class CliError(ValueError):
+    """A failure reported as one ``error:`` line, as every ``ValueError`` is."""
 
 
 def _load_type(text: str):
@@ -45,10 +45,7 @@ def _load_type(text: str):
         term = parse(text)
     except ParseError as exc:
         raise CliError(f"parse error: {exc}") from None
-    try:
-        assert_valid(term)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    assert_valid(term)
     return term
 
 
@@ -58,10 +55,6 @@ def _emit(data: dict, fmt: str, out) -> None:
     else:
         for key, value in data.items():
             print(f"{key}: {value}", file=out)
-
-
-def _bound_line(depth: int | None) -> str | None:
-    return None if depth is None else f"bounded at depth {depth}"
 
 
 def cmd_check(args, out) -> int:
@@ -93,9 +86,8 @@ def cmd_agree(args, out) -> int:
     if args.strategy == "eager":
         verdict = eager_winning(contract, who)
         payload = verdict.to_json()
-        bound = _bound_line(contract.bounded_depth)
-        if bound:
-            payload["note"] = bound
+        if contract.bounded_depth is not None:
+            payload["note"] = f"bounded at depth {contract.bounded_depth}"
         _emit(payload, args.format, out)
         return 0 if verdict.winning else 1
     strategy = find_winning_strategy(contract, who)
@@ -131,8 +123,7 @@ def cmd_export(args, out) -> int:
             chunks = es_json_chunks(composed)
         else:
             system = ets(composed, step_bound=args.limit)
-            shown = {e.id: f"{e.id} / {e.label}" for e in composed.events}
-            chunks = [system.to_dot(name="ets", edge_label=shown)]
+            chunks = [ets_to_dot(composed, system)]
     if args.output:
         try:
             with open(args.output, "w") as dest:
@@ -160,6 +151,29 @@ def cmd_corpus(args, out) -> int:
     return 0 if summary.ok else 1
 
 
+# One helper per option group; each subcommand adds the groups it reads.
+
+def _add_types(p: argparse.ArgumentParser) -> None:
+    p.add_argument("client", help="client session type (inline text or @file)")
+    p.add_argument("server", help="server session type (inline text or @file)")
+
+
+def _add_denotation(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--participants", nargs=2, default=("A", "B"), metavar=("A", "B"),
+                   help="participant names (default: A B)")
+    p.add_argument("--depth", type=int, default=DEFAULT_UNROLL_DEPTH,
+                   help="recursion unroll depth (default: %(default)s)")
+
+
+def _add_limit(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--limit", type=int, default=DEFAULT_STATE_LIMIT,
+                   help="state limit for explorations (default: %(default)s)")
+
+
+def _add_format(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=("json", "text"), default="json")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stgames",
@@ -167,46 +181,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_types: bool = True,
-               with_denotation: bool = True, with_limit: bool = True) -> None:
-        if with_types:
-            p.add_argument("client", help="client session type (inline text or @file)")
-            p.add_argument("server", help="server session type (inline text or @file)")
-        if with_denotation:
-            p.add_argument("--participants", nargs=2, default=("A", "B"), metavar=("A", "B"),
-                           help="participant names (default: A B)")
-            p.add_argument("--depth", type=int, default=DEFAULT_UNROLL_DEPTH,
-                           help="recursion unroll depth (default: %(default)s)")
-        if with_limit:
-            p.add_argument("--limit", type=int, default=DEFAULT_STATE_LIMIT,
-                           help="state limit for explorations (default: %(default)s)")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-
     check = sub.add_parser("check", help="decide compliance under both semantics")
-    common(check, with_denotation=False)
+    _add_types(check)
+    _add_limit(check)
+    _add_format(check)
     check.set_defaults(run=cmd_check)
 
     agree = sub.add_parser("agree", help="eager verdict or winning-strategy search")
+    _add_types(agree)
+    _add_denotation(agree)
     # neither game engine takes a state limit, so agree has no --limit
-    common(agree, with_limit=False)
+    _add_format(agree)
     agree.add_argument("--strategy", choices=("eager", "search"), default="eager")
     agree.add_argument("--participant", help="whose side to check (default: the client's owner)")
     agree.set_defaults(run=cmd_agree)
 
+    # export writes JSON (es) or DOT (ets, ts) by --what, so it has no --format
     export = sub.add_parser("export", help="write the ES as JSON or a system as DOT")
-    common(export)
+    _add_types(export)
+    _add_denotation(export)
+    _add_limit(export)
     export.add_argument("--what", choices=("es", "ets", "ts"), default="es")
     export.add_argument("-o", "--output", help="output file (default: stdout)")
     export.set_defaults(run=cmd_export)
 
     corpus = sub.add_parser("corpus", help="run the randomised theorem harness")
-    common(corpus, with_types=False, with_denotation=False)
+    _add_limit(corpus)
+    _add_format(corpus)
     corpus.add_argument("--seed", type=int, default=42)
     corpus.add_argument("--count", type=int, default=500)
     corpus.add_argument("--recursive", action="store_true")
-    corpus.add_argument("--unroll-depth", type=int, default=4)
-    corpus.add_argument("--max-depth", type=int, default=3)
-    corpus.add_argument("--max-branch", type=int, default=3)
+    corpus.add_argument("--unroll-depth", type=int, default=CorpusSpec.unroll_depth)
+    corpus.add_argument("--max-depth", type=int, default=CorpusSpec.max_depth)
+    corpus.add_argument("--max-branch", type=int, default=CorpusSpec.max_branch)
     corpus.set_defaults(run=cmd_corpus)
     return parser
 
@@ -233,10 +240,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 2
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # CliError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

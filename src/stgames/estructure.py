@@ -111,9 +111,6 @@ class EventStructureGen:
     def label_of(self, event_id: str) -> ActionLabel:
         return self.event(event_id).label
 
-    def participant_of(self, event_id: str) -> str:
-        return self.event(event_id).participant
-
     def participants(self) -> frozenset[str]:
         return frozenset(event.participant for event in self.events)
 
@@ -171,11 +168,13 @@ class PlayIndex:
                 self._woken[position[eid]].append(rule)
 
     def mask(self, ids) -> int:
-        """The configuration holding ``ids``; ids of other structures never
-        occur in a premise or a conflict, so they are ignored."""
+        """The configuration holding ``ids``; an id of no event is a ``KeyError``."""
         out = 0
         for eid in ids:
-            out |= self.bit.get(eid, 0)
+            try:
+                out |= self.bit[eid]
+            except KeyError:
+                raise KeyError(f"unknown event {eid}") from None
         return out
 
     def members(self, mask: int) -> list[str]:
@@ -233,7 +232,8 @@ def enabled(es: EventStructureGen, history, event_id: str) -> bool:
 
 def playable(es: EventStructureGen, history) -> frozenset[str]:
     """Events that can extend a play with the given conflict-free past:
-    enabled, not yet fired and not conflicted by anything fired."""
+    enabled, not yet fired and not conflicted by anything fired.  An id of
+    no event is a ``KeyError``, as in :func:`enabled`."""
     index = es.play_index
     fired, moves = 0, index.initial
     for event_id in index.members(index.mask(history)):
@@ -272,12 +272,6 @@ def remainder(es: EventStructureGen, event_id: str) -> EventStructureGen:
             continue
         gens.add((premise - {event_id}, target))
     return EventStructureGen(survivors, conflicts, frozenset(gens))
-
-
-def remainder_after(es: EventStructureGen, sequence) -> EventStructureGen:
-    for event_id in sequence:
-        es = remainder(es, event_id)
-    return es
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +337,8 @@ def es_leq(small: EventStructureGen, big: EventStructureGen) -> bool:
     """
     small_ids = small.event_ids
     for event in small.events:
-        if event.id not in big.event_ids:
-            return False
-        other = big.event(event.id)
-        if other.label != event.label or other.participant != event.participant:
+        other = big._by_id.get(event.id)
+        if other is None or other.label != event.label or other.participant != event.participant:
             return False
     # conflicts must agree exactly on common events
     small_pairs = small.conflicts
@@ -477,8 +469,7 @@ def es_from_json(text: str) -> EventStructureGen:
     return es_from_json_dict(json.loads(text))
 
 
-def ets_to_dot(es: EventStructureGen, step_bound: int = 10**5, name: str = "ets") -> str:
-    """DOT rendering of the event-labelled system; edges show ``e / action``."""
-    system = ets(es, step_bound=step_bound, relabel=False)
-    pretty_edges = {e.id: f"{e.id} / {e.label}" for e in es.events}
-    return system.to_dot(name=name, edge_label=pretty_edges)
+def ets_to_dot(es: EventStructureGen, system: Lts, name: str = "ets") -> str:
+    """DOT rendering of ``system``, the event-labelled system :func:`ets`
+    explored from ``es``; edges show ``e / action``."""
+    return system.to_dot(name=name, edge_label={e.id: f"{e.id} / {e.label}" for e in es.events})

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .denote import DEFAULT_UNROLL_DEPTH, denote, denote_par
 from .estructure import EventStructureGen, PlayIndex, id_sort_key, playable
-from .syntax import SessionType, assert_valid, is_recursive
+from .syntax import SessionType, assert_valid, is_recursive, min_loop_guard
 
 SUCCESS_PAYOFF = "success"
 
@@ -98,13 +98,25 @@ def _merge_bounds(a: int | None, b: int | None) -> int | None:
     return min(a, b)
 
 
+def approximant_depth(p: SessionType, q: SessionType, unroll_depth: int) -> int | None:
+    """``unroll_depth`` when the depth-``unroll_depth`` denotations of ``p``
+    and ``q`` are only approximants, else ``None``.  Unrolling cuts a
+    recursion whose variable is used; depth 0 drops every recursion body."""
+    if unroll_depth == 0:
+        cut = is_recursive(p) or is_recursive(q)
+    else:
+        cut = min_loop_guard(p) is not None or min_loop_guard(q) is not None
+    return unroll_depth if cut else None
+
+
 def compose_session_contracts(p: SessionType, a: str, q: SessionType, b: str,
                               unroll_depth: int = DEFAULT_UNROLL_DEPTH) -> Contract:
     """The game arena for a client type ``p`` of ``a`` against server ``q`` of ``b``.
 
     The event structure is the parallel composition of the two denotations;
-    each participant gets the success payoff.  The result carries an
-    unrolling bound when either type is recursive.
+    each participant gets the success payoff.  The result carries the
+    unrolling bound when the denotations are approximants
+    (:func:`approximant_depth`).
     """
     if a == b:
         raise ValueError("the two endpoints must belong to distinct participants")
@@ -114,8 +126,7 @@ def compose_session_contracts(p: SessionType, a: str, q: SessionType, b: str,
         denote(p, a, unroll_depth=unroll_depth, parity="odd"),
         denote(q, b, unroll_depth=unroll_depth, parity="even"),
     )
-    bounded = unroll_depth if (is_recursive(p) or is_recursive(q)) else None
-    return Contract(es, {a: SUCCESS_PAYOFF, b: SUCCESS_PAYOFF}, bounded)
+    return Contract(es, {a: SUCCESS_PAYOFF, b: SUCCESS_PAYOFF}, approximant_depth(p, q, unroll_depth))
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +247,8 @@ def culpable_at_end(play, participant: str, es: EventStructureGen) -> bool:
     """Final-state characterisation: culpable iff some own event is playable
     at the end of the play.  Agrees with :func:`innocent` on saturated
     structures because satisfied premises stay satisfied as history grows."""
-    history = frozenset(play)
-    own = es.events_of(participant)
-    return bool(playable(es, history) & own)
+    seq = assert_play(es, play)
+    return bool(playable(es, seq) & es.events_of(participant))
 
 
 def payoff_holds(contract: Contract, participant: str, play) -> bool:
@@ -282,7 +292,7 @@ class GameVerdict:
             "participant": self.participant,
             "strategy": self.strategy,
             "winning": self.winning,
-            "counterexample": list(self.counterexample) if self.counterexample else None,
+            "counterexample": list(self.counterexample) if self.counterexample is not None else None,
             "bounded_depth": self.bounded_depth,
         }
 

@@ -35,6 +35,7 @@ from .estructure import ets
 from .game import (
     Contract,
     GameVerdict,
+    approximant_depth,
     compose_session_contracts,
     eager_winning,
     find_winning_strategy,
@@ -62,6 +63,7 @@ from .syntax import (
     free_vars,
     inp,
     is_recursive,
+    min_loop_guard,
     out,
     pretty,
 )
@@ -149,45 +151,21 @@ def contract_ets(contract: Contract, step_bound: int = DEFAULT_STATE_LIMIT) -> L
     return ets(contract.es, step_bound=step_bound, relabel=True)
 
 
-def min_loop_guard(term: SessionType) -> int | None:
-    """Fewest action prefixes between any recursion binder and a use of its
-    variable; ``None`` for non-recursive terms.  One trip around a loop
-    fires at least this many of the owner's events."""
-    best: int | None = None
-
-    def walk(t: SessionType, depths: dict[str, int]) -> None:
-        nonlocal best
-        if isinstance(t, Var):
-            if t.name in depths:
-                candidate = depths[t.name]
-                best = candidate if best is None else min(best, candidate)
-        elif isinstance(t, (InternalChoice, ExternalChoice)):
-            deeper = {name: depth + 1 for name, depth in depths.items()}
-            for _, cont in t.branches:
-                walk(cont, deeper)
-        elif isinstance(t, Rec):
-            inner = dict(depths)
-            inner[t.var] = 0
-            walk(t.body, inner)
-
-    walk(term, {})
-    return best
-
-
 def bounded_bisim_depth(p: SessionType, q: SessionType,
                         unroll_depth: int = DEFAULT_UNROLL_DEPTH) -> int | None:
     """How many steps the truncated denotation provably tracks the real system.
 
-    ``None`` means both types are finite and the comparison is exact.  A
+    ``None`` means the denotations are exact (no recursion is cut, see
+    :func:`~stgames.game.approximant_depth`) and so is the comparison.  A
     deviation needs one side to fire more events than its approximant
     holds, which takes more than ``unroll_depth * guard`` own events; since
     no side can fire more than half the steps plus one, twice that bound
     minus two is safe.
     """
-    guards = [g for g in (min_loop_guard(p), min_loop_guard(q)) if g is not None]
-    if not guards:
+    if approximant_depth(p, q, unroll_depth) is None:
         return None
-    return max(1, 2 * unroll_depth * min(guards) - 2)
+    guards = [g for g in (min_loop_guard(p), min_loop_guard(q)) if g is not None]
+    return max(1, 2 * unroll_depth * min(guards, default=0) - 2)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +212,8 @@ class CorpusSpec:
     ``actions`` is the alphabet the generator draws action names from: at
     least one name, no name twice, and each an identifier (a letter, then
     letters, digits or ``_``), so every pair it draws validates and prints
-    as text that parses back.
+    as text that parses back.  ``unroll_depth`` is the bound recursive pairs
+    are checked at; ``stgames corpus`` takes its defaults from here.
     """
 
     seed: int
@@ -242,7 +221,7 @@ class CorpusSpec:
     max_depth: int = 3
     max_branch: int = 3
     allow_recursion: bool = False
-    unroll_depth: int = DEFAULT_UNROLL_DEPTH
+    unroll_depth: int = 4
     actions: tuple[str, ...] = ("a", "b", "c", "d")
 
     def __post_init__(self) -> None:
@@ -422,7 +401,7 @@ def corpus_pair(spec: CorpusSpec, index: int) -> tuple[SessionType, SessionType]
 
 @dataclass(frozen=True)
 class CorrespondenceReport:
-    """One pair's verdicts; ``contract`` is the composed game, kept for reuse, not in the JSON."""
+    """One pair's verdicts; ``contract`` is the composed game, kept for reuse."""
 
     compliance: ComplianceVerdict
     eager: GameVerdict
@@ -430,15 +409,6 @@ class CorrespondenceReport:
     bounded: bool
     contract: Contract
     strategy_found: bool | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "compliance": self.compliance.to_json(),
-            "eager": self.eager.to_json(),
-            "agree": self.agree,
-            "bounded": self.bounded,
-            "strategy_found": self.strategy_found,
-        }
 
 
 def correspondence_check(p: SessionType, q: SessionType,

@@ -53,15 +53,13 @@ class Lts:
 
     def to_dot(self, name: str = "lts", edge_label: dict[str, str] | None = None) -> str:
         """Render as DOT.  ``edge_label`` optionally rewrites labels for display."""
-        order = {state: i for i, state in enumerate(sorted(self.states))}
-        order[self.initial] = -1
-        index = {s: i for i, s in enumerate(sorted(self.states, key=lambda s: order[s]))}
+        # the initial state is n0, the others follow in sorted order
+        states = [self.initial, *sorted(self.states - {self.initial})]
+        index = {state: i for i, state in enumerate(states)}
         lines = [f"digraph {name} {{", "  rankdir=LR;"]
-        for state in sorted(self.states, key=lambda s: index[s]):
-            shape = "doublecircle" if state == self.initial else "circle"
-            lines.append(
-                f'  n{index[state]} [label="s{index[state]}" shape={shape} tooltip="{_dot_escape(state)}"];'
-            )
+        for i, state in enumerate(states):
+            shape = "doublecircle" if i == 0 else "circle"
+            lines.append(f'  n{i} [label="s{i}" shape={shape} tooltip="{_dot_escape(state)}"];')
         for src, label, dst in sorted(self.edges):
             shown = edge_label.get(label, label) if edge_label else label
             lines.append(f'  n{index[src]} -> n{index[dst]} [label="{_dot_escape(shown)}"];')

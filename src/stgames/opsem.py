@@ -38,12 +38,16 @@ from .syntax import (
     Term0,
     _pretty,
     assert_valid,
-    pretty,
     unfold,
     unfold_top,
 )
 
 DEFAULT_STATE_LIMIT = 10**5
+
+
+def state_key(left: SessionType, right: SessionType) -> str:
+    """The name of the state ``left ∥ right``: its printed form ``left || right``."""
+    return _pretty(left, True) + " || " + _pretty(right, True)
 
 
 @dataclass(frozen=True)
@@ -54,7 +58,7 @@ class Configuration:
     right: SessionType
 
     def key(self) -> str:
-        return f"{pretty(self.left)} || {pretty(self.right)}"
+        return state_key(self.left, self.right)
 
 
 # ---------------------------------------------------------------------------
@@ -149,15 +153,10 @@ def _turn_moves(left: SessionType, right: SessionType):
     return moves
 
 
-def step_turn_sided(config: Configuration) -> set[tuple[object, str, Configuration]]:
-    """Like :func:`step_turn` but tagging which side fired; used by tests."""
-    return {(label, side, Configuration(left, right))
-            for label, side, left, right in _turn_moves(config.left, config.right)}
-
-
 def step_turn(config: Configuration) -> set[tuple[object, Configuration]]:
     """Successors under the turn-based rules, labelled with the fired action."""
-    return {(label, successor) for label, _, successor in step_turn_sided(config)}
+    return {(label, Configuration(left, right))
+            for label, _, left, right in _turn_moves(config.left, config.right)}
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +184,7 @@ def _explore(config: Configuration, semantics: str, state_limit: int) -> _Explor
     if semantics not in _MOVES:
         raise ValueError(f"unknown semantics {semantics!r}")
     moves = _MOVES[semantics]
-
-    def key(left: SessionType, right: SessionType) -> str:
-        return _pretty(left, True) + " || " + _pretty(right, True)
-
-    start = key(config.left, config.right)
+    start = state_key(config.left, config.right)
     seen: dict[str, Configuration] = {start: config}
     parents: dict[str, tuple[str, str]] = {}
     edges: set[tuple[str, str, str]] = set()
@@ -201,7 +196,7 @@ def _explore(config: Configuration, semantics: str, state_limit: int) -> _Explor
         current = seen[state]
         # terms are not orderable: sort on (label, printed form) only
         successors = sorted(
-            ((label, key(left, right), left, right)
+            ((label, state_key(left, right), left, right)
              for label, left, right in moves(current.left, current.right)),
             key=lambda s: s[:2],
         )

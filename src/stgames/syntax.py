@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
 
 OUTPUT = "!"
 INPUT = "?"
@@ -497,3 +496,28 @@ def is_recursive(term: SessionType) -> bool:
     if isinstance(term, Buffer):
         return is_recursive(term.cont)
     return False
+
+
+def min_loop_guard(term: SessionType) -> int | None:
+    """Fewest action prefixes between any recursion binder and a use of its
+    variable; ``None`` when no recursion variable is used.  One trip around
+    a loop fires at least this many of the owner's events."""
+    best: int | None = None
+
+    def walk(t: SessionType, depths: dict[str, int]) -> None:
+        nonlocal best
+        if isinstance(t, Var):
+            if t.name in depths:
+                candidate = depths[t.name]
+                best = candidate if best is None else min(best, candidate)
+        elif isinstance(t, (InternalChoice, ExternalChoice)):
+            deeper = {name: depth + 1 for name, depth in depths.items()}
+            for _, cont in t.branches:
+                walk(cont, deeper)
+        elif isinstance(t, Rec):
+            inner = dict(depths)
+            inner[t.var] = 0
+            walk(t.body, inner)
+
+    walk(term, {})
+    return best

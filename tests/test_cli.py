@@ -19,7 +19,7 @@ import stgames
 from stgames import cli
 from stgames.cli import main
 from stgames.denote import DEFAULT_UNROLL_DEPTH
-from stgames.estructure import es_to_json, ets_to_dot
+from stgames.estructure import es_to_json, ets, ets_to_dot
 from stgames.game import compose_session_contracts
 from stgames.harness import turn_lts
 from stgames.syntax import parse
@@ -93,6 +93,43 @@ def test_agree_bounded_note_printed():
     assert data["bounded_depth"] == 3
 
 
+def test_agree_empty_counterexample_is_an_empty_list():
+    # nothing is ever playable, so the losing stop is the empty play: written
+    # as [], not as the null of a winning verdict
+    code, text = run(["agree", "?a", "?b"])
+    assert code == 1
+    data = json.loads(text)
+    assert data["winning"] is False and data["counterexample"] == []
+
+
+@pytest.mark.parametrize("client, depth, bounded", [
+    ("rec x . !a", "6", None),      # the binder is never used: exact
+    ("rec x . !a.x", "6", 6),
+    ("rec x . !a", "0", 0),         # depth 0 drops every recursion body
+], ids=["unused-binder", "used-binder", "depth-0"])
+def test_agree_bounded_only_when_a_recursion_is_cut(client, depth, bounded):
+    for strategy in ("eager", "search"):
+        _, text = run(["agree", client, "?a", "--depth", depth, "--strategy", strategy])
+        data = json.loads(text)
+        assert data["bounded_depth"] == bounded
+        if strategy == "eager":
+            assert data.get("note") == (None if bounded is None else f"bounded at depth {bounded}")
+
+
+def test_export_has_no_format_option():
+    with pytest.raises(SystemExit) as exc:
+        run(["export", "!a", "?a", "--format", "json"])
+    assert exc.value.code == 2
+
+
+def test_corpus_defaults_are_the_spec_defaults():
+    args = cli.build_parser().parse_args(["corpus"])
+    spec = stgames.CorpusSpec(seed=0, count=0)
+    assert (args.unroll_depth, args.max_depth, args.max_branch) == (
+        spec.unroll_depth, spec.max_depth, spec.max_branch,
+    ) == (4, 3, 3)
+
+
 def test_export_es_lists_couplings():
     code, text = run(["export", *EXAMPLE, "--what", "es"])
     assert code == 0
@@ -137,7 +174,8 @@ def test_export_truncated_system_exit_two(what, capsys):
     if what == "ts":
         expected = turn_lts(p, q, 1).to_dot(name="ts")
     else:
-        expected = ets_to_dot(compose_session_contracts(p, "A", q, "B").es, step_bound=1)
+        es = compose_session_contracts(p, "A", q, "B").es
+        expected = ets_to_dot(es, ets(es, step_bound=1))
     code, text = run(["export", "!a", "?a", "--what", what, "--limit", "1"])
     assert (code, text) == (2, expected + "\n")
     assert capsys.readouterr().err == "error: state limit 1 reached; the exported system is truncated\n"
@@ -257,7 +295,7 @@ EXTRA_OPTIONS = (
 ACCEPTED_OPTIONS = {
     "check": {"--format", "--limit"},
     "agree": {"--format", "--depth", "--participant", "--strategy", "--participants"},
-    "export": {"--format", "--depth", "--limit", "--what", "--participants"},
+    "export": {"--depth", "--limit", "--what", "--participants"},
 }
 
 

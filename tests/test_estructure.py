@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -42,7 +43,6 @@ from stgames.estructure import (
     make_es,
     playable,
     remainder,
-    remainder_after,
 )
 from stgames.harness import dual
 from stgames.syntax import INPUT, OUTPUT, TICK, ActionLabel, out, parse
@@ -88,6 +88,15 @@ def test_enabled_at_empty_history(example_composed):
 
 def test_enabled_after_prefix(example_composed):
     assert enabled(example_composed, ("e1",), "e2")
+
+
+def test_playable_unknown_event_is_an_error(example_composed):
+    # as for enabled and conflict_free: an unknown id is not silently dropped
+    with pytest.raises(KeyError, match="unknown event zzz"):
+        playable(example_composed, {"zzz"})
+    with pytest.raises(KeyError):
+        playable(example_composed, ("e1", "zzz"))
+    assert playable(example_composed, ()) == playable(example_composed, set())
 
 
 def test_saturation_law(small_structures):
@@ -171,10 +180,8 @@ def test_playable_equals_initial_events_of_remainder(small_structures):
         history: list[str] = []
         while True:
             moves = playable(es, history)
-            assert moves == frozenset(
-                e for e in remainder_after(es, history).event_ids
-                if enabled(remainder_after(es, history), (), e)
-            )
+            rest = reduce(remainder, history, es)
+            assert moves == frozenset(e for e in rest.event_ids if enabled(rest, (), e))
             if not moves:
                 break
             history.append(rng.choice(sorted(moves)))

@@ -191,6 +191,15 @@ def test_innocence_examples(example_contract):
     assert innocent(("e1", "e2", "e3"), "B", es)
 
 
+def test_culpability_needs_a_play(example_contract):
+    # e3 is not playable first: both judgements reject the sequence
+    es = example_contract.es
+    for judge in (innocent, culpable_at_end):
+        with pytest.raises(ValueError, match="not a play"):
+            judge(("e3",), "A", es)
+    assert culpable_at_end(("e1",), "B", es)
+
+
 def test_everyone_innocent_on_empty_play_without_initial_obligations():
     es = make_es(
         [Event("e1", "A", out("a")), Event("e2", "B", TICK)],

@@ -206,6 +206,16 @@ def test_bounded_bisim_depth_rules():
     # one recursive side is enough to force a bound
     assert bounded_bisim_depth(parse("rec x . !a.x"), parse("?a"), 4) == 6
     assert bounded_bisim_depth(parse("rec x . !a.x"), parse("rec y . ?a.?a.y"), 4) == 6
+    # a binder whose variable is never used cuts nothing, except at depth 0
+    assert bounded_bisim_depth(parse("rec x . !a"), parse("?a"), 4) is None
+    assert bounded_bisim_depth(parse("rec x . !a"), parse("?a"), 0) == 1
+
+
+def test_unused_binder_is_exact_in_the_correspondence():
+    # the game and compliance read the same decision: no bound, no truncation
+    report = correspondence_check(parse("rec x . !a"), parse("?a"), 4)
+    assert not report.bounded and report.contract.bounded_depth is None
+    assert report.agree and report.compliance.is_compliant and report.eager.winning
 
 
 def test_truncate_replaces_recursion_with_dead_process():

@@ -14,7 +14,6 @@ from stgames.opsem import (
     explore,
     step_reduce,
     step_turn,
-    step_turn_sided,
 )
 from stgames.syntax import (
     SUCCESS,
@@ -104,10 +103,10 @@ def test_turn_writer_blocked_until_read():
         if key in seen:
             continue
         seen.add(key)
-        for _, side, successor in step_turn_sided(config):
+        for _, side, left, right in opsem._turn_moves(config.left, config.right):
             holding = config.left if side == "left" else config.right
             assert not isinstance(holding, Buffer)
-            frontier.append(successor)
+            frontier.append(Configuration(left, right))
 
 
 # -- exploration --------------------------------------------------------------
