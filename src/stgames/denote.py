@@ -37,6 +37,8 @@ from itertools import combinations, product
 
 from .estructure import Event, EventStructureGen
 from .syntax import (
+    INPUT,
+    OUTPUT,
     TICK,
     ActionLabel,
     ExternalChoice,
@@ -51,6 +53,8 @@ from .syntax import (
 )
 
 DEFAULT_UNROLL_DEPTH = 6
+
+_CO_POLARITY = {OUTPUT: INPUT, INPUT: OUTPUT}
 
 PARITY_START = {"odd": 1, "even": 2}
 
@@ -256,17 +260,21 @@ def denote_par(left: EventStructureGen, right: EventStructureGen) -> EventStruct
     occ = {**occurrence_index(left), **occurrence_index(right)}
     gens: set[tuple[frozenset[str], str]] = set()
     for side, other in ((left, right), (right, left)):
-        table: dict[tuple, list[str]] = {}
+        table: dict[tuple[str, str, int], list[str]] = {}
         for event in other.events:
-            table.setdefault((event.label, occ[event.id]), []).append(event.id)
-
-        def partners(eid: str) -> list[str]:
-            label = side.label_of(eid)
-            return [] if label.is_tick else table.get((label.co(), occ[eid]), [])
-
+            label = event.label
+            table.setdefault((label.name, label.polarity, occ[event.id]), []).append(event.id)
+        partners: dict[str, list[str]] = {}
+        outputs: set[str] = set()
+        for event in side.events:
+            label = event.label
+            partners[event.id] = [] if label.is_tick else table.get(
+                (label.name, _CO_POLARITY[label.polarity], occ[event.id]), [])
+            if label.is_output:
+                outputs.add(event.id)
         for premise, target in side.gens:
-            needs = premise if side.label_of(target).is_output else (*premise, target)
-            for choice in product(*map(partners, needs)):
+            needs = premise if target in outputs else (*premise, target)
+            for choice in product(*[partners[eid] for eid in needs]):
                 gens.add((premise.union(choice), target))
     return EventStructureGen(
         left.events | right.events,

@@ -160,10 +160,13 @@ def bounded_bisim_depth(p: SessionType, q: SessionType,
     deviation needs one side to fire more events than its approximant
     holds, which takes more than ``unroll_depth * guard`` own events; since
     no side can fire more than half the steps plus one, twice that bound
-    minus two is safe.
+    minus two is safe.  At depth 0 no event of a recursion is denoted at
+    all, so the bound is 0.
     """
     if approximant_depth(p, q, unroll_depth) is None:
         return None
+    if unroll_depth == 0:
+        return 0
     guards = [g for g in (min_loop_guard(p), min_loop_guard(q)) if g is not None]
     return max(1, 2 * unroll_depth * min(guards, default=0) - 2)
 

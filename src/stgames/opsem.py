@@ -11,24 +11,29 @@ Recursion unfolds tacitly inside turn-based rule application.
 Compliance asks that every reachable stuck configuration leaves the client
 (left) side at ``1`` (reduction semantics) or at ``0`` (turn-based).
 Cycles never make a pair non-compliant: only stuck states are constrained,
-so livelocks count as compliant and the verdict says so.
+so livelocks count as compliant and the verdict says so.  Every step of a
+pair without ``rec`` consumes a prefix, a branch or a buffer, so only a
+recursive pair is searched for a cycle.
 
 A state is keyed by its printed form ``left || right``.  Terms keep their
 printed forms and unfoldings (see ``syntax``), so every distinct term
 object is printed and unfolded once, across explorations, and a
-successor's key costs two reads.
+successor's key costs two reads.  The step relations dispatch on a term's
+constructor once, read each label's kept text and tick flag, and build a
+commit's one-branch choice and a written buffer with ``syntax`` helpers
+that print them as they are built.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .lts import Lts
 from .syntax import (
     TERM0,
     TICK,
-    ActionLabel,
     Buffer,
     ExternalChoice,
     InternalChoice,
@@ -38,6 +43,9 @@ from .syntax import (
     Term0,
     _pretty,
     assert_valid,
+    is_recursive,
+    output_buffer,
+    output_prefix,
     unfold,
     unfold_top,
 )
@@ -65,43 +73,45 @@ class Configuration:
 # Reduction (commit/sync) semantics
 # ---------------------------------------------------------------------------
 
-def _component_steps(term: SessionType):
-    """Internal and labelled moves of one side.
+def _component_steps(term: SessionType, side: str):
+    """Internal and labelled moves of one side, ``side`` naming it in tags.
 
-    Committing is only a move for choices with at least two branches; a
-    one-branch internal choice is already committed and can only fire its
-    output.  Buffers do not exist in this semantics; the dead process 0
-    (which depth-truncated recursive types contain) is simply stuck.
+    Internal moves are ``(tag, successor)`` pairs and labelled moves are the
+    ``(label, continuation)`` branches that can synchronise.  Committing is
+    only a move for choices with at least two branches; a one-branch
+    internal choice is already committed and can only fire its output.
+    Buffers do not exist in this semantics; the dead process 0 (which
+    depth-truncated recursive types contain) is simply stuck.
     """
-    if isinstance(term, Buffer):
+    cls = term.__class__
+    if cls is InternalChoice:
+        if len(term.branches) == 1:
+            return (), term.branches
+        return [("commit " + label.text + side, output_prefix(label, cont))
+                for label, cont in term.branches], ()
+    if cls is ExternalChoice:
+        return (), term.branches
+    if cls is Rec:
+        return [("unfold" + side, unfold(term))], ()
+    if cls is Buffer:
         raise ValueError("buffers do not occur under the reduction semantics")
-    internal: list[tuple[str, SessionType]] = []
-    labelled: list[tuple[ActionLabel, SessionType]] = []
-    if isinstance(term, InternalChoice):
-        if len(term.branches) >= 2:
-            for label, cont in term.branches:
-                internal.append((f"commit {label}", InternalChoice(((label, cont),))))
-        else:
-            labelled.append(term.branches[0])
-    elif isinstance(term, ExternalChoice):
-        labelled.extend(term.branches)
-    elif isinstance(term, Rec):
-        internal.append(("unfold", unfold(term)))
-    return internal, labelled
+    return (), ()
 
 
 def _reduce_moves(left: SessionType, right: SessionType):
     """Reduction steps of ``left ∥ right`` as ``(tag, left', right')``."""
-    left_internal, left_labelled = _component_steps(left)
-    right_internal, right_labelled = _component_steps(right)
-    moves = [(f"{tag} (left)", successor, right) for tag, successor in left_internal]
-    moves.extend((f"{tag} (right)", left, successor) for tag, successor in right_internal)
+    left_internal, left_labelled = _component_steps(left, " (left)")
+    right_internal, right_labelled = _component_steps(right, " (right)")
+    moves = [(tag, successor, right) for tag, successor in left_internal]
+    moves += [(tag, left, successor) for tag, successor in right_internal]
     for llabel, lcont in left_labelled:
+        if llabel.is_tick:
+            continue
         for rlabel, rcont in right_labelled:
             # rlabel == llabel.co(), without building the co-action
-            if (not llabel.is_tick and not rlabel.is_tick
-                    and llabel.name == rlabel.name and llabel.polarity != rlabel.polarity):
-                moves.append((f"sync {llabel.name}", lcont, rcont))
+            if (llabel.name == rlabel.name and llabel.polarity != rlabel.polarity
+                    and not rlabel.is_tick):
+                moves.append(("sync " + llabel.name, lcont, rcont))
     return moves
 
 
@@ -126,22 +136,22 @@ def _turn_side_steps(own: SessionType, other: SessionType):
     Returns (label, own', other') triples; recursion on either side is
     unfolded on the fly and never shows up as a step.
     """
-    own = unfold_top(own)
-    moves = []
-    if isinstance(own, InternalChoice):
-        for label, cont in own.branches:
-            moves.append((label, Buffer(label, cont), other))
-    elif isinstance(own, ExternalChoice):
-        peer = unfold_top(other)
-        if isinstance(peer, Buffer) and not peer.action.is_tick:
-            pending = peer.action
-            for label, cont in own.branches:
-                # label == pending.co(), without building the co-action
-                if label.name == pending.name and label.polarity != pending.polarity:
-                    moves.append((label, cont, peer.cont))
-    elif isinstance(own, Success):
-        moves.append((TICK, TERM0, other))
-    return moves
+    if own.__class__ is Rec:
+        own = unfold_top(own)
+    cls = own.__class__
+    if cls is InternalChoice:
+        return [(label, output_buffer(label, cont), other) for label, cont in own.branches]
+    if cls is ExternalChoice:
+        peer = unfold_top(other) if other.__class__ is Rec else other
+        if peer.__class__ is not Buffer or peer.action.is_tick:
+            return ()
+        name, polarity, rest = peer.action.name, peer.action.polarity, peer.cont
+        # label == peer.action.co(), without building the co-action
+        return [(label, cont, rest) for label, cont in own.branches
+                if label.name == name and label.polarity != polarity]
+    if cls is Success:
+        return ((TICK, TERM0, other),)
+    return ()
 
 
 def _turn_moves(left: SessionType, right: SessionType):
@@ -164,10 +174,14 @@ def step_turn(config: Configuration) -> set[tuple[object, Configuration]]:
 # ---------------------------------------------------------------------------
 
 def _turn_moves_named(left: SessionType, right: SessionType):
-    return [(str(label), nleft, nright) for label, _, nleft, nright in _turn_moves(left, right)]
+    """Turn-based steps of ``left ∥ right`` as ``(label text, left', right')``."""
+    moves = [(label.text, nleft, nright) for label, nleft, nright in _turn_side_steps(left, right)]
+    moves += [(label.text, nleft, nright) for label, nright, nleft in _turn_side_steps(right, left)]
+    return moves
 
 
 _MOVES = {"reduction": _reduce_moves, "turn": _turn_moves_named}
+_LABEL_AND_KEY = itemgetter(0, 1)
 
 
 @dataclass(frozen=True)
@@ -190,18 +204,16 @@ def _explore(config: Configuration, semantics: str, state_limit: int) -> _Explor
     edges: set[tuple[str, str, str]] = set()
     stuck: set[str] = set()
     truncated = False
-    queue: deque[str] = deque([start])
+    queue: deque[tuple[str, SessionType, SessionType]] = deque([(start, config.left, config.right)])
     while queue:
-        state = queue.popleft()
-        current = seen[state]
-        # terms are not orderable: sort on (label, printed form) only
-        successors = sorted(
-            ((label, state_key(left, right), left, right)
-             for label, left, right in moves(current.left, current.right)),
-            key=lambda s: s[:2],
-        )
+        state, current_left, current_right = queue.popleft()
+        successors = [(label, state_key(left, right), left, right)
+                      for label, left, right in moves(current_left, current_right)]
         if not successors:
             stuck.add(state)
+        elif len(successors) > 1:
+            # terms are not orderable: sort on (label, printed form) only
+            successors.sort(key=_LABEL_AND_KEY)
         for label, nkey, left, right in successors:
             if nkey not in seen:
                 if len(seen) >= state_limit:
@@ -209,7 +221,7 @@ def _explore(config: Configuration, semantics: str, state_limit: int) -> _Explor
                     continue
                 seen[nkey] = Configuration(left, right)
                 parents[nkey] = (state, label)
-                queue.append(nkey)
+                queue.append((nkey, left, right))
             edges.add((state, label, nkey))
     lts = Lts(frozenset(seen), start, frozenset(edges), truncated)
     return _Exploration(lts, frozenset(stuck), parents, seen)
@@ -296,7 +308,9 @@ def _check(p: SessionType, q: SessionType, semantics: str, state_limit: int,
             "indeterminate", semantics, None, True,
             note="state limit hit before the reachable set was exhausted", lts=lts,
         )
-    note = LIVELOCK_NOTE if lts.has_cycle() else None
+    # only a recursive pair can have a cycle (see the module docstring)
+    cyclic = (is_recursive(p) or is_recursive(q)) and lts.has_cycle()
+    note = LIVELOCK_NOTE if cyclic else None
     return ComplianceVerdict("compliant", semantics, None, False, note, lts)
 
 

@@ -34,6 +34,10 @@ class ActionLabel:
     Output actions (``!a``) and input actions (``?a``) over the same name
     are distinct labels; ``co`` swaps polarity.  The distinguished success
     label ``✓`` is an output with no co-action.
+
+    Each label keeps ``is_tick`` and its printed form ``text`` (``str``),
+    formed once at construction.  Neither is a dataclass field, so equality,
+    hashing and ``repr`` read ``name`` and ``polarity`` only.
     """
 
     name: str
@@ -42,14 +46,13 @@ class ActionLabel:
     def __post_init__(self) -> None:
         if self.polarity not in (OUTPUT, INPUT):
             raise ValueError(f"polarity must be {OUTPUT!r} or {INPUT!r}, got {self.polarity!r}")
+        tick = self.polarity == OUTPUT and self.name == TICK_NAME
+        object.__setattr__(self, "is_tick", tick)  # frozen: write once, past the dataclass guard
+        object.__setattr__(self, "text", TICK_NAME if tick else self.polarity + self.name)
 
     @property
     def is_output(self) -> bool:
         return self.polarity == OUTPUT
-
-    @property
-    def is_tick(self) -> bool:
-        return self.polarity == OUTPUT and self.name == TICK_NAME
 
     def co(self) -> ActionLabel:
         """The complementary action; undefined for ``✓``."""
@@ -58,7 +61,7 @@ class ActionLabel:
         return ActionLabel(self.name, INPUT if self.is_output else OUTPUT)
 
     def __str__(self) -> str:
-        return TICK_NAME if self.is_tick else f"{self.polarity}{self.name}"
+        return self.text
 
     @staticmethod
     def from_str(text: str) -> ActionLabel:
@@ -321,7 +324,7 @@ def _pretty(term: SessionType, top: bool) -> str:
             text = f"rec {term.var} . {_pretty(term.body, True)}"
             grouped = True
         elif isinstance(term, Buffer):
-            text = f"[{term.action}]{_pretty(term.cont, False)}"
+            text = _buffer_text(term.action, term.cont)
         elif isinstance(term, (InternalChoice, ExternalChoice)):
             sep = " (+) " if isinstance(term, InternalChoice) else " + "
             text = sep.join([_pretty_branch(label, cont) for label, cont in term.branches])
@@ -338,6 +341,26 @@ def _pretty_branch(label: ActionLabel, cont: SessionType) -> str:
     if isinstance(cont, Success):
         return head
     return f"{head}.{_pretty(cont, False)}"
+
+
+def _buffer_text(action: ActionLabel, cont: SessionType) -> str:
+    return f"[{action.text}]{_pretty(cont, False)}"
+
+
+def output_prefix(label: ActionLabel, cont: SessionType) -> InternalChoice:
+    """The one-branch internal choice ``label.cont``, printed as it is built."""
+    term = InternalChoice(((label, cont),))
+    text = _pretty_branch(label, cont)
+    object.__setattr__(term, "_printed", (text, text))
+    return term
+
+
+def output_buffer(action: ActionLabel, cont: SessionType) -> Buffer:
+    """The buffer ``[action]cont``, printed as it is built."""
+    term = Buffer(action, cont)
+    text = _buffer_text(action, cont)
+    object.__setattr__(term, "_printed", (text, text))
+    return term
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +512,11 @@ def unfold_top(term: SessionType) -> SessionType:
 
 
 def is_recursive(term: SessionType) -> bool:
+    """Whether ``term`` contains a ``rec``.  Every ``rec`` prints as
+    ``rec x . …``, so a kept printed form without ``rec `` answers at once."""
+    forms = getattr(term, "_printed", None)
+    if forms is not None and "rec " not in forms[0]:
+        return False
     if isinstance(term, Rec):
         return True
     if isinstance(term, (InternalChoice, ExternalChoice)):

@@ -14,7 +14,9 @@ partner rule replaced.  The reference playability
 rule scans every generator of every event, the design the per-event
 update replaced.  The reference explorer prints every successor
 configuration from scratch with its own printer, the design that printed
-forms kept on the terms replaced.  The reference JSON writer orders with
+forms kept on the terms replaced, over the step relations as they were
+before they dispatched on constructors and printed the terms they build.
+The reference JSON writer orders with
 ``id_sort_key`` inside every sort and encodes with ``json.dumps(indent=2)``,
 the design the rank table and the fixed-layout writer replaced.  The
 reference bisimulation re-signs every state in every refinement round,
@@ -48,6 +50,7 @@ from stgames.syntax import (
     OUTPUT,
     SUCCESS,
     TICK,
+    TICK_NAME,
     ActionLabel,
     Buffer,
     ExternalChoice,
@@ -787,25 +790,104 @@ def reference_key(config):
     return f"{reference_pretty(config.left)} || {reference_pretty(config.right)}"
 
 
+def reference_is_tick(label: ActionLabel) -> bool:
+    return label.polarity == OUTPUT and label.name == TICK_NAME
+
+
+def reference_label_text(label: ActionLabel) -> str:
+    """``str(label)`` from the label's two fields."""
+    return TICK_NAME if reference_is_tick(label) else f"{label.polarity}{label.name}"
+
+
+def reference_component_steps(term):
+    """Internal ``(tag, successor)`` and labelled ``(label, continuation)``
+    moves of one side under the reduction semantics, by ``isinstance``
+    tests; a committed choice is built bare and printed when it is read."""
+    from stgames.syntax import unfold
+
+    if isinstance(term, Buffer):
+        raise ValueError("buffers do not occur under the reduction semantics")
+    internal = []
+    labelled = []
+    if isinstance(term, InternalChoice):
+        if len(term.branches) >= 2:
+            for label, cont in term.branches:
+                internal.append((f"commit {reference_label_text(label)}", InternalChoice(((label, cont),))))
+        else:
+            labelled.append(term.branches[0])
+    elif isinstance(term, ExternalChoice):
+        labelled.extend(term.branches)
+    elif isinstance(term, Rec):
+        internal.append(("unfold", unfold(term)))
+    return internal, labelled
+
+
+def reference_reduce_moves(left, right):
+    """Reduction steps of ``left ∥ right`` as ``(tag, left', right')``."""
+    left_internal, left_labelled = reference_component_steps(left)
+    right_internal, right_labelled = reference_component_steps(right)
+    moves = [(f"{tag} (left)", successor, right) for tag, successor in left_internal]
+    moves.extend((f"{tag} (right)", left, successor) for tag, successor in right_internal)
+    for llabel, lcont in left_labelled:
+        for rlabel, rcont in right_labelled:
+            if (not reference_is_tick(llabel) and not reference_is_tick(rlabel)
+                    and llabel.name == rlabel.name and llabel.polarity != rlabel.polarity):
+                moves.append((f"sync {llabel.name}", lcont, rcont))
+    return moves
+
+
+def reference_turn_side_steps(own, other):
+    """Turn-based moves of one side as ``(label, own', other')``; a written
+    buffer is built bare and printed when it is read."""
+    from stgames.syntax import TERM0, unfold_top
+
+    own = unfold_top(own)
+    moves = []
+    if isinstance(own, InternalChoice):
+        for label, cont in own.branches:
+            moves.append((label, Buffer(label, cont), other))
+    elif isinstance(own, ExternalChoice):
+        peer = unfold_top(other)
+        if isinstance(peer, Buffer) and not reference_is_tick(peer.action):
+            pending = peer.action
+            for label, cont in own.branches:
+                if label.name == pending.name and label.polarity != pending.polarity:
+                    moves.append((label, cont, peer.cont))
+    elif isinstance(own, Success):
+        moves.append((TICK, TERM0, other))
+    return moves
+
+
+def reference_turn_moves_named(left, right):
+    """Turn-based steps of ``left ∥ right`` as ``(label text, left', right')``,
+    the left side's first."""
+    moves = [(label, "left", nleft, nright)
+             for label, nleft, nright in reference_turn_side_steps(left, right)]
+    moves.extend((label, "right", nleft, nright)
+                 for label, nright, nleft in reference_turn_side_steps(right, left))
+    return [(reference_label_text(label), nleft, nright) for label, _, nleft, nright in moves]
+
+
+REFERENCE_MOVES = {"reduction": reference_reduce_moves, "turn": reference_turn_moves_named}
+
+
 def reference_explore(config, semantics, state_limit):
     """Breadth-first exploration as the string-keyed explorer did it: the
-    public set-returning step relations, and ``reference_key`` on every
-    successor.  Returns the library's ``_Exploration`` record."""
+    reference step relations, and ``reference_key`` on every successor.
+    Returns the library's ``_Exploration`` record."""
     from collections import deque
 
     from stgames.lts import Lts
-    from stgames.opsem import _Exploration, step_reduce, step_turn
+    from stgames.opsem import _Exploration, Configuration
 
     if state_limit <= 0:
         raise ValueError("state limit must be positive")
+    if semantics not in REFERENCE_MOVES:
+        raise ValueError(f"unknown semantics {semantics!r}")
+    moves = REFERENCE_MOVES[semantics]
 
     def successors_of(cfg):
-        if semantics == "reduction":
-            steps = step_reduce(cfg)
-        elif semantics == "turn":
-            steps = ((str(label), nxt) for label, nxt in step_turn(cfg))
-        else:
-            raise ValueError(f"unknown semantics {semantics!r}")
+        steps = {(label, Configuration(left, right)) for label, left, right in moves(cfg.left, cfg.right)}
         return sorted(((label, reference_key(nxt), nxt) for label, nxt in steps), key=lambda s: s[:2])
 
     start = reference_key(config)

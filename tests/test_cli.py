@@ -22,6 +22,7 @@ from stgames.denote import DEFAULT_UNROLL_DEPTH
 from stgames.estructure import es_to_json, ets, ets_to_dot
 from stgames.game import compose_session_contracts
 from stgames.harness import turn_lts
+from stgames.opsem import LIVELOCK_NOTE
 from stgames.syntax import parse
 
 EXAMPLE = ["!a (+) !b.!a", "?a.?b + ?b.?a + ?c"]
@@ -63,6 +64,14 @@ def test_check_indeterminate_exit_two():
     data = json.loads(text)
     assert data["reduction"]["verdict"] == "indeterminate"
     assert data["reduction"]["truncated"] is True
+
+
+def test_check_livelock_note_under_both_semantics():
+    # a recursive pair still has its cycle found, and reported, by each checker
+    code, text = run(["check", "rec x . !a.x", "rec y . ?a.y"])
+    assert code == 0
+    data = json.loads(text)
+    assert data["reduction"]["note"] == data["turn_based"]["note"] == LIVELOCK_NOTE
 
 
 def test_agree_eager_client_wins():
@@ -428,6 +437,15 @@ def test_corpus_recursive_command():
     assert code == 0
     data = json.loads(text)
     assert data["recursive"] is True and data["pairs"] == 5
+
+
+def test_corpus_recursive_depth_zero_bisimulations_agree():
+    # pairs 0 and 2 have the client rec loop . !a.loop; at depth 0 its
+    # denotation is empty, and a 0-step comparison relates every pair
+    code, text = run(["corpus", "--count", "3", "--recursive", "--unroll-depth", "0"])
+    assert code == 0
+    data = json.loads(text)
+    assert data["bisim_agreements"] == 3 and data["failures"] == []
 
 
 @pytest.mark.parametrize("option", [["--count", "-1"], ["--max-depth", "-2"], ["--max-branch", "0"],

@@ -208,7 +208,9 @@ def test_bounded_bisim_depth_rules():
     assert bounded_bisim_depth(parse("rec x . !a.x"), parse("rec y . ?a.?a.y"), 4) == 6
     # a binder whose variable is never used cuts nothing, except at depth 0
     assert bounded_bisim_depth(parse("rec x . !a"), parse("?a"), 4) is None
-    assert bounded_bisim_depth(parse("rec x . !a"), parse("?a"), 0) == 1
+    # depth 0 denotes no event of any recursion, so it tracks nothing
+    assert bounded_bisim_depth(parse("rec x . !a"), parse("?a"), 0) == 0
+    assert bounded_bisim_depth(parse("rec x . !a.x"), parse("rec y . ?a.y"), 0) == 0
 
 
 def test_unused_binder_is_exact_in_the_correspondence():

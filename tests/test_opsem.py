@@ -3,9 +3,17 @@
 from __future__ import annotations
 
 import pytest
-from conftest import acceptance_pairs, large_pairs, reference_explore, reference_key
+from conftest import (
+    REFERENCE_MOVES,
+    acceptance_pairs,
+    large_pairs,
+    reference_explore,
+    reference_key,
+    reference_pretty,
+)
 
 import stgames.opsem as opsem
+from stgames.harness import CorpusSpec, corpus_pair
 from stgames.lts import Lts
 from stgames.opsem import (
     Configuration,
@@ -20,8 +28,10 @@ from stgames.syntax import (
     TICK,
     Buffer,
     InternalChoice,
+    Rec,
     Term0,
     inp,
+    is_recursive,
     out,
     parse,
     pretty,
@@ -260,11 +270,73 @@ def test_explore_matches_string_keyed_reference(family, limits, semantics, monke
     assert [check(p, q, limit).to_json() for p, q, limit in runs] == verdicts
 
 
+def _pairs(family):
+    return large_pairs() if family == "large" else acceptance_pairs(family)
+
+
 @pytest.mark.parametrize("semantics", ["reduction", "turn"])
-@pytest.mark.parametrize("family", ["finite", "recursive"])
+@pytest.mark.parametrize("family", ["finite", "recursive", "large"])
 def test_state_keys_are_fresh_prints(family, semantics):
     # every key, and Configuration.key() read from the stored forms, equals
     # a print of the state's two sides from scratch
-    for p, q in acceptance_pairs(family):
+    for p, q in _pairs(family):
         for key, config in opsem._explore(Configuration(p, q), semantics, 10**5).configs.items():
             assert key == config.key() == reference_key(config)
+
+
+# -- oracle: the step relations -------------------------------------------------
+
+@pytest.mark.parametrize("semantics", ["reduction", "turn"])
+@pytest.mark.parametrize("family", ["finite", "recursive", "large"])
+def test_moves_match_reference_step_relations(family, semantics):
+    # on every configuration reached: the same moves in the same order (tag
+    # or label text, then equal successor terms), successor forms kept as
+    # they were built equal to prints from scratch, and the public step
+    # relation is the set of those moves
+    moves = opsem._MOVES[semantics]
+    reference = REFERENCE_MOVES[semantics]
+    for p, q in _pairs(family):
+        for config in opsem._explore(Configuration(p, q), semantics, 10**5).configs.values():
+            got = moves(config.left, config.right)
+            want = reference(config.left, config.right)
+            assert got == want, reference_key(config)
+            assert ([(tag, pretty(left), pretty(right)) for tag, left, right in got]
+                    == [(tag, reference_pretty(left), reference_pretty(right))
+                        for tag, left, right in want]), reference_key(config)
+            if semantics == "reduction":
+                steps = step_reduce(config)
+            else:
+                steps = {(str(label), successor) for label, successor in step_turn(config)}
+            assert steps == {(tag, Configuration(left, right)) for tag, left, right in want}
+
+
+# -- the fact the cycle shortcut rests on ---------------------------------------
+
+def _contains_rec(term) -> bool:
+    if isinstance(term, Rec):
+        return True
+    return any(_contains_rec(cont) for _, cont in getattr(term, "branches", ()))
+
+
+@pytest.mark.parametrize("semantics", ["reduction", "turn"])
+def test_pairs_without_rec_explore_no_cycle(semantics):
+    # every step of a pair without rec consumes a prefix, a branch or a
+    # buffer, so the checkers look for a cycle only when a side has a rec
+    spec = CorpusSpec(seed=42, count=500)
+    pairs = [corpus_pair(spec, index) for index in range(spec.count)] + list(large_pairs())
+    finite = [(p, q) for p, q in pairs if not (_contains_rec(p) or _contains_rec(q))]
+    assert len(finite) == 508
+    for p, q in finite:
+        assert explore(Configuration(p, q), semantics=semantics).has_cycle() is False
+
+
+@pytest.mark.parametrize("family", ["finite", "recursive", "large", "action named rec"])
+def test_is_recursive_with_and_without_kept_forms(family):
+    # an action named rec puts "rec " in a printed form with no recursion
+    pairs = [(parse("!rec (+) !b"), parse("?rec + ?b"))] if family == "action named rec" else _pairs(family)
+    for pair in pairs:
+        for term in pair:
+            fresh = parse(reference_pretty(term))  # no printed form kept yet
+            assert is_recursive(fresh) is _contains_rec(term)
+            pretty(fresh)
+            assert is_recursive(fresh) is _contains_rec(term)
