@@ -14,7 +14,8 @@ Event ids are deterministic.  Positions of the original term are numbered
 in pre-order, odd for the left participant and even for the right.  Each
 unfolding copy of a recursion body is identified by the chain of variable
 occurrences that reached it, and its events carry one ``@k`` suffix per
-hop (``k`` numbering the occurrence).  Distinct occurrences of a variable
+hop (``k`` numbering the occurrence); the walk carries the suffix string
+itself down the copy chain.  Distinct occurrences of a variable
 therefore get disjoint copies, the outermost copy keeps bare ids, and
 deepening the bound only adds events, so approximants form an increasing
 chain.
@@ -28,6 +29,13 @@ position pins each handshake to one partner per repetition while still
 allowing alternatives across incompatible branches.  Premises are not
 filtered for conflict-freeness; combinations drawing from mutually
 exclusive branches are inert.
+
+The rule has two callers.  :func:`denote_par_terms` composes a pair of
+valid session types: the compile walk counts each label along the causal
+chain as it makes the events, so each event's position comes with it, and
+only the composite structure is built.  :func:`denote_par` composes two
+given structures, hand-built ones included, and reads the positions off
+them with :func:`occurrence_index`.
 """
 
 from __future__ import annotations
@@ -94,12 +102,16 @@ def _positions(term: SessionType) -> tuple[dict[tuple, int], dict[tuple, int]]:
 @dataclass
 class _Compiler:
     """One walk of a term, accumulating the events, conflicts and generators
-    of its structure.
+    of its structure, and the occurrence of each event.
 
     ``under`` is the premise of the events a subterm can start with: empty
-    at the top, the prefix event below a prefix.  ``env`` maps each variable
-    in scope to its recursion binding ``(var, body, body_path, env, depth)``;
-    :meth:`fix` unrolls it at the binder and at each use.
+    at the top, the prefix event below a prefix.  ``suffix`` is the ``@k…``
+    copy chain of the events being compiled.  ``env`` maps each variable in
+    scope to its recursion binding ``(var, body, body_path, env, depth)``;
+    :meth:`fix` unrolls it at the binder and at each use.  ``chain`` counts
+    the events of each label (by printed form) on the causal chain being
+    compiled, which is the stack of prefixes whose continuation the walk is
+    in, so an event's occurrence is its label's count there plus one.
     """
 
     who: str
@@ -108,53 +120,52 @@ class _Compiler:
     start: int
     depth: int
     step: int = 2
-    events: dict[str, Event] = field(default_factory=dict)
+    events: list[Event] = field(default_factory=list)
     conflicts: set[frozenset[str]] = field(default_factory=set)
     gens: set[tuple[frozenset[str], str]] = field(default_factory=set)
+    occurrences: dict[str, int] = field(default_factory=dict)
+    chain: dict[str, int] = field(default_factory=dict)
 
-    def event_id(self, path: tuple, copy: tuple[int, ...]) -> str:
-        base = self.start + self.step * self.positions[path]
-        return f"e{base}" + "".join(f"@{k}" for k in copy)
+    def add_initial(self, path: tuple, suffix: str, label: ActionLabel, under: frozenset[str]) -> str:
+        event_id = f"e{self.start + self.step * self.positions[path]}{suffix}"
+        if event_id in self.occurrences:
+            raise DenoteError(f"event id {event_id} already used")
+        self.events.append(Event(event_id, self.who, label))
+        self.occurrences[event_id] = self.chain.get(label.text, 0) + 1
+        self.gens.add((under, event_id))
+        return event_id
 
-    def add(self, event: Event) -> None:
-        if event.id in self.events:
-            raise DenoteError(f"event id {event.id} already used")
-        self.events[event.id] = event
-
-    def add_initial(self, path: tuple, copy: tuple[int, ...], label, under: frozenset[str]) -> str:
-        event = Event(self.event_id(path, copy), self.who, label)
-        self.add(event)
-        self.gens.add((under, event.id))
-        return event.id
-
-    def compile(self, term: SessionType, path: tuple, copy: tuple[int, ...],
+    def compile(self, term: SessionType, path: tuple, suffix: str,
                 env: dict, under: frozenset[str]) -> None:
         if isinstance(term, Success):
-            self.add_initial(path, copy, TICK, under)
+            self.add_initial(path, suffix, TICK, under)
         elif isinstance(term, Term0):
             pass
         elif isinstance(term, Var):
             # validate has rejected free variables, so the binding exists
-            self.fix(env[term.name], copy + (self.var_positions[path],), under)
+            self.fix(env[term.name], f"{suffix}@{self.var_positions[path]}", under)
         elif isinstance(term, (InternalChoice, ExternalChoice)):
             # each branch starts with its prefix event alone, so the branches
             # conflict pairwise on those
             firsts = []
+            chain = self.chain
             for i, (label, cont) in enumerate(term.branches):
-                first = self.add_initial(path + (i,), copy, label, under)
-                self.compile(cont, path + (i, "c"), copy, env, frozenset({first}))
+                first = self.add_initial(path + (i,), suffix, label, under)
+                count = chain[label.text] = self.occurrences[first]
+                self.compile(cont, path + (i, "c"), suffix, env, frozenset({first}))
+                chain[label.text] = count - 1
                 firsts.append(first)
             self.conflicts.update(frozenset(pair) for pair in combinations(firsts, 2))
         elif isinstance(term, Rec):
-            self.fix((term.var, term.body, path + ("r",), env, self.depth), copy, under)
+            self.fix((term.var, term.body, path + ("r",), env, self.depth), suffix, under)
         else:
             raise DenoteError(f"cannot compile {term!r}")
 
-    def fix(self, binding: tuple, copy: tuple[int, ...], under: frozenset[str]) -> None:
+    def fix(self, binding: tuple, suffix: str, under: frozenset[str]) -> None:
         """Unroll a recursion binding once more, if its depth allows.
 
         The variable maps to the next, shallower binding, resolved in the
-        environment of the binder.  Each use site passes its own ``copy``
+        environment of the binder.  Each use site passes its own copy
         chain, so copies reached along different occurrences never share
         events.
         """
@@ -163,12 +174,22 @@ class _Compiler:
             return
         inner = dict(env)
         inner[var] = (var, body, body_path, env, depth - 1)
-        self.compile(body, body_path, copy, inner, under)
+        self.compile(body, body_path, suffix, inner, under)
 
     def structure(self) -> EventStructureGen:
         return EventStructureGen(
-            frozenset(self.events.values()), frozenset(self.conflicts), frozenset(self.gens)
+            frozenset(self.events), frozenset(self.conflicts), frozenset(self.gens)
         )
+
+
+def _compile(term: SessionType, who: str, unroll_depth: int, parity: str) -> _Compiler:
+    """The finished walk of a valid ``term``; see :func:`denote`."""
+    if unroll_depth < 0:
+        raise DenoteError("unroll depth must be non-negative")
+    positions, var_positions = _positions(term)
+    compiler = _Compiler(who, positions, var_positions, PARITY_START[parity], unroll_depth)
+    compiler.compile(term, (), "", {}, frozenset())
+    return compiler
 
 
 def denote(term: SessionType, who: str, unroll_depth: int = DEFAULT_UNROLL_DEPTH,
@@ -180,16 +201,11 @@ def denote(term: SessionType, who: str, unroll_depth: int = DEFAULT_UNROLL_DEPTH
     bounds every recursion; the result at a deeper bound extends the result
     at a shallower one.  A free variable is a :class:`DenoteError`.
     """
-    if unroll_depth < 0:
-        raise DenoteError("unroll depth must be non-negative")
     problems = [v for v in validate(term) if v.rule != "runtime-only-term"]
     if problems:
         raise DenoteError(f"cannot compile invalid type {pretty(term)}: "
                           + "; ".join(str(v) for v in problems))
-    positions, var_positions = _positions(term)
-    compiler = _Compiler(who, positions, var_positions, PARITY_START[parity], unroll_depth)
-    compiler.compile(term, (), (), {}, frozenset())
-    return compiler.structure()
+    return _compile(term, who, unroll_depth, parity).structure()
 
 
 def fix_approx(var: str, body: SessionType, who: str,
@@ -214,7 +230,9 @@ def occurrence_index(es: EventStructureGen) -> dict[str, int]:
     of a generator cycle is its own ancestor.  Sequential denotations are
     forests, so this is the occurrence count along the unique path from the
     root; the index aligns the k-th repetition of an action with the k-th
-    complementary event on the other side.
+    complementary event on the other side.  :func:`denote_par` reads it off
+    the structures it is given; :func:`denote_par_terms` has the compiler
+    record the same counts as it makes each event, with no walk up.
 
     Each event's ancestors are found by a walk up its premises that stops at
     events whose ancestors are already known and takes those in whole; a
@@ -241,35 +259,25 @@ def occurrence_index(es: EventStructureGen) -> dict[str, int]:
     return {event.id: 1 + len(ancestors[event.id] & labelled[event.label]) for event in es.events}
 
 
-def denote_par(left: EventStructureGen, right: EventStructureGen) -> EventStructureGen:
-    """Compose the event structures of two interacting participants.
+def _par(left, right, occurrence: dict[str, int]) -> EventStructureGen:
+    """The partner rule on two sides with disjoint event ids.
 
-    Events, conflicts and labels are unions.  The partners of an event are
-    the other side's events with the complementary label at the same
-    occurrence (:func:`occurrence_index`); a ``✓`` event has none.  A
-    component enabling ``(X, e)`` needs a partner for each member of ``X``
-    and, when ``e`` is an input, for ``e`` itself (the output it consumes);
-    one composite enabling ``(X ∪ choice, e)`` is emitted per choice of
-    partners, so a needed event without partners kills the enabling.
-    Duplicates collapse; premises are kept even when not conflict-free
-    (such enablings never fire).
+    Each side has ``events`` (:class:`Event` objects), ``conflicts`` and
+    ``gens``: a structure or a finished :class:`_Compiler`.  ``occurrence``
+    maps every event of both sides to its occurrence.
     """
-    overlap = left.event_ids & right.event_ids
-    if overlap:
-        raise ValueError(f"component event sets overlap: {sorted(overlap)}")
-    occ = {**occurrence_index(left), **occurrence_index(right)}
     gens: set[tuple[frozenset[str], str]] = set()
     for side, other in ((left, right), (right, left)):
         table: dict[tuple[str, str, int], list[str]] = {}
         for event in other.events:
             label = event.label
-            table.setdefault((label.name, label.polarity, occ[event.id]), []).append(event.id)
+            table.setdefault((label.name, label.polarity, occurrence[event.id]), []).append(event.id)
         partners: dict[str, list[str]] = {}
         outputs: set[str] = set()
         for event in side.events:
             label = event.label
             partners[event.id] = [] if label.is_tick else table.get(
-                (label.name, _CO_POLARITY[label.polarity], occ[event.id]), [])
+                (label.name, _CO_POLARITY[label.polarity], occurrence[event.id]), [])
             if label.is_output:
                 outputs.add(event.id)
         for premise, target in side.gens:
@@ -277,7 +285,44 @@ def denote_par(left: EventStructureGen, right: EventStructureGen) -> EventStruct
             for choice in product(*[partners[eid] for eid in needs]):
                 gens.add((premise.union(choice), target))
     return EventStructureGen(
-        left.events | right.events,
-        left.conflicts | right.conflicts,
+        frozenset(left.events) | frozenset(right.events),
+        frozenset(left.conflicts) | frozenset(right.conflicts),
         frozenset(gens),
     )
+
+
+def denote_par(left: EventStructureGen, right: EventStructureGen) -> EventStructureGen:
+    """Compose the event structures of two interacting participants.
+
+    Events, conflicts and labels are unions.  The partners of an event are
+    the other side's events with the complementary label at the same
+    occurrence (:func:`occurrence_index`, computed here from each given
+    structure); a ``✓`` event has none.  A component enabling ``(X, e)``
+    needs a partner for each member of ``X`` and, when ``e`` is an input,
+    for ``e`` itself (the output it consumes); one composite enabling
+    ``(X ∪ choice, e)`` is emitted per choice of partners, so a needed event
+    without partners kills the enabling.  Duplicates collapse; premises are
+    kept even when not conflict-free (such enablings never fire).  This is
+    the path for any two structures, hand-built ones included; a pair of
+    session types is composed by :func:`denote_par_terms`.
+    """
+    overlap = left.event_ids & right.event_ids
+    if overlap:
+        raise ValueError(f"component event sets overlap: {sorted(overlap)}")
+    return _par(left, right, {**occurrence_index(left), **occurrence_index(right)})
+
+
+def denote_par_terms(client: SessionType, a: str, server: SessionType, b: str,
+                     unroll_depth: int = DEFAULT_UNROLL_DEPTH) -> EventStructureGen:
+    """``denote_par(denote(client, a, d, "odd"), denote(server, b, d, "even"))``
+    at ``d = unroll_depth``, from one compile walk per type.
+
+    Both types must already be valid (:func:`~stgames.syntax.validate`);
+    ``compose_session_contracts`` checks them.  Each side's occurrences are
+    the ones its compiler recorded, and only the composite structure is
+    built, so it is the one validated.  A negative depth is a
+    :class:`DenoteError`.
+    """
+    left = _compile(client, a, unroll_depth, "odd")
+    right = _compile(server, b, unroll_depth, "even")
+    return _par(left, right, {**left.occurrences, **right.occurrences})

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .denote import DEFAULT_UNROLL_DEPTH, denote, denote_par
+from .denote import DEFAULT_UNROLL_DEPTH, denote_par_terms
 from .estructure import EventStructureGen, PlayIndex, id_sort_key, playable
 from .syntax import SessionType, assert_valid, is_recursive, min_loop_guard
 
@@ -113,8 +113,9 @@ def compose_session_contracts(p: SessionType, a: str, q: SessionType, b: str,
                               unroll_depth: int = DEFAULT_UNROLL_DEPTH) -> Contract:
     """The game arena for a client type ``p`` of ``a`` against server ``q`` of ``b``.
 
-    The event structure is the parallel composition of the two denotations;
-    each participant gets the success payoff.  The result carries the
+    The event structure is the parallel composition of the two denotations
+    (:func:`~stgames.denote.denote_par_terms`); each type is validated once,
+    here.  Each participant gets the success payoff.  The result carries the
     unrolling bound when the denotations are approximants
     (:func:`approximant_depth`).
     """
@@ -122,10 +123,7 @@ def compose_session_contracts(p: SessionType, a: str, q: SessionType, b: str,
         raise ValueError("the two endpoints must belong to distinct participants")
     assert_valid(p, "client type")
     assert_valid(q, "server type")
-    es = denote_par(
-        denote(p, a, unroll_depth=unroll_depth, parity="odd"),
-        denote(q, b, unroll_depth=unroll_depth, parity="even"),
-    )
+    es = denote_par_terms(p, a, q, b, unroll_depth)
     return Contract(es, {a: SUCCESS_PAYOFF, b: SUCCESS_PAYOFF}, approximant_depth(p, q, unroll_depth))
 
 

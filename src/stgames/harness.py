@@ -161,14 +161,14 @@ def bounded_bisim_depth(p: SessionType, q: SessionType,
     holds, which takes more than ``unroll_depth * guard`` own events; since
     no side can fire more than half the steps plus one, twice that bound
     minus two is safe.  At depth 0 no event of a recursion is denoted at
-    all, so the bound is 0.
+    all, so the bound is 0.  Above depth 0 a recursion is cut exactly when
+    its variable is used, which is when its loop guard exists, so each
+    type's guard is found once and decides both.
     """
-    if approximant_depth(p, q, unroll_depth) is None:
-        return None
     if unroll_depth == 0:
-        return 0
+        return None if approximant_depth(p, q, 0) is None else 0
     guards = [g for g in (min_loop_guard(p), min_loop_guard(q)) if g is not None]
-    return max(1, 2 * unroll_depth * min(guards, default=0) - 2)
+    return max(1, 2 * unroll_depth * min(guards) - 2) if guards else None
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ import pytest
 import stgames
 
 from conftest import DEEP_FAMILIES, es_leq_oracle, reference_denote, reference_denote_par
-from stgames.denote import DenoteError, denote, denote_par, fix_approx, occurrence_index
-from stgames.estructure import EMPTY_ES, Event, es_leq, es_to_json, make_es
+from stgames.denote import DenoteError, _compile, denote, denote_par, fix_approx, occurrence_index
+from stgames.estructure import EMPTY_ES, Event, EventStructureGen, es_leq, es_to_json, make_es
+from stgames.game import approximant_depth, compose_session_contracts
 from stgames.harness import CorpusSpec, corpus_pair, dual
 from stgames.syntax import TICK, Rec, out, parse
 
@@ -275,6 +276,69 @@ def test_denote_par_matches_reference_on_split_structures(small_structures):
     for es in small_structures:
         left, right = _split_by_participant(es)
         assert es_to_json(denote_par(left, right)) == es_to_json(reference_denote_par(left, right))
+
+
+# -- oracle: composition from terms against denote_par of the denotations --------
+
+# nested recursion; at unroll depth 3 its pair 115 exhausts memory in denote_par
+NESTED_SPEC = CorpusSpec(seed=1001, count=150, max_depth=5, allow_recursion=True, unroll_depth=2)
+
+
+def assert_composes_as_denote_par(client, server, depth):
+    """``compose_session_contracts`` builds what ``denote_par`` of the two
+    denotations builds, and each compile walk records the occurrences that
+    :func:`occurrence_index` reads off its structure."""
+    left = denote(client, "A", unroll_depth=depth, parity="odd")
+    right = denote(server, "B", unroll_depth=depth, parity="even")
+    contract = compose_session_contracts(client, "A", server, "B", depth)
+    assert es_to_json(contract.es) == es_to_json(denote_par(left, right))
+    assert contract.bounded_depth == approximant_depth(client, server, depth)
+    for term, parity, side in ((client, "odd", left), (server, "even", right)):
+        assert _compile(term, "A", depth, parity).occurrences == occurrence_index(side)
+
+
+def _composition_cases(kind):
+    if kind == "families":
+        for source, deepest in DEEP_FAMILIES:
+            client = parse(source)
+            for depth in range(deepest + 1):
+                yield client, dual(client), depth
+        return
+    spec = {
+        "finite": CorpusSpec(seed=42, count=500, max_depth=3, max_branch=3),
+        "recursive": CorpusSpec(seed=42, count=100, max_depth=3, max_branch=3,
+                                allow_recursion=True, unroll_depth=4),
+        "nested": NESTED_SPEC,
+    }[kind]
+    for index in range(spec.count):
+        yield *corpus_pair(spec, index), spec.unroll_depth
+
+
+@pytest.mark.parametrize("kind", ["finite", "recursive", "families", "nested"])
+def test_composition_from_terms_matches_denote_par(kind):
+    for client, server, depth in _composition_cases(kind):
+        assert_composes_as_denote_par(client, server, depth)
+
+
+def test_composition_from_terms_rejects_negative_depth():
+    with pytest.raises(DenoteError, match="non-negative"):
+        compose_session_contracts(parse("!a"), "A", parse("?a"), "B", -1)
+
+
+def test_composition_from_terms_builds_one_structure(monkeypatch):
+    # only the composite is built, so its construction is the one that
+    # checks every id, conflict and premise
+    built = []
+    check = EventStructureGen.__post_init__
+
+    def counting(es):
+        built.append(es)
+        check(es)
+
+    monkeypatch.setattr(EventStructureGen, "__post_init__", counting)
+    client = parse("rec x . (!a.?b.x (+) !c)")
+    contract = compose_session_contracts(client, "A", dual(client), "B", 3)
+    assert built == [contract.es]
 
 
 # -- recursion approximants ------------------------------------------------------

@@ -379,9 +379,9 @@ def test_correspondence_rejects_invalid_type_as_it_composes(role, p, q):
 
 
 @pytest.mark.parametrize("recursive", [False, True], ids=["finite", "recursive"])
-def test_corpus_validates_each_type_twice_per_pair(recursive, monkeypatch):
-    # composing validates each type and denote walks it once more; the
-    # compliance checks reuse that validation instead of walking it again
+def test_corpus_validates_each_type_once_per_pair(recursive, monkeypatch):
+    # composing validates each type and compiles it without a second walk;
+    # the compliance checks reuse that validation instead of walking it again
     walks = []
 
     def counting(term):
@@ -392,7 +392,7 @@ def test_corpus_validates_each_type_twice_per_pair(recursive, monkeypatch):
         monkeypatch.setattr(sys.modules[module], "validate", counting)
     summary = run_corpus(CorpusSpec(seed=3, count=6, allow_recursion=recursive))
     assert summary.ok
-    assert len(walks) == 4 * summary.pairs
+    assert len(walks) == 2 * summary.pairs
 
 
 def test_empty_corpus():
