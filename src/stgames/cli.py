@@ -6,11 +6,11 @@ structure JSON, event-labelled DOT, turn-based DOT) and ``corpus`` (the
 randomised theorem harness).  Types are given inline or with ``@file``.
 
 Exit codes: 0 for a positive verdict (compliant / winning / clean corpus),
-1 for a negative one, 2 for errors and indeterminate results, 2 for an
-``export --what ts|ets`` whose system hit ``--limit`` (the truncated
-system is still written, and stderr says so), and 2 with nothing on
-stderr when the reader closes stdout before the output is all written
-(``stgames export ... | head``).  ``export`` writes its pieces as it
+1 for a negative one, 2 for errors, indeterminate results and an ``agree``
+whose game arena hit the default state limit, 2 for an ``export --what
+ts|ets`` whose system hit ``--limit`` (the truncated system is still
+written, and stderr says so), and 2 with nothing on stderr when the reader
+closes stdout early (``stgames export ... | head``).  ``export`` writes its pieces as it
 makes them, so such an export has already written part of its output;
 it still exits 2.
 """
@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     agree = sub.add_parser("agree", help="eager verdict or winning-strategy search")
     _add_types(agree)
     _add_denotation(agree)
-    # neither game engine takes a state limit, so agree has no --limit
+    # both games read the arena at the default state limit, so agree has no --limit
     _add_format(agree)
     agree.add_argument("--strategy", choices=("eager", "search"), default="eager")
     agree.add_argument("--participant", help="whose side to check (default: the client's owner)")

@@ -71,32 +71,13 @@ class DenoteError(ValueError):
     pass
 
 
-def _positions(term: SessionType) -> tuple[dict[tuple, int], dict[tuple, int]]:
-    """Pre-order ordinals for event positions and for variable occurrences."""
-    events: dict[tuple, int] = {}
-    variables: dict[tuple, int] = {}
-    counter = 0
-    var_counter = 0
-
-    def walk(t: SessionType, path: tuple) -> None:
-        nonlocal counter, var_counter
-        if isinstance(t, Success):
-            events[path] = counter
-            counter += 1
-        elif isinstance(t, (InternalChoice, ExternalChoice)):
-            for i, (_, cont) in enumerate(t.branches):
-                events[path + (i,)] = counter
-                counter += 1
-                walk(cont, path + (i, "c"))
-        elif isinstance(t, Rec):
-            walk(t.body, path + ("r",))
-        elif isinstance(t, Var):
-            variables[path] = var_counter
-            var_counter += 1
-        # Term0 owns no events
-
-    walk(term, ())
-    return events, variables
+def _event_count(term: SessionType) -> int:
+    """The event positions of ``term``: its success leaves and branches."""
+    if isinstance(term, Success):
+        return 1
+    if isinstance(term, (InternalChoice, ExternalChoice)):
+        return sum(1 + _event_count(cont) for _, cont in term.branches)
+    return _event_count(term.body) if isinstance(term, Rec) else 0
 
 
 @dataclass
@@ -107,16 +88,18 @@ class _Compiler:
     ``under`` is the premise of the events a subterm can start with: empty
     at the top, the prefix event below a prefix.  ``suffix`` is the ``@k…``
     copy chain of the events being compiled.  ``env`` maps each variable in
-    scope to its recursion binding ``(var, body, body_path, env, depth)``;
-    :meth:`fix` unrolls it at the binder and at each use.  ``chain`` counts
-    the events of each label (by printed form) on the causal chain being
-    compiled, which is the stack of prefixes whose continuation the walk is
-    in, so an event's occurrence is its label's count there plus one.
+    scope to its recursion binding ``(var, body, env, depth, ordinal,
+    var_ordinal)``; :meth:`fix` unrolls it at the binder and at each use.
+    ``chain`` counts the events of each label (by printed form) on the
+    causal chain being compiled, which is the stack of prefixes whose
+    continuation the walk is in, so an event's occurrence is its label's
+    count there plus one.
+
+    ``ordinal`` and ``var_ordinal`` number the next event position and
+    variable occurrence in pre-order; a copy restarts at its binder body's.
     """
 
     who: str
-    positions: dict[tuple, int]
-    var_positions: dict[tuple, int]
     start: int
     depth: int
     step: int = 2
@@ -125,9 +108,12 @@ class _Compiler:
     gens: set[tuple[frozenset[str], str]] = field(default_factory=set)
     occurrences: dict[str, int] = field(default_factory=dict)
     chain: dict[str, int] = field(default_factory=dict)
+    ordinal: int = 0
+    var_ordinal: int = 0
 
-    def add_initial(self, path: tuple, suffix: str, label: ActionLabel, under: frozenset[str]) -> str:
-        event_id = f"e{self.start + self.step * self.positions[path]}{suffix}"
+    def add_initial(self, suffix: str, label: ActionLabel, under: frozenset[str]) -> str:
+        event_id = f"e{self.start + self.step * self.ordinal}{suffix}"
+        self.ordinal += 1
         if event_id in self.occurrences:
             raise DenoteError(f"event id {event_id} already used")
         self.events.append(Event(event_id, self.who, label))
@@ -135,29 +121,33 @@ class _Compiler:
         self.gens.add((under, event_id))
         return event_id
 
-    def compile(self, term: SessionType, path: tuple, suffix: str,
-                env: dict, under: frozenset[str]) -> None:
+    def compile(self, term: SessionType, suffix: str, env: dict, under: frozenset[str]) -> None:
         if isinstance(term, Success):
-            self.add_initial(path, suffix, TICK, under)
+            self.add_initial(suffix, TICK, under)
         elif isinstance(term, Term0):
             pass
         elif isinstance(term, Var):
             # validate has rejected free variables, so the binding exists
-            self.fix(env[term.name], f"{suffix}@{self.var_positions[path]}", under)
+            resume = self.ordinal, self.var_ordinal + 1
+            self.fix(env[term.name], f"{suffix}@{self.var_ordinal}", under)
+            self.ordinal, self.var_ordinal = resume
         elif isinstance(term, (InternalChoice, ExternalChoice)):
             # each branch starts with its prefix event alone, so the branches
             # conflict pairwise on those
             firsts = []
             chain = self.chain
-            for i, (label, cont) in enumerate(term.branches):
-                first = self.add_initial(path + (i,), suffix, label, under)
+            for label, cont in term.branches:
+                first = self.add_initial(suffix, label, under)
                 count = chain[label.text] = self.occurrences[first]
-                self.compile(cont, path + (i, "c"), suffix, env, frozenset({first}))
+                self.compile(cont, suffix, env, frozenset({first}))
                 chain[label.text] = count - 1
                 firsts.append(first)
             self.conflicts.update(frozenset(pair) for pair in combinations(firsts, 2))
         elif isinstance(term, Rec):
-            self.fix((term.var, term.body, path + ("r",), env, self.depth), suffix, under)
+            if self.depth:
+                self.fix((term.var, term.body, env, self.depth, self.ordinal, self.var_ordinal), suffix, under)
+            else:
+                self.ordinal += _event_count(term.body)
         else:
             raise DenoteError(f"cannot compile {term!r}")
 
@@ -165,16 +155,16 @@ class _Compiler:
         """Unroll a recursion binding once more, if its depth allows.
 
         The variable maps to the next, shallower binding, resolved in the
-        environment of the binder.  Each use site passes its own copy
-        chain, so copies reached along different occurrences never share
-        events.
+        environment of the binder, and numbered from the binding's ordinals.
+        Each use site passes its own copy chain, so copies reached along
+        different occurrences never share events.
         """
-        var, body, body_path, env, depth = binding
+        var, body, env, depth, ordinal, var_ordinal = binding
         if depth <= 0:
             return
-        inner = dict(env)
-        inner[var] = (var, body, body_path, env, depth - 1)
-        self.compile(body, body_path, suffix, inner, under)
+        inner = {**env, var: (var, body, env, depth - 1, ordinal, var_ordinal)}
+        self.ordinal, self.var_ordinal = ordinal, var_ordinal
+        self.compile(body, suffix, inner, under)
 
     def structure(self) -> EventStructureGen:
         return EventStructureGen(
@@ -186,9 +176,8 @@ def _compile(term: SessionType, who: str, unroll_depth: int, parity: str) -> _Co
     """The finished walk of a valid ``term``; see :func:`denote`."""
     if unroll_depth < 0:
         raise DenoteError("unroll depth must be non-negative")
-    positions, var_positions = _positions(term)
-    compiler = _Compiler(who, positions, var_positions, PARITY_START[parity], unroll_depth)
-    compiler.compile(term, (), "", {}, frozenset())
+    compiler = _Compiler(who, PARITY_START[parity], unroll_depth)
+    compiler.compile(term, "", {}, frozenset())
     return compiler
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import re
-from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -95,6 +94,14 @@ class EventStructureGen:
         """The bitmask view used to play the structure, built on first use:
         most structures ``denote`` builds are never played."""
         return PlayIndex(self)
+
+    def arena(self, limit: int) -> Arena:
+        """The :class:`Arena` of at most ``limit`` configurations, explored
+        on first use at that limit and kept, as :attr:`play_index` is."""
+        arenas = self.__dict__.setdefault("_arenas", {})
+        if limit not in arenas:
+            arenas[limit] = Arena(self.play_index, limit)
+        return arenas[limit]
 
     # -- lookups ------------------------------------------------------------
 
@@ -199,6 +206,39 @@ class PlayIndex:
         return moves
 
 
+class Arena:
+    """The reachable configurations, numbered breadth-first from the empty
+    one: ``i`` has fired mask ``fired[i]``, playable mask ``moves[i]`` and an
+    ``(event id, successor)`` pair per move in ``successors[i]``, sorted.  An
+    edge fires one event, so reverse numbering is reverse topological.  At
+    ``limit`` configurations, a move to a new one sets ``truncated`` instead."""
+
+    __slots__ = ("fired", "moves", "successors", "truncated")
+
+    def __init__(self, index: PlayIndex, limit: int) -> None:
+        self.fired = fired_masks = [0]
+        self.moves = move_masks = [index.initial]
+        self.successors: list[list[tuple[str, int]]] = []
+        self.truncated = False
+        number = {0: 0}
+        # the two lists grow as the loop reads them: they are the queue
+        for fired, moves in zip(fired_masks, move_masks):
+            out = []
+            for event_id in index.members(moves):
+                bit = index.bit[event_id]
+                nxt = fired | bit
+                successor = number.get(nxt)
+                if successor is None:
+                    if len(fired_masks) >= limit:
+                        self.truncated = True
+                        continue
+                    successor = number[nxt] = len(fired_masks)
+                    fired_masks.append(nxt)
+                    move_masks.append(index.step(fired, moves, bit))
+                out.append((event_id, successor))
+            self.successors.append(out)
+
+
 def make_es(events, conflicts=(), gens=()) -> EventStructureGen:
     """Normalising constructor: conflicts as id pairs, gens as (premise, target)."""
     conflict_set = frozenset(frozenset(pair) for pair in conflicts)
@@ -297,29 +337,16 @@ def ets(es: EventStructureGen, step_bound: int = 10**5, relabel: bool = False) -
     A state is named by its fired event ids in sorted order, such as
     ``{e1,e5}``; the initial state is ``{}``.  Edge labels are event ids,
     or the events' action labels when ``relabel`` is set.  ``step_bound``
-    caps the number of states, setting the truncation flag.
+    caps the states of ``es.arena(step_bound)``, setting the truncation flag.
     """
     if step_bound <= 0:
         raise ValueError("step bound must be positive")
+    arena = es.arena(step_bound)
     index = es.play_index
     labels = {eid: str(es.label_of(eid)) if relabel else eid for eid in index.ids}
-    names = {0: "{}"}
-    edges: set[tuple[str, str, str]] = set()
-    truncated = False
-    queue = deque([(0, index.initial)])
-    while queue:
-        fired, moves = queue.popleft()
-        for event_id in index.members(moves):
-            bit = index.bit[event_id]
-            nxt = fired | bit
-            if nxt not in names:
-                if len(names) >= step_bound:
-                    truncated = True
-                    continue
-                names[nxt] = "{" + ",".join(index.members(nxt)) + "}"
-                queue.append((nxt, index.step(fired, moves, bit)))
-            edges.add((names[fired], labels[event_id], names[nxt]))
-    return Lts(frozenset(names.values()), "{}", frozenset(edges), truncated)
+    names = ["{" + ",".join(index.members(fired)) + "}" for fired in arena.fired]
+    edges = {(names[i], labels[eid], names[j]) for i, out in enumerate(arena.successors) for eid, j in out}
+    return Lts(frozenset(names), "{}", frozenset(edges), arena.truncated)
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,12 @@ possible stop, including stops where other participants still have enabled
 events; whoever still has a playable event at a stop is culpable there.
 
 The engine's play state is the configuration reached, a bitmask over the
-original structure (:class:`~stgames.estructure.PlayIndex`), and its memo is
-keyed on that configuration alone: what is left to play depends only on
-the set of fired events, not on their order, and the owner has succeeded
-exactly when the configuration holds one of their ``✓`` events.  Each
-configuration travels with its playable events, updated per fired event by
-:meth:`~stgames.estructure.PlayIndex.step`.
+original structure (:class:`~stgames.estructure.PlayIndex`): what is left
+to play depends only on the fired events, and the owner has succeeded
+exactly when one of their ``✓`` events fired.  Both games are backward
+passes over the structure's :class:`~stgames.estructure.Arena` at
+``DEFAULT_STATE_LIMIT``, which ``ets`` also reads.  On a truncated arena
+only a losing stop inside it is exact; else :class:`StateLimitError`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .denote import DEFAULT_UNROLL_DEPTH, denote_par_terms
-from .estructure import EventStructureGen, PlayIndex, id_sort_key, playable
+from .estructure import Arena, EventStructureGen, id_sort_key, playable
+from .opsem import DEFAULT_STATE_LIMIT
 from .syntax import SessionType, assert_valid, is_recursive, min_loop_guard
 
 SUCCESS_PAYOFF = "success"
@@ -295,53 +296,49 @@ class GameVerdict:
         }
 
 
-def _arena(contract: Contract, participant: str) -> tuple[PlayIndex, int, int]:
-    """The structure's play index and the masks of the owner's events and
-    of the owner's ``✓`` events."""
+class StateLimitError(ValueError):
+    """The game arena reached the state limit before a verdict was exact."""
+
+    def __init__(self, limit: int) -> None:
+        super().__init__(f"the game arena exceeds the state limit of {limit} configurations")
+
+
+def _explored(contract: Contract, participant: str) -> tuple[Arena, dict[str, int], int, int]:
+    """The contract's arena at ``DEFAULT_STATE_LIMIT``, each event's bit and
+    the masks of the owner's events and of the owner's ``✓`` events."""
     if participant not in contract.payoffs:
         raise ValueError(f"no payoff defined for {participant}")
     es = contract.es
     index = es.play_index
     own = index.mask(es.events_of(participant))
     ticks = index.mask(e.id for e in es.events if e.participant == participant and e.label.is_tick)
-    return index, own, ticks
+    return es.arena(DEFAULT_STATE_LIMIT), index.bit, own, ticks
 
 
 def eager_winning(contract: Contract, participant: str) -> GameVerdict:
     """Does playing every enabled own event win every fair play?
 
-    Explores all plays (every play conforms to the eager strategy); at each
-    point where the owner has nothing playable, the play may fairly stop
-    and must then be winning.  Returns the first losing stopping point as a
-    counterexample, found depth-first in sorted event order, the owner's
-    moves first.
+    Every play conforms to the eager strategy, and may stop wherever the
+    owner has no move; anyone with a move is then culpable, so only a
+    maximal configuration without the payoff loses.  The pass marks where
+    such a stop can be reached; the counterexample takes the first marked
+    move, the owner's first and each group in sorted order.
     """
-    index, own, ticks = _arena(contract, participant)
-    safe: set[int] = set()
-
-    def search(fired: int, moves: int, trail: tuple[str, ...]):
-        # with no own move the play may stop; anyone with a move is then
-        # culpable, so only a maximal play without the payoff loses
-        if not moves and not fired & ticks:
-            return trail
-        for move in index.members(moves & own) + index.members(moves & ~own):
-            bit = index.bit[move]
-            nxt = fired | bit
-            if nxt in safe:
-                continue
-            failure = search(nxt, index.step(fired, moves, bit), trail + (move,))
-            if failure is not None:
-                return failure
-        safe.add(fired)
-        return None
-
-    failure = search(0, index.initial, ())
-    return GameVerdict(
-        participant, "eager",
-        winning=failure is None,
-        counterexample=failure,
-        bounded_depth=contract.bounded_depth,
-    )
+    arena, bit, own, ticks = _explored(contract, participant)
+    fired, moves, successors = arena.fired, arena.moves, arena.successors
+    lost = [False] * len(fired)
+    for i in range(len(fired) - 1, -1, -1):
+        lost[i] = any(lost[j] for _, j in successors[i]) if moves[i] else not fired[i] & ticks
+    if arena.truncated and not lost[0]:
+        raise StateLimitError(DEFAULT_STATE_LIMIT)
+    trail, i = [], 0
+    while lost[i] and moves[i]:  # a marked configuration without moves is a losing stop
+        # a stable sort puts the owner's moves first, each group in order
+        owner_first = sorted(successors[i], key=lambda edge: not bit[edge[0]] & own)
+        move, i = next(edge for edge in owner_first if lost[edge[1]])
+        trail.append(move)
+    return GameVerdict(participant, "eager", not lost[0], tuple(trail) if lost[0] else None,
+                       contract.bounded_depth)
 
 
 def strategy_failures(contract: Contract, strategy: Strategy):
@@ -349,28 +346,20 @@ def strategy_failures(contract: Contract, strategy: Strategy):
     one-element list; empty when the strategy wins.
 
     Walks the conforming play tree literally (prescriptions may depend on
-    the whole prefix), stopping wherever the prescription is empty.
+    the whole prefix), depth-first in prescription-then-sorted order,
+    stopping wherever the prescription is empty.
     """
     participant = strategy.participant
-    failures: list[tuple[str, ...]] = []
-
-    def walk(prefix: tuple[str, ...]) -> None:
-        if failures:
-            return
+    stack: list[tuple[str, ...]] = [()]
+    while stack:
+        prefix = stack.pop()
         prescription = prescribed(strategy, contract, prefix)
-        others = sorted(
-            frozenset(playable(contract.es, prefix))
-            - contract.es.events_of(participant),
-            key=id_sort_key,
-        )
         if not prescription and not winning_play(prefix, participant, contract):
-            failures.append(prefix)
-            return
-        for move in sorted(prescription, key=id_sort_key) + others:
-            walk(prefix + (move,))
-
-    walk(())
-    return failures
+            return [prefix]
+        others = sorted(playable(contract.es, prefix) - contract.es.events_of(participant), key=id_sort_key)
+        moves = sorted(prescription, key=id_sort_key) + others
+        stack.extend(prefix + (move,) for move in reversed(moves))
+    return []
 
 
 def find_winning_strategy(contract: Contract, participant: str) -> ExplicitStrategy | None:
@@ -379,51 +368,40 @@ def find_winning_strategy(contract: Contract, participant: str) -> ExplicitStrat
     At each state the owner either stops (legal only if the stop wins) or
     prescribes one playable event; every opposing move must stay winning
     regardless.  A single prescribed event per state suffices: prescribing
-    more only adds proof obligations.  Memoisation is on the configuration
-    reached, which fixes everything the win predicates depend on.
+    more only adds proof obligations.  The configuration reached fixes all
+    the win predicates read, so one backward pass over a complete arena
+    decides every choice; a truncated arena is a :class:`StateLimitError`.
     """
-    index, own, ticks = _arena(contract, participant)
-    memo: dict[int, str | None] = {}
-
-    def win_after(fired: int, moves: int, move: str) -> str | None:
-        """:func:`win` at the configuration ``move`` leads to."""
-        bit = index.bit[move]
-        nxt = fired | bit
-        if nxt in memo:
-            return memo[nxt]
-        return win(nxt, index.step(fired, moves, bit))
-
-    def win(fired: int, moves: int) -> str | None:
-        """None when the owner loses, else the winning move ('' = stop)."""
-        result = None
-        if all(win_after(fired, moves, move) is not None for move in index.members(moves & ~own)):
+    arena, bit, own, ticks = _explored(contract, participant)
+    if arena.truncated:
+        raise StateLimitError(DEFAULT_STATE_LIMIT)
+    fired, moves, successors = arena.fired, arena.moves, arena.successors
+    # None where the owner loses, else the winning move ('' = stop)
+    choice: list[str | None] = [None] * len(fired)
+    for i in range(len(fired) - 1, -1, -1):
+        won = None  # the first own move to a won configuration
+        for move, j in successors[i]:
+            if bit[move] & own:
+                if won is None and choice[j] is not None:
+                    won = move
+            elif choice[j] is None:
+                break  # an opponent move leads to a loss
+        else:
             # a stop wins when someone else is culpable or the play is
             # maximal with the owner's payoff
-            if not moves & own and (moves or fired & ticks):
-                result = ""
-            else:
-                result = next(
-                    (move for move in index.members(moves & own)
-                     if win_after(fired, moves, move) is not None),
-                    None,
-                )
-        memo[fired] = result
-        return result
-
-    if win(0, index.initial) is None:
+            choice[i] = "" if not moves[i] & own and (moves[i] or fired[i] & ticks) else won
+    if choice[0] is None:
         return None
 
     # replay the winning policy over every conforming play to print a table;
-    # a won configuration's opponent moves and chosen move were all decided
+    # a won configuration's opponent moves and chosen move all lead to won ones
     table: dict[tuple[str, ...], frozenset[str]] = {}
-
-    def replay(fired: int, moves: int, prefix: tuple[str, ...]) -> None:
-        choice = memo[fired]
-        prescription = [choice] if choice else []
-        table[prefix] = frozenset(prescription)
-        for move in prescription + index.members(moves & ~own):
-            bit = index.bit[move]
-            replay(fired | bit, index.step(fired, moves, bit), prefix + (move,))
-
-    replay(0, index.initial, ())
+    stack: list[tuple[int, tuple[str, ...]]] = [(0, ())]
+    while stack:
+        i, prefix = stack.pop()
+        chosen = choice[i]
+        table[prefix] = frozenset([chosen] if chosen else ())
+        for move, j in successors[i]:
+            if move == chosen or not bit[move] & own:
+                stack.append((j, prefix + (move,)))
     return ExplicitStrategy(participant, table)

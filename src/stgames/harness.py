@@ -35,6 +35,7 @@ from .estructure import ets
 from .game import (
     Contract,
     GameVerdict,
+    StateLimitError,
     approximant_depth,
     compose_session_contracts,
     eager_winning,
@@ -477,8 +478,8 @@ class CorpusSummary:
 def run_corpus(spec: CorpusSpec, state_limit: int = DEFAULT_STATE_LIMIT) -> CorpusSummary:
     """Assert the correspondence results over every pair of one corpus.
 
-    Every disagreement is recorded with the pair that produced it; the
-    expectation everywhere is zero failures.
+    Every disagreement, or game cut short by the state limit, is recorded
+    with the pair that produced it; the expectation is zero failures.
     """
     summary = CorpusSummary(spec)
     for index in range(spec.count):
@@ -495,7 +496,11 @@ def run_corpus(spec: CorpusSpec, state_limit: int = DEFAULT_STATE_LIMIT) -> Corp
             })
 
         # correspondence_check validates both types as it composes them
-        report = correspondence_check(p, q, spec.unroll_depth, state_limit=state_limit)
+        try:
+            report = correspondence_check(p, q, spec.unroll_depth, state_limit=state_limit)
+        except StateLimitError as exc:
+            fail("game-state-limit", str(exc))
+            continue
         # an unbounded report already holds the untruncated reduction verdict
         reduction = (check_compliance(p, q, state_limit, validate_inputs=False)
                      if report.bounded else report.compliance)

@@ -21,9 +21,9 @@ class Lts:
     def __post_init__(self) -> None:
         if self.initial not in self.states:
             raise ValueError("initial state is not a state")
-        for src, _, dst in self.edges:
-            if src not in self.states or dst not in self.states:
-                raise ValueError("edge endpoint is not a state")
+        sources, _, targets = zip(*self.edges) if self.edges else ((), (), ())
+        if not self.states.issuperset(sources + targets):
+            raise ValueError("edge endpoint is not a state")
 
     @property
     def labels(self) -> frozenset[str]:

@@ -7,8 +7,13 @@ over raw play trees without memoisation.  Tests freeze expected values
 computed by these oracles; the oracles never call the code paths they
 check.  The reference game engine plays on rebuilt remainders memoised by
 canonical key, the design the configuration-indexed engine replaced.  The
-reference compiler builds and validates a structure at every syntax node,
-the design the single-walk compiler replaced.  The reference composition
+depth-first eager search and strategy search, each memoised on the
+configuration, and the breadth-first ``ets`` each explore the
+configurations on their own, the design the shared arena and its backward
+passes replaced.  The
+reference compiler builds and validates a structure at every syntax node
+and numbers positions by path in a walk of its own, the designs the
+single-walk compiler and its running ordinals replaced.  The reference composition
 treats output and input targets in separate loops, the design the one
 partner rule replaced.  The reference playability
 rule scans every generator of every event, the design the per-event
@@ -232,6 +237,36 @@ def acceptance_pairs(family: str):
     return tuple(corpus_pair(spec, index) for index in range(spec.count))
 
 
+# nested recursion; at unroll depth 3 its pair 115 exhausts memory in denote_par
+def nested_spec(count: int = 150):
+    from stgames.harness import CorpusSpec
+
+    return CorpusSpec(seed=1001, count=count, max_depth=5, allow_recursion=True, unroll_depth=2)
+
+
+def oracle_cases(kind: str, count: int = 150):
+    """``(client, server, unroll depth)`` triples: both seed-42 acceptance
+    corpora in full (``finite``, ``recursive``), every ``DEEP_FAMILIES``
+    member against its dual at each depth up to its deepest (``families``),
+    or the first ``count`` seed-1001 nested-recursion pairs (``nested``)."""
+    from stgames.harness import CorpusSpec, corpus_pair, dual
+
+    if kind == "families":
+        for source, deepest in DEEP_FAMILIES:
+            client = parse(source)
+            for depth in range(deepest + 1):
+                yield client, dual(client), depth
+        return
+    spec = {
+        "finite": CorpusSpec(seed=42, count=500, max_depth=3, max_branch=3),
+        "recursive": CorpusSpec(seed=42, count=100, max_depth=3, max_branch=3,
+                                allow_recursion=True, unroll_depth=4),
+        "nested": nested_spec(count),
+    }[kind]
+    for index in range(spec.count):
+        yield *corpus_pair(spec, index), spec.unroll_depth
+
+
 @lru_cache(maxsize=None)
 def large_pairs():
     """Pairs in the style of the check-large benchmark: generated types of up
@@ -439,6 +474,120 @@ def reference_find_winning_strategy(contract, participant):
 
 
 # ---------------------------------------------------------------------------
+# Per-engine explorations: depth-first games and a breadth-first ets
+# ---------------------------------------------------------------------------
+
+def _dfs_masks(contract, participant):
+    if participant not in contract.payoffs:
+        raise ValueError(f"no payoff defined for {participant}")
+    es = contract.es
+    index = es.play_index
+    own = index.mask(es.events_of(participant))
+    ticks = index.mask(e.id for e in es.events if e.participant == participant and e.label.is_tick)
+    return index, own, ticks
+
+
+def dfs_eager_winning(contract, participant):
+    """Eager checking as a memoised depth-first search of the plays from the
+    empty configuration, the owner's moves first, each group in sorted
+    order; the first losing stop found is the counterexample."""
+    from stgames.game import GameVerdict
+
+    index, own, ticks = _dfs_masks(contract, participant)
+    safe: set[int] = set()
+
+    def search(fired, moves, trail):
+        if not moves and not fired & ticks:
+            return trail
+        for move in index.members(moves & own) + index.members(moves & ~own):
+            bit = index.bit[move]
+            nxt = fired | bit
+            if nxt in safe:
+                continue
+            failure = search(nxt, index.step(fired, moves, bit), trail + (move,))
+            if failure is not None:
+                return failure
+        safe.add(fired)
+        return None
+
+    failure = search(0, index.initial, ())
+    return GameVerdict(participant, "eager", failure is None, failure, contract.bounded_depth)
+
+
+def dfs_find_winning_strategy(contract, participant):
+    """Strategy search as a depth-first recursion memoised on the
+    configuration, then a recursive replay of the choices into a table."""
+    from stgames.game import ExplicitStrategy
+
+    index, own, ticks = _dfs_masks(contract, participant)
+    memo: dict[int, str | None] = {}
+
+    def win_after(fired, moves, move):
+        bit = index.bit[move]
+        nxt = fired | bit
+        if nxt in memo:
+            return memo[nxt]
+        return win(nxt, index.step(fired, moves, bit))
+
+    def win(fired, moves):
+        result = None
+        if all(win_after(fired, moves, move) is not None for move in index.members(moves & ~own)):
+            if not moves & own and (moves or fired & ticks):
+                result = ""
+            else:
+                result = next(
+                    (move for move in index.members(moves & own)
+                     if win_after(fired, moves, move) is not None),
+                    None,
+                )
+        memo[fired] = result
+        return result
+
+    if win(0, index.initial) is None:
+        return None
+    table = {}
+
+    def replay(fired, moves, prefix):
+        choice = memo[fired]
+        prescription = [choice] if choice else []
+        table[prefix] = frozenset(prescription)
+        for move in prescription + index.members(moves & ~own):
+            bit = index.bit[move]
+            replay(fired | bit, index.step(fired, moves, bit), prefix + (move,))
+
+    replay(0, index.initial, ())
+    return ExplicitStrategy(participant, table)
+
+
+def bfs_ets(es, step_bound=10**5, relabel=False):
+    """The event-labelled system by a breadth-first search of its own,
+    naming each configuration as it is discovered."""
+    from collections import deque
+
+    from stgames.lts import Lts
+
+    index = es.play_index
+    labels = {eid: str(es.label_of(eid)) if relabel else eid for eid in index.ids}
+    names = {0: "{}"}
+    edges = set()
+    truncated = False
+    queue = deque([(0, index.initial)])
+    while queue:
+        fired, moves = queue.popleft()
+        for event_id in index.members(moves):
+            bit = index.bit[event_id]
+            nxt = fired | bit
+            if nxt not in names:
+                if len(names) >= step_bound:
+                    truncated = True
+                    continue
+                names[nxt] = "{" + ",".join(index.members(nxt)) + "}"
+                queue.append((nxt, index.step(fired, moves, bit)))
+            edges.add((names[fired], labels[event_id], names[nxt]))
+    return Lts(frozenset(names.values()), "{}", frozenset(edges), truncated)
+
+
+# ---------------------------------------------------------------------------
 # Reference parser: a character loop into token tuples, every prefix wrapped
 # ---------------------------------------------------------------------------
 
@@ -605,14 +754,41 @@ def _reference_as_branch(term: SessionType, polarity: str) -> tuple[ActionLabel,
 # Reference compiler: one structure per syntax node
 # ---------------------------------------------------------------------------
 
+def reference_positions(term):
+    """Pre-order ordinals for event positions and for variable occurrences,
+    keyed by the path from the root: the numbering the compile walk now
+    keeps as it goes."""
+    events, variables = {}, {}
+    counter = var_counter = 0
+
+    def walk(t, path):
+        nonlocal counter, var_counter
+        if isinstance(t, Success):
+            events[path] = counter
+            counter += 1
+        elif isinstance(t, (InternalChoice, ExternalChoice)):
+            for i, (_, cont) in enumerate(t.branches):
+                events[path + (i,)] = counter
+                counter += 1
+                walk(cont, path + (i, "c"))
+        elif isinstance(t, Rec):
+            walk(t.body, path + ("r",))
+        elif isinstance(t, Var):
+            variables[path] = var_counter
+            var_counter += 1
+
+    walk(term, ())
+    return events, variables
+
+
 def reference_denote(term, who, unroll_depth=6, parity="odd"):
     """Compile as the per-node compiler did: each prefix copies its compiled
     continuation, each choice unions its branches, and a recursion variable
-    is a closure that unrolls one copy deeper.  Shares only the position
-    numbering with the library."""
-    from stgames.denote import PARITY_START, DenoteError, _positions
+    is a closure that unrolls one copy deeper.  Event positions are numbered
+    by path (:func:`reference_positions`)."""
+    from stgames.denote import PARITY_START, DenoteError
 
-    positions, var_positions = _positions(term)
+    positions, var_positions = reference_positions(term)
     start = PARITY_START[parity]
 
     def event_id(path, copy):

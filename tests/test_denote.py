@@ -11,7 +11,7 @@ import pytest
 
 import stgames
 
-from conftest import DEEP_FAMILIES, es_leq_oracle, reference_denote, reference_denote_par
+from conftest import DEEP_FAMILIES, es_leq_oracle, oracle_cases, reference_denote, reference_denote_par
 from stgames.denote import DenoteError, _compile, denote, denote_par, fix_approx, occurrence_index
 from stgames.estructure import EMPTY_ES, Event, EventStructureGen, es_leq, es_to_json, make_es
 from stgames.game import approximant_depth, compose_session_contracts
@@ -280,10 +280,6 @@ def test_denote_par_matches_reference_on_split_structures(small_structures):
 
 # -- oracle: composition from terms against denote_par of the denotations --------
 
-# nested recursion; at unroll depth 3 its pair 115 exhausts memory in denote_par
-NESTED_SPEC = CorpusSpec(seed=1001, count=150, max_depth=5, allow_recursion=True, unroll_depth=2)
-
-
 def assert_composes_as_denote_par(client, server, depth):
     """``compose_session_contracts`` builds what ``denote_par`` of the two
     denotations builds, and each compile walk records the occurrences that
@@ -297,26 +293,9 @@ def assert_composes_as_denote_par(client, server, depth):
         assert _compile(term, "A", depth, parity).occurrences == occurrence_index(side)
 
 
-def _composition_cases(kind):
-    if kind == "families":
-        for source, deepest in DEEP_FAMILIES:
-            client = parse(source)
-            for depth in range(deepest + 1):
-                yield client, dual(client), depth
-        return
-    spec = {
-        "finite": CorpusSpec(seed=42, count=500, max_depth=3, max_branch=3),
-        "recursive": CorpusSpec(seed=42, count=100, max_depth=3, max_branch=3,
-                                allow_recursion=True, unroll_depth=4),
-        "nested": NESTED_SPEC,
-    }[kind]
-    for index in range(spec.count):
-        yield *corpus_pair(spec, index), spec.unroll_depth
-
-
 @pytest.mark.parametrize("kind", ["finite", "recursive", "families", "nested"])
 def test_composition_from_terms_matches_denote_par(kind):
-    for client, server, depth in _composition_cases(kind):
+    for client, server, depth in oracle_cases(kind):
         assert_composes_as_denote_par(client, server, depth)
 
 

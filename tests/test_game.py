@@ -3,23 +3,30 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
 from conftest import (
     acceptance_contracts,
     all_plays,
+    bfs_ets,
     brute_force_agreement,
+    dfs_eager_winning,
+    dfs_find_winning_strategy,
+    oracle_cases,
     random_structure,
     reference_eager_winning,
     reference_find_winning_strategy,
 )
+from stgames import cli, game
 from stgames.denote import denote
-from stgames.estructure import EMPTY_ES, Event, make_es, playable
+from stgames.estructure import EMPTY_ES, Event, ets, make_es, playable
 from stgames.game import (
     Contract,
     EagerStrategy,
     ExplicitStrategy,
+    StateLimitError,
     composable,
     compose_contracts_union,
     compose_session_contracts,
@@ -34,6 +41,7 @@ from stgames.game import (
     strategy_failures,
     winning_play,
 )
+from stgames.harness import CorpusSpec, dual, run_corpus
 from stgames.syntax import TICK, out, parse
 
 
@@ -377,3 +385,103 @@ def test_engine_matches_remainder_reference(family, small_structures):
             found = find_winning_strategy(contract, who)
             expected = reference_find_winning_strategy(contract, who)
             assert (found and found.to_json()) == (expected and expected.to_json())
+
+
+# -- oracle: the arena passes against per-engine explorations ----------------------
+
+def assert_games_match_dfs(client, server, depth):
+    """Both participants' eager verdicts and strategy tables equal those of
+    the depth-first engines, and ``ets`` equals the breadth-first one at
+    step bounds 1, 7 and the default, with and without relabelling."""
+    contract = compose_session_contracts(client, "A", server, "B", depth)
+    for who in ("A", "B"):
+        assert eager_winning(contract, who) == dfs_eager_winning(contract, who)
+        assert find_winning_strategy(contract, who) == dfs_find_winning_strategy(contract, who)
+    for relabel in (False, True):
+        for bound in (1, 7):
+            assert ets(contract.es, bound, relabel) == bfs_ets(contract.es, bound, relabel)
+        assert ets(contract.es, relabel=relabel) == bfs_ets(contract.es, relabel=relabel)
+
+
+@pytest.mark.parametrize("kind", ["finite", "recursive", "families", "nested"])
+def test_arena_passes_match_depth_first_engines(kind):
+    for client, server, depth in oracle_cases(kind):
+        assert_games_match_dfs(client, server, depth)
+
+
+def _frame_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_games_do_not_recurse_per_play_step():
+    # a 300-event play under a recursion limit 100 frames above the caller
+    client = parse("rec x . !a.x")
+    contract = compose_session_contracts(client, "A", dual(client), "B", 150)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 100)
+    try:
+        verdict = eager_winning(contract, "A")
+        strategy = find_winning_strategy(contract, "B")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert not verdict.winning and len(verdict.counterexample) == 300
+    assert strategy is None
+
+
+# -- a truncated arena -------------------------------------------------------------
+
+# B loses at once when A picks !a, one configuration past the empty one
+EARLY_LOSS = ("!a (+) !b.!c.!d.!e.!f", "?b.?c.?d.?e.?f")
+
+
+def _limited(monkeypatch, limit):
+    monkeypatch.setattr(game, "DEFAULT_STATE_LIMIT", limit)
+
+
+def test_truncated_arena_keeps_a_loss_inside_it(monkeypatch):
+    contract = compose_session_contracts(parse(EARLY_LOSS[0]), "A", parse(EARLY_LOSS[1]), "B")
+    _limited(monkeypatch, 4)
+    assert contract.es.arena(4).truncated
+    verdict = eager_winning(contract, "B")
+    assert not verdict.winning
+    assert verdict.counterexample == ("e1",)
+    assert is_play(contract.es, verdict.counterexample)
+    assert not culpable_at_end(verdict.counterexample, "A", contract.es)
+    assert not winning_play(verdict.counterexample, "B", contract)
+
+
+def test_truncated_arena_without_a_loss_is_an_error(example_contract, monkeypatch):
+    _limited(monkeypatch, 5)
+    with pytest.raises(StateLimitError, match="state limit of 5"):
+        eager_winning(example_contract, "A")
+
+
+def test_search_on_a_truncated_arena_is_an_error(example_contract, monkeypatch):
+    early = compose_session_contracts(parse(EARLY_LOSS[0]), "A", parse(EARLY_LOSS[1]), "B")
+    _limited(monkeypatch, 5)
+    for contract, who in ((example_contract, "A"), (example_contract, "B"), (early, "B")):
+        with pytest.raises(StateLimitError):
+            find_winning_strategy(contract, who)
+
+
+def test_agree_exits_two_when_the_arena_is_truncated(monkeypatch, capsys):
+    _limited(monkeypatch, 5)
+    for extra in ([], ["--strategy", "search"]):
+        code = cli.main(["agree", "!a (+) !b.!a", "?a.?b + ?b.?a + ?c", *extra])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+def test_corpus_records_a_truncated_arena_and_goes_on(monkeypatch):
+    # of the first six seed-42 pairs only pair 4 has more than 10
+    # configurations (19), and its eager verdict needs all of them
+    _limited(monkeypatch, 10)
+    summary = run_corpus(CorpusSpec(seed=42, count=6))
+    assert summary.pairs == 6
+    assert [(f["pair"], f["check"]) for f in summary.failures] == [(4, "game-state-limit")]
+    assert summary.correspondence_agreements == summary.checker_agreements == 5

@@ -39,6 +39,15 @@ def lts(edges, initial="s0"):
     return Lts(frozenset(states), initial, frozenset(edges))
 
 
+def test_lts_rejects_states_it_does_not_hold():
+    with pytest.raises(ValueError, match="initial state is not a state"):
+        Lts(frozenset({"s0"}), "s1", frozenset())
+    for edge in (("s0", "x", "s2"), ("s2", "x", "s0")):
+        with pytest.raises(ValueError, match="edge endpoint is not a state"):
+            Lts(frozenset({"s0", "s1"}), "s0", frozenset({("s0", "x", "s1"), edge}))
+    assert Lts(frozenset({"s0"}), "s0", frozenset()).edges == frozenset()
+
+
 def test_bisim_identical_systems():
     a = lts([("s0", "x", "s1")])
     assert bisim(a, a)
