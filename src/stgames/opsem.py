@@ -15,13 +15,15 @@ so livelocks count as compliant and the verdict says so.  Every step of a
 pair without ``rec`` consumes a prefix, a branch or a buffer, so only a
 recursive pair is searched for a cycle.
 
-A state is keyed by its printed form ``left || right``.  Terms keep their
-printed forms and unfoldings (see ``syntax``), so every distinct term
-object is printed and unfolded once, across explorations, and a
-successor's key costs two reads.  The step relations dispatch on a term's
-constructor once, read each label's kept text and tick flag, and build a
-commit's one-branch choice and a written buffer with ``syntax`` helpers
-that print them as they are built.
+An exploration keeps one table, keyed by ``state_key``: the printed form
+``left || right`` of each reached state, mapped to its breadth-first
+parent and edge label.  A stuck state also keeps its left term, which is
+all the verdict reads.  Terms keep their printed forms and unfoldings
+(see ``syntax``), so every distinct term object is printed and unfolded
+once, across explorations, and a successor's key costs two reads.  The
+step relations dispatch on a term's constructor once, read each label's
+kept text and tick flag, and build a commit's one-branch choice and a
+written buffer with ``syntax`` helpers that print them as they are built.
 """
 
 from __future__ import annotations
@@ -154,19 +156,14 @@ def _turn_side_steps(own: SessionType, other: SessionType):
     return ()
 
 
-def _turn_moves(left: SessionType, right: SessionType):
-    """Turn-based steps of ``left ∥ right`` as ``(label, side, left', right')``."""
-    moves = [(label, "left", nleft, nright)
-             for label, nleft, nright in _turn_side_steps(left, right)]
-    moves.extend((label, "right", nleft, nright)
-                 for label, nright, nleft in _turn_side_steps(right, left))
-    return moves
-
-
 def step_turn(config: Configuration) -> set[tuple[object, Configuration]]:
     """Successors under the turn-based rules, labelled with the fired action."""
-    return {(label, Configuration(left, right))
-            for label, _, left, right in _turn_moves(config.left, config.right)}
+    left, right = config.left, config.right
+    steps = {(label, Configuration(nleft, nright))
+             for label, nleft, nright in _turn_side_steps(left, right)}
+    steps.update((label, Configuration(nleft, nright))
+                 for label, nright, nleft in _turn_side_steps(right, left))
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -181,15 +178,17 @@ def _turn_moves_named(left: SessionType, right: SessionType):
 
 
 _MOVES = {"reduction": _reduce_moves, "turn": _turn_moves_named}
+# the constructor of the client's term at a stuck state that satisfies it
+_CLIENT_DONE = {"reduction": Success, "turn": Term0}
 _LABEL_AND_KEY = itemgetter(0, 1)
 
 
 @dataclass(frozen=True)
 class _Exploration:
     lts: Lts
-    stuck: frozenset[str]
-    parents: dict[str, tuple[str, str]]  # state -> (parent state, edge label)
-    configs: dict[str, Configuration]
+    stuck: dict[str, SessionType]  # stuck state -> its left term
+    # state -> (parent state, edge label), None at the start; its keys are the states
+    parents: dict[str, tuple[str, str] | None]
 
 
 def _explore(config: Configuration, semantics: str, state_limit: int) -> _Exploration:
@@ -199,10 +198,9 @@ def _explore(config: Configuration, semantics: str, state_limit: int) -> _Explor
         raise ValueError(f"unknown semantics {semantics!r}")
     moves = _MOVES[semantics]
     start = state_key(config.left, config.right)
-    seen: dict[str, Configuration] = {start: config}
-    parents: dict[str, tuple[str, str]] = {}
+    parents: dict[str, tuple[str, str] | None] = {start: None}
     edges: set[tuple[str, str, str]] = set()
-    stuck: set[str] = set()
+    stuck: dict[str, SessionType] = {}
     truncated = False
     queue: deque[tuple[str, SessionType, SessionType]] = deque([(start, config.left, config.right)])
     while queue:
@@ -210,28 +208,27 @@ def _explore(config: Configuration, semantics: str, state_limit: int) -> _Explor
         successors = [(label, state_key(left, right), left, right)
                       for label, left, right in moves(current_left, current_right)]
         if not successors:
-            stuck.add(state)
+            stuck[state] = current_left
         elif len(successors) > 1:
             # terms are not orderable: sort on (label, printed form) only
             successors.sort(key=_LABEL_AND_KEY)
         for label, nkey, left, right in successors:
-            if nkey not in seen:
-                if len(seen) >= state_limit:
+            if nkey not in parents:
+                if len(parents) >= state_limit:
                     truncated = True
                     continue
-                seen[nkey] = Configuration(left, right)
                 parents[nkey] = (state, label)
                 queue.append((nkey, left, right))
             edges.add((state, label, nkey))
-    lts = Lts(frozenset(seen), start, frozenset(edges), truncated)
-    return _Exploration(lts, frozenset(stuck), parents, seen)
+    lts = Lts(frozenset(parents), start, frozenset(edges), truncated)
+    return _Exploration(lts, stuck, parents)
 
 
 def explore(config: Configuration, state_limit: int = DEFAULT_STATE_LIMIT,
             semantics: str = "reduction") -> Lts:
     """Breadth-first closure of the chosen step relation from ``config``.
 
-    States are deduplicated by their printed form (``Configuration.key``);
+    States are named and deduplicated by ``state_key``, their printed form;
     hitting the state limit sets the truncation flag rather than failing.
     """
     return _explore(config, semantics, state_limit).lts
@@ -269,20 +266,14 @@ class ComplianceVerdict:
         }
 
 
-def _witness_path(parents: dict[str, tuple[str, str]], start: str, target: str) -> tuple[str, ...]:
+def _witness_path(parents: dict[str, tuple[str, str] | None], target: str) -> tuple[str, ...]:
     path: list[str] = []
-    node = target
-    while node != start:
-        parent, label = parents[node]
+    step = parents[target]
+    while step is not None:
+        node, label = step
         path.append(label)
-        node = parent
+        step = parents[node]
     return tuple(reversed(path))
-
-
-def _left_term_ok(config: Configuration, semantics: str) -> bool:
-    if semantics == "reduction":
-        return isinstance(config.left, Success)
-    return isinstance(config.left, Term0)
 
 
 def _check(p: SessionType, q: SessionType, semantics: str, state_limit: int,
@@ -290,18 +281,15 @@ def _check(p: SessionType, q: SessionType, semantics: str, state_limit: int,
     if validate_inputs:
         assert_valid(p, "client type")
         assert_valid(q, "server type")
-    config = Configuration(p, q)
-    exploration = _explore(config, semantics, state_limit)
+    exploration = _explore(Configuration(p, q), semantics, state_limit)
     lts = exploration.lts
-    bad = sorted(
-        key for key in exploration.stuck
-        if not _left_term_ok(exploration.configs[key], semantics)
-    )
+    done = _CLIENT_DONE[semantics]
+    bad = [key for key, left in exploration.stuck.items() if left.__class__ is not done]
     if bad:
-        # stuck states were found in BFS order, so the first parent chain is
-        # minimal-length; pick the lexicographically first among the shortest
-        witnesses = [_witness_path(exploration.parents, config.key(), key) for key in bad]
-        witness = min(witnesses, key=lambda w: (len(w), w))
+        # each parent chain is a shortest path, as BFS found it; pick the
+        # lexicographically first among the shortest
+        witness = min((_witness_path(exploration.parents, key) for key in bad),
+                      key=lambda w: (len(w), w))
         return ComplianceVerdict("non-compliant", semantics, witness, lts.truncated, lts=lts)
     if lts.truncated:
         return ComplianceVerdict(

@@ -20,7 +20,9 @@ rule scans every generator of every event, the design the per-event
 update replaced.  The reference explorer prints every successor
 configuration from scratch with its own printer, the design that printed
 forms kept on the terms replaced, over the step relations as they were
-before they dispatched on constructors and printed the terms they build.
+before they dispatched on constructors and printed the terms they build,
+and keeps a configuration per state, the design the explorer's one state
+table replaced.
 The reference JSON writer orders with
 ``id_sort_key`` inside every sort and encodes with ``json.dumps(indent=2)``,
 the design the rank table and the fixed-layout writer replaced.  The
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, product
 
@@ -49,6 +52,7 @@ from stgames.estructure import (
     make_es,
     remainder,
 )
+from stgames.opsem import Configuration, _Exploration
 from stgames.syntax import (
     IDENT_RE,
     INPUT,
@@ -1047,14 +1051,22 @@ def reference_turn_moves_named(left, right):
 REFERENCE_MOVES = {"reduction": reference_reduce_moves, "turn": reference_turn_moves_named}
 
 
+@dataclass(frozen=True)
+class ReferenceExploration(_Exploration):
+    """The library's exploration record, plus every reached configuration
+    by key, which the library no longer keeps."""
+
+    configs: dict
+
+
 def reference_explore(config, semantics, state_limit):
     """Breadth-first exploration as the string-keyed explorer did it: the
-    reference step relations, and ``reference_key`` on every successor.
-    Returns the library's ``_Exploration`` record."""
+    reference step relations, and ``reference_key`` on every successor,
+    with a ``Configuration`` kept per state.  Returns the library's
+    ``_Exploration`` record with those configurations added."""
     from collections import deque
 
     from stgames.lts import Lts
-    from stgames.opsem import _Exploration, Configuration
 
     if state_limit <= 0:
         raise ValueError("state limit must be positive")
@@ -1068,14 +1080,14 @@ def reference_explore(config, semantics, state_limit):
 
     start = reference_key(config)
     seen = {start: config}
-    parents, edges, stuck = {}, set(), set()
+    parents, edges, stuck = {start: None}, set(), {}
     truncated = False
     queue = deque([start])
     while queue:
         key = queue.popleft()
         successors = successors_of(seen[key])
         if not successors:
-            stuck.add(key)
+            stuck[key] = seen[key].left
         for label, nkey, nxt in successors:
             if nkey not in seen:
                 if len(seen) >= state_limit:
@@ -1086,7 +1098,7 @@ def reference_explore(config, semantics, state_limit):
                 queue.append(nkey)
             edges.add((key, label, nkey))
     lts = Lts(frozenset(seen), start, frozenset(edges), truncated)
-    return _Exploration(lts, frozenset(stuck), parents, seen)
+    return ReferenceExploration(lts, stuck, parents, seen)
 
 
 # ---------------------------------------------------------------------------

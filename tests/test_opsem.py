@@ -7,6 +7,7 @@ from conftest import (
     REFERENCE_MOVES,
     acceptance_pairs,
     large_pairs,
+    oracle_cases,
     reference_explore,
     reference_key,
     reference_pretty,
@@ -113,9 +114,11 @@ def test_turn_writer_blocked_until_read():
         if key in seen:
             continue
         seen.add(key)
-        for _, side, left, right in opsem._turn_moves(config.left, config.right):
-            holding = config.left if side == "left" else config.right
-            assert not isinstance(holding, Buffer)
+        for _, left, right in opsem._turn_side_steps(config.left, config.right):
+            assert not isinstance(config.left, Buffer)
+            frontier.append(Configuration(left, right))
+        for _, right, left in opsem._turn_side_steps(config.right, config.left):
+            assert not isinstance(config.right, Buffer)
             frontier.append(Configuration(left, right))
 
 
@@ -244,34 +247,42 @@ def test_checkers_agree_on_fixture_pairs(p, q):
 
 # -- oracle: the string-keyed explorer ----------------------------------------
 
+def _pairs(family):
+    if family == "large":
+        return large_pairs()
+    if family == "nested":
+        return [(p, q) for p, q, _ in oracle_cases("nested")]
+    return acceptance_pairs(family)
+
+
+def assert_explores_as_reference(client, server, semantics, limit) -> bool:
+    """The explorer's system, stuck states with their left terms and BFS
+    parents equal the reference explorer's; returns the truncation flag."""
+    got = opsem._explore(Configuration(client, server), semantics, limit)
+    want = reference_explore(Configuration(client, server), semantics, limit)
+    assert (got.lts, got.stuck, got.parents) == (want.lts, want.stuck, want.parents), \
+        (pretty(client), pretty(server), limit)
+    return got.lts.truncated
+
+
 @pytest.mark.parametrize("semantics", ["reduction", "turn"])
 @pytest.mark.parametrize("family,limits", [
     ("finite", (10**5, 7)),
     ("recursive", (10**5, 7)),
     ("large", (10**5, 30)),
+    ("nested", (10**5, 7)),
 ])
 def test_explore_matches_string_keyed_reference(family, limits, semantics, monkeypatch):
     # the explorer against one that prints every successor afresh with its
-    # own printer: same states, edges, stuck set, BFS parents and
-    # configurations, and the same verdicts, truncated runs included
-    pairs = large_pairs() if family == "large" else acceptance_pairs(family)
+    # own printer: same states, edges, stuck states with their left terms
+    # and BFS parents, and the same verdicts, truncated runs included
+    pairs = _pairs(family)
     check = check_compliance if semantics == "reduction" else check_compliance_turn
     runs = [(p, q, limit) for p, q in pairs for limit in limits]
-    truncated = 0
-    for p, q, limit in runs:
-        got = opsem._explore(Configuration(p, q), semantics, limit)
-        want = reference_explore(Configuration(p, q), semantics, limit)
-        assert (got.lts, got.stuck, got.parents, got.configs) == \
-            (want.lts, want.stuck, want.parents, want.configs), (pretty(p), pretty(q), limit)
-        truncated += got.lts.truncated
-    assert truncated > 0
+    assert sum(assert_explores_as_reference(p, q, semantics, limit) for p, q, limit in runs) > 0
     verdicts = [check(p, q, limit).to_json() for p, q, limit in runs]
     monkeypatch.setattr(opsem, "_explore", reference_explore)
     assert [check(p, q, limit).to_json() for p, q, limit in runs] == verdicts
-
-
-def _pairs(family):
-    return large_pairs() if family == "large" else acceptance_pairs(family)
 
 
 @pytest.mark.parametrize("semantics", ["reduction", "turn"])
@@ -280,8 +291,60 @@ def test_state_keys_are_fresh_prints(family, semantics):
     # every key, and Configuration.key() read from the stored forms, equals
     # a print of the state's two sides from scratch
     for p, q in _pairs(family):
-        for key, config in opsem._explore(Configuration(p, q), semantics, 10**5).configs.items():
+        configs = reference_explore(Configuration(p, q), semantics, 10**5).configs
+        assert opsem._explore(Configuration(p, q), semantics, 10**5).lts.states == set(configs)
+        for key, config in configs.items():
             assert key == config.key() == reference_key(config)
+
+
+# -- oracle: least shortest witnesses --------------------------------------------
+
+def _least_shortest_paths(lts: Lts) -> dict[str, tuple[str, ...]]:
+    # one breadth-first pass over the edges, a layer at a time: each state's
+    # shortest label path, the lexicographically least among equals
+    out: dict[str, list[tuple[str, str]]] = {}
+    for source, label, target in lts.edges:
+        out.setdefault(source, []).append((label, target))
+    paths = {lts.initial: ()}
+    layer = [lts.initial]
+    while layer:
+        reached: dict[str, tuple[str, ...]] = {}
+        for state in layer:
+            for label, target in out.get(state, ()):
+                if target not in paths:
+                    path = paths[state] + (label,)
+                    if target not in reached or path < reached[target]:
+                        reached[target] = path
+        paths.update(reached)
+        layer = list(reached)
+    return paths
+
+
+@pytest.mark.parametrize("semantics", ["reduction", "turn"])
+def test_witness_is_least_shortest_path_to_a_bad_stuck_state(semantics):
+    # stuck states read off the explored system, bad when the printed left
+    # side is not 1 (reduction) or 0 (turn); the witness is the least over
+    # (length, path) of the least shortest paths to them
+    check = check_compliance if semantics == "reduction" else check_compliance_turn
+    done = "1" if semantics == "reduction" else "0"
+    non_compliant = 0
+    for family in ("finite", "recursive", "nested", "large"):
+        for p, q in _pairs(family):
+            verdict = check(p, q)
+            lts = verdict.lts
+            assert not lts.truncated
+            sources = {source for source, _, _ in lts.edges}
+            bad = [state for state in lts.states
+                   if state not in sources and state.split(" || ")[0] != done]
+            if not bad:
+                assert verdict.witness is None, (pretty(p), pretty(q))
+                continue
+            non_compliant += 1
+            paths = _least_shortest_paths(lts)
+            want = min((paths[state] for state in bad), key=lambda w: (len(w), w))
+            assert verdict.status == "non-compliant"
+            assert verdict.witness == want, (pretty(p), pretty(q))
+    assert non_compliant == 143
 
 
 # -- oracle: the step relations -------------------------------------------------
@@ -296,7 +359,7 @@ def test_moves_match_reference_step_relations(family, semantics):
     moves = opsem._MOVES[semantics]
     reference = REFERENCE_MOVES[semantics]
     for p, q in _pairs(family):
-        for config in opsem._explore(Configuration(p, q), semantics, 10**5).configs.values():
+        for config in reference_explore(Configuration(p, q), semantics, 10**5).configs.values():
             got = moves(config.left, config.right)
             want = reference(config.left, config.right)
             assert got == want, reference_key(config)
