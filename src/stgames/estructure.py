@@ -24,6 +24,7 @@ from itertools import combinations
 from json.encoder import encode_basestring
 
 from .lts import Lts
+from .opsem import DEFAULT_STATE_LIMIT
 from .syntax import ActionLabel
 
 Generator = tuple[frozenset[str], str]
@@ -330,7 +331,7 @@ def canonical_key(es: EventStructureGen) -> str:
     return ";".join(parts)
 
 
-def ets(es: EventStructureGen, step_bound: int = 10**5, relabel: bool = False) -> Lts:
+def ets(es: EventStructureGen, step_bound: int = DEFAULT_STATE_LIMIT, relabel: bool = False) -> Lts:
     """The transition system whose states are the reachable configurations
     and whose edges fire one playable event.
 

@@ -524,7 +524,8 @@ def run_corpus(spec: CorpusSpec, state_limit: int = DEFAULT_STATE_LIMIT) -> Corp
 
         ts = turn.lts
         es_lts = contract_ets(report.contract, state_limit)
-        bound = bounded_bisim_depth(p, q, spec.unroll_depth)
+        # only a cut recursion bounds the comparison (see bounded_bisim_depth)
+        bound = bounded_bisim_depth(p, q, spec.unroll_depth) if report.bounded else None
         if ts.truncated or es_lts.truncated:
             fail("bisimulation", "state limit hit; systems not fully explored")
         elif bisim(ts, es_lts, bound):

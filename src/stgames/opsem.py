@@ -20,10 +20,11 @@ An exploration keeps one table, keyed by ``state_key``: the printed form
 parent and edge label.  A stuck state also keeps its left term, which is
 all the verdict reads.  Terms keep their printed forms and unfoldings
 (see ``syntax``), so every distinct term object is printed and unfolded
-once, across explorations, and a successor's key costs two reads.  The
-step relations dispatch on a term's constructor once, read each label's
-kept text and tick flag, and build a commit's one-branch choice and a
-written buffer with ``syntax`` helpers that print them as they are built.
+once, across explorations.  A commit's one-branch choice and a written
+buffer are new terms: ``state_key`` prints each when it first names it,
+and its continuation only if that keeps no form yet.  The step relations
+dispatch on a term's constructor once and read each label's kept text and
+tick flag.
 """
 
 from __future__ import annotations
@@ -46,8 +47,6 @@ from .syntax import (
     _pretty,
     assert_valid,
     is_recursive,
-    output_buffer,
-    output_prefix,
     unfold,
     unfold_top,
 )
@@ -89,7 +88,7 @@ def _component_steps(term: SessionType, side: str):
     if cls is InternalChoice:
         if len(term.branches) == 1:
             return (), term.branches
-        return [("commit " + label.text + side, output_prefix(label, cont))
+        return [("commit " + label.text + side, InternalChoice(((label, cont),)))
                 for label, cont in term.branches], ()
     if cls is ExternalChoice:
         return (), term.branches
@@ -142,7 +141,7 @@ def _turn_side_steps(own: SessionType, other: SessionType):
         own = unfold_top(own)
     cls = own.__class__
     if cls is InternalChoice:
-        return [(label, output_buffer(label, cont), other) for label, cont in own.branches]
+        return [(label, Buffer(label, cont), other) for label, cont in own.branches]
     if cls is ExternalChoice:
         peer = unfold_top(other) if other.__class__ is Rec else other
         if peer.__class__ is not Buffer or peer.action.is_tick:

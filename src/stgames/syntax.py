@@ -310,25 +310,27 @@ def pretty(term: SessionType) -> str:
 
 def _pretty(term: SessionType, top: bool) -> str:
     """The form of ``term`` at the top level or, if not ``top``, as the
-    continuation of a prefix; the first call keeps both forms on the term."""
+    continuation of a prefix; the first call keeps both forms on the term.
+    It dispatches on the term's exact class, choices and buffers first."""
     forms = getattr(term, "_printed", None)
     if forms is None:
+        cls = term.__class__
         grouped = False
-        if isinstance(term, Success):
-            text = "1"
-        elif isinstance(term, Term0):
-            text = "0"
-        elif isinstance(term, Var):
-            text = term.name
-        elif isinstance(term, Rec):
-            text = f"rec {term.var} . {_pretty(term.body, True)}"
-            grouped = True
-        elif isinstance(term, Buffer):
-            text = _buffer_text(term.action, term.cont)
-        elif isinstance(term, (InternalChoice, ExternalChoice)):
-            sep = " (+) " if isinstance(term, InternalChoice) else " + "
+        if cls is InternalChoice or cls is ExternalChoice:
+            sep = " (+) " if cls is InternalChoice else " + "
             text = sep.join([_pretty_branch(label, cont) for label, cont in term.branches])
             grouped = len(term.branches) != 1
+        elif cls is Buffer:
+            text = f"[{term.action.text}]{_pretty(term.cont, False)}"
+        elif cls is Rec:
+            text = f"rec {term.var} . {_pretty(term.body, True)}"
+            grouped = True
+        elif cls is Var:
+            text = term.name
+        elif cls is Success:
+            text = "1"
+        elif cls is Term0:
+            text = "0"
         else:
             raise TypeError(f"not a session type: {term!r}")
         forms = (text, f"({text})" if grouped else text)
@@ -338,29 +340,9 @@ def _pretty(term: SessionType, top: bool) -> str:
 
 def _pretty_branch(label: ActionLabel, cont: SessionType) -> str:
     head = f"{label.polarity}{label.name}"
-    if isinstance(cont, Success):
+    if cont.__class__ is Success:
         return head
     return f"{head}.{_pretty(cont, False)}"
-
-
-def _buffer_text(action: ActionLabel, cont: SessionType) -> str:
-    return f"[{action.text}]{_pretty(cont, False)}"
-
-
-def output_prefix(label: ActionLabel, cont: SessionType) -> InternalChoice:
-    """The one-branch internal choice ``label.cont``, printed as it is built."""
-    term = InternalChoice(((label, cont),))
-    text = _pretty_branch(label, cont)
-    object.__setattr__(term, "_printed", (text, text))
-    return term
-
-
-def output_buffer(action: ActionLabel, cont: SessionType) -> Buffer:
-    """The buffer ``[action]cont``, printed as it is built."""
-    term = Buffer(action, cont)
-    text = _buffer_text(action, cont)
-    object.__setattr__(term, "_printed", (text, text))
-    return term
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import acceptance_contracts, acceptance_pairs, acceptance_spec, reference_bisim
+from conftest import acceptance_contracts, acceptance_pairs, acceptance_spec, oracle_cases, reference_bisim
 from stgames.denote import denote, denote_par
 from stgames.estructure import EventStructureGen, ets
-from stgames.game import compose_session_contracts
+from stgames.game import approximant_depth, compose_session_contracts
 from stgames.harness import (
     CorpusSpec,
     bisim,
@@ -222,6 +222,18 @@ def test_bounded_bisim_depth_rules():
     assert bounded_bisim_depth(parse("rec x . !a.x"), parse("rec y . ?a.y"), 0) == 0
 
 
+def test_bounded_bisim_depth_is_none_exactly_when_no_recursion_is_cut():
+    # run_corpus reads the bound only for a bounded report, so the two must agree
+    checks = 0
+    for kind in ("finite", "recursive", "nested", "families"):
+        for p, q, depth in oracle_cases(kind):
+            for d in (depth, 0):
+                assert (bounded_bisim_depth(p, q, d) is None) == (approximant_depth(p, q, d) is None), \
+                    (pretty(p), pretty(q), d)
+                checks += 1
+    assert checks == 1592
+
+
 def test_unused_binder_is_exact_in_the_correspondence():
     # the game and compliance read the same decision: no bound, no truncation
     report = correspondence_check(parse("rec x . !a"), parse("?a"), 4)
@@ -238,6 +250,23 @@ def test_truncate_replaces_recursion_with_dead_process():
 
 def test_truncate_depth_zero_is_dead():
     assert truncate(parse("rec x . !a.x"), 0) == Term0()
+
+
+# how many client and server types each oracle_cases kind yields
+TRUNCATE_CASES = {"recursive": 200, "nested": 300, "families": 92}
+
+
+@pytest.mark.parametrize("kind", sorted(TRUNCATE_CASES))
+def test_truncate_denotes_the_approximant(kind):
+    # the bounded correspondence compares eager play on the depth-d
+    # approximant with compliance of the truncated types
+    cases = [(term, depth) for p, q, depth in oracle_cases(kind) for term in (p, q)]
+    assert len(cases) == TRUNCATE_CASES[kind]
+    for term, depth in cases:
+        approximant = denote(term, "A", depth)
+        truncated = denote(truncate(term, depth), "A", 0)
+        assert len(truncated.events) == len(approximant.events), (pretty(term), depth)
+        assert bisim(ets(truncated, relabel=True), ets(approximant, relabel=True)), (pretty(term), depth)
 
 
 def test_truncated_types_execute_under_both_checkers():

@@ -298,6 +298,12 @@ def test_pretty_round_trips(source):
     assert parse(pretty(term)) == term
 
 
+@pytest.mark.parametrize("value", [object(), None], ids=["object", "None"])
+def test_pretty_rejects_what_is_not_a_term(value):
+    with pytest.raises(TypeError, match=r"^not a session type: "):
+        pretty(value)
+
+
 _names = st.sampled_from(["a", "b", "c", "d"])
 
 
