@@ -38,8 +38,8 @@ class CliError(ValueError):
 def _load_type(text: str):
     if text.startswith("@"):
         try:
-            text = Path(text[1:]).read_text()
-        except OSError as exc:
+            text = Path(text[1:]).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise CliError(f"cannot read {text[1:]}: {exc}") from None
     try:
         term = parse(text)

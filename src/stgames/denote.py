@@ -6,9 +6,10 @@ generators of the whole structure, which is built and validated once at
 the end.  The walk passes down the premise of the events a subterm can
 start with: empty at the top, the prefix event below a prefix.  So each
 branch compiles to a causal chain; the branches of one choice conflict
-pairwise on their first events.  Recursion is compiled as a finite approximant of the
-fixpoint: the body is unfolded a bounded number of times, the variable
-mapping to the next (deeper) copy and finally to the empty structure.
+pairwise on their first events.  Recursion is compiled as a finite
+approximant of the fixpoint: the body is unfolded a bounded number of
+times, the variable mapping to the next (deeper) copy and finally to the
+empty structure, and the walk records whether it cut a recursion.
 
 Event ids are deterministic.  Positions of the original term are numbered
 in pre-order, odd for the left participant and even for the right.  Each
@@ -97,6 +98,8 @@ class _Compiler:
 
     ``ordinal`` and ``var_ordinal`` number the next event position and
     variable occurrence in pre-order; a copy restarts at its binder body's.
+    ``cut`` is set where the walk stops short of the fixpoint: a ``rec``
+    body skipped at depth 0, or a binding used with no depth left.
     """
 
     who: str
@@ -110,6 +113,7 @@ class _Compiler:
     chain: dict[str, int] = field(default_factory=dict)
     ordinal: int = 0
     var_ordinal: int = 0
+    cut: bool = False
 
     def add_initial(self, suffix: str, label: ActionLabel, under: frozenset[str]) -> str:
         event_id = f"e{self.start + self.step * self.ordinal}{suffix}"
@@ -148,6 +152,7 @@ class _Compiler:
                 self.fix((term.var, term.body, env, self.depth, self.ordinal, self.var_ordinal), suffix, under)
             else:
                 self.ordinal += _event_count(term.body)
+                self.cut = True
         else:
             raise DenoteError(f"cannot compile {term!r}")
 
@@ -161,6 +166,7 @@ class _Compiler:
         """
         var, body, env, depth, ordinal, var_ordinal = binding
         if depth <= 0:
+            self.cut = True
             return
         inner = {**env, var: (var, body, env, depth - 1, ordinal, var_ordinal)}
         self.ordinal, self.var_ordinal = ordinal, var_ordinal
@@ -302,9 +308,10 @@ def denote_par(left: EventStructureGen, right: EventStructureGen) -> EventStruct
 
 
 def denote_par_terms(client: SessionType, a: str, server: SessionType, b: str,
-                     unroll_depth: int = DEFAULT_UNROLL_DEPTH) -> EventStructureGen:
+                     unroll_depth: int = DEFAULT_UNROLL_DEPTH) -> tuple[EventStructureGen, bool]:
     """``denote_par(denote(client, a, d, "odd"), denote(server, b, d, "even"))``
-    at ``d = unroll_depth``, from one compile walk per type.
+    at ``d = unroll_depth``, from one compile walk per type, and whether
+    either walk cut a recursion (so the structure is only an approximant).
 
     Both types must already be valid (:func:`~stgames.syntax.validate`);
     ``compose_session_contracts`` checks them.  Each side's occurrences are
@@ -314,4 +321,4 @@ def denote_par_terms(client: SessionType, a: str, server: SessionType, b: str,
     """
     left = _compile(client, a, unroll_depth, "odd")
     right = _compile(server, b, unroll_depth, "even")
-    return _par(left, right, {**left.occurrences, **right.occurrences})
+    return _par(left, right, {**left.occurrences, **right.occurrences}), left.cut or right.cut

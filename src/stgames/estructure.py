@@ -341,7 +341,7 @@ def ets(es: EventStructureGen, step_bound: int = DEFAULT_STATE_LIMIT, relabel: b
     caps the states of ``es.arena(step_bound)``, setting the truncation flag.
     """
     if step_bound <= 0:
-        raise ValueError("step bound must be positive")
+        raise ValueError("state limit must be positive")
     arena = es.arena(step_bound)
     index = es.play_index
     labels = {eid: str(es.label_of(eid)) if relabel else eid for eid in index.ids}

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from .denote import DEFAULT_UNROLL_DEPTH, denote_par_terms
 from .estructure import Arena, EventStructureGen, id_sort_key, playable
 from .opsem import DEFAULT_STATE_LIMIT
-from .syntax import SessionType, assert_valid, is_recursive, min_loop_guard
+from .syntax import SessionType, assert_valid
 
 SUCCESS_PAYOFF = "success"
 
@@ -39,9 +39,9 @@ class Contract:
     """An event structure plus a payoff kind per participant.
 
     Every participant who could ever be obliged (owns the target of some
-    enabling) must have a payoff.  ``bounded_depth`` records that the
-    structure is a recursion approximant, so verdicts derived from it are
-    only exact up to that unrolling bound.
+    enabling) must have a payoff.  ``bounded_depth`` is the unrolling bound
+    when the compile walk cut a recursion: the structure is then only an
+    approximant, and verdicts derived from it are exact up to that bound.
     """
 
     es: EventStructureGen
@@ -99,17 +99,6 @@ def _merge_bounds(a: int | None, b: int | None) -> int | None:
     return min(a, b)
 
 
-def approximant_depth(p: SessionType, q: SessionType, unroll_depth: int) -> int | None:
-    """``unroll_depth`` when the depth-``unroll_depth`` denotations of ``p``
-    and ``q`` are only approximants, else ``None``.  Unrolling cuts a
-    recursion whose variable is used; depth 0 drops every recursion body."""
-    if unroll_depth == 0:
-        cut = is_recursive(p) or is_recursive(q)
-    else:
-        cut = min_loop_guard(p) is not None or min_loop_guard(q) is not None
-    return unroll_depth if cut else None
-
-
 def compose_session_contracts(p: SessionType, a: str, q: SessionType, b: str,
                               unroll_depth: int = DEFAULT_UNROLL_DEPTH) -> Contract:
     """The game arena for a client type ``p`` of ``a`` against server ``q`` of ``b``.
@@ -117,15 +106,15 @@ def compose_session_contracts(p: SessionType, a: str, q: SessionType, b: str,
     The event structure is the parallel composition of the two denotations
     (:func:`~stgames.denote.denote_par_terms`); each type is validated once,
     here.  Each participant gets the success payoff.  The result carries the
-    unrolling bound when the denotations are approximants
-    (:func:`approximant_depth`).
+    unrolling bound when either compile walk cut a recursion, which is when
+    the denotations are only approximants.
     """
     if a == b:
         raise ValueError("the two endpoints must belong to distinct participants")
     assert_valid(p, "client type")
     assert_valid(q, "server type")
-    es = denote_par_terms(p, a, q, b, unroll_depth)
-    return Contract(es, {a: SUCCESS_PAYOFF, b: SUCCESS_PAYOFF}, approximant_depth(p, q, unroll_depth))
+    es, cut = denote_par_terms(p, a, q, b, unroll_depth)
+    return Contract(es, {a: SUCCESS_PAYOFF, b: SUCCESS_PAYOFF}, unroll_depth if cut else None)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from .game import (
     Contract,
     GameVerdict,
     StateLimitError,
-    approximant_depth,
     compose_session_contracts,
     eager_winning,
     find_winning_strategy,
@@ -156,18 +155,18 @@ def bounded_bisim_depth(p: SessionType, q: SessionType,
                         unroll_depth: int = DEFAULT_UNROLL_DEPTH) -> int | None:
     """How many steps the truncated denotation provably tracks the real system.
 
-    ``None`` means the denotations are exact (no recursion is cut, see
-    :func:`~stgames.game.approximant_depth`) and so is the comparison.  A
-    deviation needs one side to fire more events than its approximant
-    holds, which takes more than ``unroll_depth * guard`` own events; since
-    no side can fire more than half the steps plus one, twice that bound
-    minus two is safe.  At depth 0 no event of a recursion is denoted at
-    all, so the bound is 0.  Above depth 0 a recursion is cut exactly when
-    its variable is used, which is when its loop guard exists, so each
-    type's guard is found once and decides both.
+    ``None`` means the denotations are exact (the compile walk cuts no
+    recursion) and so is the comparison.  A deviation needs one side to
+    fire more events than its approximant holds, which takes more than
+    ``unroll_depth * guard`` own events; since no side can fire more than
+    half the steps plus one, twice that bound minus two is safe.  Depth 0
+    cuts every recursion and denotes none of its events, so the bound is 0
+    when there is one.  Above depth 0 a recursion is cut exactly when its
+    variable is used, which is when its loop guard exists, so each type's
+    guard is found once and decides both.
     """
     if unroll_depth == 0:
-        return None if approximant_depth(p, q, 0) is None else 0
+        return 0 if is_recursive(p) or is_recursive(q) else None
     guards = [g for g in (min_loop_guard(p), min_loop_guard(q)) if g is not None]
     return max(1, 2 * unroll_depth * min(guards) - 2) if guards else None
 

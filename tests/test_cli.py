@@ -258,6 +258,26 @@ def test_type_from_file(tmp_path):
     assert json.loads(text)["agree"] is True
 
 
+def test_type_file_not_utf8_names_the_file(tmp_path, capsys):
+    server = tmp_path / "bad.st"
+    server.write_bytes(b"\xff")
+    assert run(["check", "!a", f"@{server}"])[0] == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {server}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", *EXAMPLE],
+    ["export", *EXAMPLE, "--what", "ts"],
+    ["export", *EXAMPLE, "--what", "ets"],
+    ["corpus", "--count", "1"],
+], ids=["check", "export-ts", "export-ets", "corpus"])
+def test_limit_zero_has_one_wording(argv, capsys):
+    assert run([*argv, "--limit", "0"]) == (2, "")
+    assert capsys.readouterr().err == "error: state limit must be positive\n"
+
+
 def test_output_byte_stable():
     first = run(["export", *EXAMPLE, "--what", "es"])
     second = run(["export", *EXAMPLE, "--what", "es"])

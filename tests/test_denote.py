@@ -14,7 +14,7 @@ import stgames
 from conftest import DEEP_FAMILIES, es_leq_oracle, oracle_cases, reference_denote, reference_denote_par
 from stgames.denote import DenoteError, _compile, denote, denote_par, fix_approx, occurrence_index
 from stgames.estructure import EMPTY_ES, Event, EventStructureGen, es_leq, es_to_json, make_es
-from stgames.game import approximant_depth, compose_session_contracts
+from stgames.game import compose_session_contracts
 from stgames.harness import CorpusSpec, corpus_pair, dual
 from stgames.syntax import TICK, Rec, out, parse
 
@@ -282,13 +282,16 @@ def test_denote_par_matches_reference_on_split_structures(small_structures):
 
 def assert_composes_as_denote_par(client, server, depth):
     """``compose_session_contracts`` builds what ``denote_par`` of the two
-    denotations builds, and each compile walk records the occurrences that
-    :func:`occurrence_index` reads off its structure."""
+    denotations builds, each compile walk records the occurrences that
+    :func:`occurrence_index` reads off its structure, and the contract is
+    bounded exactly when one more unrolling of either type adds an event."""
     left = denote(client, "A", unroll_depth=depth, parity="odd")
     right = denote(server, "B", unroll_depth=depth, parity="even")
     contract = compose_session_contracts(client, "A", server, "B", depth)
     assert es_to_json(contract.es) == es_to_json(denote_par(left, right))
-    assert contract.bounded_depth == approximant_depth(client, server, depth)
+    grows = any(len(denote(term, "A", depth + 1).events) > len(side.events)
+                for term, side in ((client, left), (server, right)))
+    assert contract.bounded_depth == (depth if grows else None)
     for term, parity, side in ((client, "odd", left), (server, "even", right)):
         assert _compile(term, "A", depth, parity).occurrences == occurrence_index(side)
 
@@ -296,7 +299,8 @@ def assert_composes_as_denote_par(client, server, depth):
 @pytest.mark.parametrize("kind", ["finite", "recursive", "families", "nested"])
 def test_composition_from_terms_matches_denote_par(kind):
     for client, server, depth in oracle_cases(kind):
-        assert_composes_as_denote_par(client, server, depth)
+        for d in sorted({0, 1, depth}):
+            assert_composes_as_denote_par(client, server, d)
 
 
 def test_composition_from_terms_rejects_negative_depth():
@@ -318,6 +322,30 @@ def test_composition_from_terms_builds_one_structure(monkeypatch):
     client = parse("rec x . (!a.?b.x (+) !c)")
     contract = compose_session_contracts(client, "A", dual(client), "B", 3)
     assert built == [contract.es]
+
+
+def test_composition_reads_the_cut_off_the_compile_walk(monkeypatch):
+    # the bounded label is recorded by the walk that unrolls, so composing
+    # reads no syntactic prediction of it
+    cases = [case for kind in ("finite", "recursive") for case in oracle_cases(kind)]
+    calls = []
+    for name in ("is_recursive", "min_loop_guard"):
+        original = getattr(stgames.syntax, name)
+
+        def counting(term, name=name, original=original):
+            calls.append(name)
+            return original(term)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("stgames") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    for client, server, depth in cases:
+        compose_session_contracts(client, "A", server, "B", depth)
+    assert calls == []
+    # the patch reaches callers: the harness still reads both names
+    for depth in (0, 1):
+        stgames.harness.bounded_bisim_depth(parse("rec x . !a.x"), parse("?a"), depth)
+    assert calls == ["is_recursive", "min_loop_guard", "min_loop_guard"]
 
 
 # -- recursion approximants ------------------------------------------------------

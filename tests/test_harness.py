@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import acceptance_contracts, acceptance_pairs, acceptance_spec, oracle_cases, reference_bisim
 from stgames.denote import denote, denote_par
 from stgames.estructure import EventStructureGen, ets
-from stgames.game import approximant_depth, compose_session_contracts
+from stgames.game import compose_session_contracts
 from stgames.harness import (
     CorpusSpec,
     bisim,
@@ -228,8 +228,8 @@ def test_bounded_bisim_depth_is_none_exactly_when_no_recursion_is_cut():
     for kind in ("finite", "recursive", "nested", "families"):
         for p, q, depth in oracle_cases(kind):
             for d in (depth, 0):
-                assert (bounded_bisim_depth(p, q, d) is None) == (approximant_depth(p, q, d) is None), \
-                    (pretty(p), pretty(q), d)
+                bounded = compose_session_contracts(p, "A", q, "B", d).bounded_depth
+                assert (bounded_bisim_depth(p, q, d) is None) == (bounded is None), (pretty(p), pretty(q), d)
                 checks += 1
     assert checks == 1592
 
