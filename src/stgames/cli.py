@@ -111,6 +111,9 @@ def _write(chunks, out) -> None:
 def cmd_export(args, out) -> int:
     p = _load_type(args.client)
     q = _load_type(args.server)
+    if args.limit <= 0:
+        # checked here, not where it is read, as `es` explores nothing
+        raise CliError("state limit must be positive")
     system = None
     if args.what == "ts":
         system = turn_lts(p, q, args.limit)

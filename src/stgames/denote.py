@@ -35,8 +35,8 @@ The rule has two callers.  :func:`denote_par_terms` composes a pair of
 valid session types: the compile walk counts each label along the causal
 chain as it makes the events, so each event's position comes with it, and
 only the composite structure is built.  :func:`denote_par` composes two
-given structures, hand-built ones included, and reads the positions off
-them with :func:`occurrence_index`.
+sequential denotations (forests) and reads the positions off them with
+:func:`occurrence_index`, which rejects any other shape.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .estructure import Event, EventStructureGen
+from .estructure import Event, EventStructureGen, id_sort_key
 from .syntax import (
     INPUT,
     OUTPUT,
@@ -105,7 +105,6 @@ class _Compiler:
     who: str
     start: int
     depth: int
-    step: int = 2
     events: list[Event] = field(default_factory=list)
     conflicts: set[frozenset[str]] = field(default_factory=set)
     gens: set[tuple[frozenset[str], str]] = field(default_factory=set)
@@ -116,7 +115,7 @@ class _Compiler:
     cut: bool = False
 
     def add_initial(self, suffix: str, label: ActionLabel, under: frozenset[str]) -> str:
-        event_id = f"e{self.start + self.step * self.ordinal}{suffix}"
+        event_id = f"e{self.start + 2 * self.ordinal}{suffix}"
         self.ordinal += 1
         if event_id in self.occurrences:
             raise DenoteError(f"event id {event_id} already used")
@@ -203,17 +202,6 @@ def denote(term: SessionType, who: str, unroll_depth: int = DEFAULT_UNROLL_DEPTH
     return _compile(term, who, unroll_depth, parity).structure()
 
 
-def fix_approx(var: str, body: SessionType, who: str,
-               depth: int = DEFAULT_UNROLL_DEPTH, parity: str = "odd") -> EventStructureGen:
-    """The ``depth``-th approximant of the recursion operator for ``rec var . body``.
-
-    Depth 0 is the empty structure; depth n+1 compiles the body with the
-    variable bound to the depth-n approximant, placed one unrolling deeper.
-    ``rec var . body`` must be closed.
-    """
-    return denote(Rec(var, body), who, depth, parity)
-
-
 # ---------------------------------------------------------------------------
 # Parallel composition
 # ---------------------------------------------------------------------------
@@ -221,41 +209,36 @@ def fix_approx(var: str, body: SessionType, who: str,
 def occurrence_index(es: EventStructureGen) -> dict[str, int]:
     """Position of each event among same-labelled events on its causal chain.
 
-    Ancestors are the transitive closure of generator premises, so a member
-    of a generator cycle is its own ancestor.  Sequential denotations are
-    forests, so this is the occurrence count along the unique path from the
-    root; the index aligns the k-th repetition of an action with the k-th
-    complementary event on the other side.  :func:`denote_par` reads it off
-    the structures it is given; :func:`denote_par_terms` has the compiler
-    record the same counts as it makes each event, with no walk up.
-
-    Each event's ancestors are found by a walk up its premises that stops at
-    events whose ancestors are already known and takes those in whole; a
-    known set is the full closure, so the result does not depend on the
-    order of ``es.events``.
+    ``es`` must be a forest, as sequential denotations are: each event has
+    at most one enabling, of at most one premise event (its parent), and no
+    chain of parents cycles.  An event's occurrence counts its label on the
+    path up to its root, itself included; the index aligns the k-th
+    repetition of an action with the k-th complementary event on the other
+    side.  Any other shape is a :class:`ValueError` naming the least event
+    in ``id_sort_key`` order with two enablings or premise events or, when
+    none has, on or below a cycle.
     """
-    ancestors: dict[str, set[str]] = {}
-    for event in es.events:
-        found: set[str] = set()
-        stack = [event.id]
-        while stack:
-            for premise in es.premises_of(stack.pop()):
-                for parent in premise - found:
-                    found.add(parent)
-                    known = ancestors.get(parent)
-                    if known is None:
-                        stack.append(parent)
-                    else:
-                        found |= known
-        ancestors[event.id] = found
-    labelled: dict[ActionLabel, set[str]] = {}
-    for event in es.events:
-        labelled.setdefault(event.label, set()).add(event.id)
-    return {event.id: 1 + len(ancestors[event.id] & labelled[event.label]) for event in es.events}
+    ids = sorted(es.event_ids, key=id_sort_key)
+    parent = {}
+    for event_id in ids:
+        premises = es.premises_of(event_id)
+        if len(premises) > 1 or premises and len(premises[0]) > 1:
+            shown = sorted(sorted(premise, key=id_sort_key) for premise in premises)
+            raise ValueError(f"not a forest: event {event_id} has premises {shown}")
+        parent[event_id] = next(iter(premises[0]), None) if premises else None
+    index = {}
+    for event_id in ids:
+        chain = [event_id]
+        while (node := parent[chain[-1]]) is not None:
+            if len(chain) == len(ids):  # one more would be longer than any chain of a forest
+                raise ValueError(f"not a forest: the chain above event {event_id} cycles")
+            chain.append(node)
+        index[event_id] = sum(es.label_of(other) == es.label_of(event_id) for other in chain)
+    return index
 
 
 def _par(left, right, occurrence: dict[str, int]) -> EventStructureGen:
-    """The partner rule on two sides with disjoint event ids.
+    """The partner rule on two forests with disjoint event ids.
 
     Each side has ``events`` (:class:`Event` objects), ``conflicts`` and
     ``gens``: a structure or a finished :class:`_Compiler`.  ``occurrence``
@@ -287,7 +270,7 @@ def _par(left, right, occurrence: dict[str, int]) -> EventStructureGen:
 
 
 def denote_par(left: EventStructureGen, right: EventStructureGen) -> EventStructureGen:
-    """Compose the event structures of two interacting participants.
+    """Compose two sequential denotations (forests) of interacting participants.
 
     Events, conflicts and labels are unions.  The partners of an event are
     the other side's events with the complementary label at the same
@@ -297,9 +280,9 @@ def denote_par(left: EventStructureGen, right: EventStructureGen) -> EventStruct
     for ``e`` itself (the output it consumes); one composite enabling
     ``(X ∪ choice, e)`` is emitted per choice of partners, so a needed event
     without partners kills the enabling.  Duplicates collapse; premises are
-    kept even when not conflict-free (such enablings never fire).  This is
-    the path for any two structures, hand-built ones included; a pair of
-    session types is composed by :func:`denote_par_terms`.
+    kept even when not conflict-free (such enablings never fire).  A side
+    that is not a forest is a :class:`ValueError`; a pair of session types
+    is composed by :func:`denote_par_terms`.
     """
     overlap = left.event_ids & right.event_ids
     if overlap:

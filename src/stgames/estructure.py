@@ -483,20 +483,6 @@ def es_to_json_dict(es: EventStructureGen) -> dict:
     return json.loads(es_to_json(es))
 
 
-def es_from_json_dict(data: dict) -> EventStructureGen:
-    events = [
-        Event(entry["id"], entry["participant"], ActionLabel.from_str(entry["label"]))
-        for entry in data["events"]
-    ]
-    conflicts = [tuple(pair) for pair in data.get("conflicts", [])]
-    gens = [(tuple(entry["premise"]), entry["target"]) for entry in data.get("enablings", [])]
-    return make_es(events, conflicts, gens)
-
-
-def es_from_json(text: str) -> EventStructureGen:
-    return es_from_json_dict(json.loads(text))
-
-
 def ets_to_dot(es: EventStructureGen, system: Lts, name: str = "ets") -> str:
     """DOT rendering of ``system``, the event-labelled system :func:`ets`
     explored from ``es``; edges show ``e / action``."""

@@ -270,7 +270,7 @@ def winning_play(play, participant: str, contract: Contract) -> bool:
 @dataclass(frozen=True)
 class GameVerdict:
     participant: str
-    strategy: str  # "eager" | "synthesized"
+    strategy: str  # always "eager"; `agree --strategy search` writes its own payload
     winning: bool
     counterexample: tuple[str, ...] | None = None
     bounded_depth: int | None = None

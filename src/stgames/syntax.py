@@ -63,14 +63,6 @@ class ActionLabel:
     def __str__(self) -> str:
         return self.text
 
-    @staticmethod
-    def from_str(text: str) -> ActionLabel:
-        if text == TICK_NAME:
-            return TICK
-        if len(text) >= 2 and text[0] in (OUTPUT, INPUT):
-            return ActionLabel(text[1:], text[0])
-        raise ValueError(f"not an action label: {text!r}")
-
 
 TICK = ActionLabel(TICK_NAME, OUTPUT)
 

@@ -215,6 +215,28 @@ def random_structure(rng: random.Random, max_events: int = 6) -> EventStructureG
     return make_es(events, conflicts, gens)
 
 
+def random_forest(rng: random.Random, max_events: int = 6) -> EventStructureGen:
+    """A structure whose A side (odd ids) and B side (even ids) are forests:
+    each event has one enabling, from an empty premise or from an earlier
+    event of its own participant (a ``✓`` event included), and a quarter of
+    each side's pairs conflict.  Labels repeat, as they are drawn from five."""
+    events = [Event(f"e{i}", "AB"[(i - 1) % 2], rng.choice(_LABEL_POOL))
+              for i in range(1, rng.randint(1, max_events) + 1)]
+    conflicts, gens = [], []
+    for i, event in enumerate(events):
+        own = [earlier.id for earlier in events[i % 2:i:2]]
+        conflicts += [(other, event.id) for other in own if rng.random() < 0.25]
+        parent = rng.choice([None, *own])
+        gens.append(((parent,) if parent else (), event.id))
+    return make_es(events, conflicts, gens)
+
+
+def random_forests(count: int) -> list[EventStructureGen]:
+    """The first ``count`` of one seeded sequence of :func:`random_forest`."""
+    rng = random.Random(4021)
+    return [random_forest(rng) for _ in range(count)]
+
+
 @pytest.fixture(scope="session")
 def small_structures():
     """The exhaustive two-event family plus a seeded sample up to six events."""

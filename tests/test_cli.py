@@ -269,10 +269,11 @@ def test_type_file_not_utf8_names_the_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["check", *EXAMPLE],
+    ["export", *EXAMPLE, "--what", "es"],
     ["export", *EXAMPLE, "--what", "ts"],
     ["export", *EXAMPLE, "--what", "ets"],
     ["corpus", "--count", "1"],
-], ids=["check", "export-ts", "export-ets", "corpus"])
+], ids=["check", "export-es", "export-ts", "export-ets", "corpus"])
 def test_limit_zero_has_one_wording(argv, capsys):
     assert run([*argv, "--limit", "0"]) == (2, "")
     assert capsys.readouterr().err == "error: state limit must be positive\n"

@@ -11,8 +11,15 @@ import pytest
 
 import stgames
 
-from conftest import DEEP_FAMILIES, es_leq_oracle, oracle_cases, reference_denote, reference_denote_par
-from stgames.denote import DenoteError, _compile, denote, denote_par, fix_approx, occurrence_index
+from conftest import (
+    DEEP_FAMILIES,
+    es_leq_oracle,
+    oracle_cases,
+    random_forests,
+    reference_denote,
+    reference_denote_par,
+)
+from stgames.denote import DenoteError, _compile, denote, denote_par, occurrence_index
 from stgames.estructure import EMPTY_ES, Event, EventStructureGen, es_leq, es_to_json, make_es
 from stgames.game import compose_session_contracts
 from stgames.harness import CorpusSpec, corpus_pair, dual
@@ -173,36 +180,40 @@ def test_occurrence_index_counts_same_label_ancestors():
     assert occ["e5"] == 2  # second !a
 
 
-# a left side whose two !a events enable each other, against a ?a chain
-CYCLIC_PAR = """
+# one side per shape that is not a forest, each breaking the rule at two
+# events, against a ?a chain; each error names the lesser event
+NOT_FORESTS = """
 from stgames.denote import denote_par
-from stgames.estructure import Event, es_to_json, make_es
+from stgames.estructure import Event, make_es
 from stgames.syntax import inp, out
 
-left = make_es([Event("e1", "A", out("a")), Event("e3", "A", out("a"))], (),
-               [(("e3",), "e1"), (("e1",), "e3"), ((), "e1")])
 right = make_es([Event(f"e{i}", "B", inp("a")) for i in (2, 4, 6)], (),
                 [((), "e2"), (("e2",), "e4"), (("e4",), "e6")])
-print(es_to_json(denote_par(left, right)))
+events = [Event(f"e{i}", "A", out("a")) for i in (1, 3, 5, 7, 9)]
+for gens in (
+    [((), "e1"), ((), "e3"), (("e1",), "e9"), (("e3",), "e9"), ((), "e5"), (("e1",), "e5")],
+    [((), "e1"), ((), "e3"), (("e1", "e3"), "e9"), (("e1", "e3"), "e7")],
+    [((), "e1"), (("e9",), "e3"), (("e3",), "e9"), (("e7",), "e5"), (("e5",), "e7")],
+):
+    try:
+        denote_par(make_es(events, (), gens), right)
+    except ValueError as exc:
+        print(exc)
 """
 
 
-def test_occurrence_index_on_a_cycle_is_the_closure():
-    left = make_es([Event("e1", "A", out("a")), Event("e3", "A", out("a"))], (),
-                   [(("e3",), "e1"), (("e1",), "e3"), ((), "e1")])
-    # each !a has both !a events, itself included, as ancestors
-    assert occurrence_index(left) == {"e1": 3, "e3": 3}
-
-
-def test_denote_par_on_a_cycle_does_not_depend_on_hash_order():
+def test_denote_par_rejects_non_forests_whatever_the_hash_order():
     env = {**os.environ, "PYTHONPATH": str(Path(stgames.__file__).parents[1])}
     outputs = {
-        subprocess.run([sys.executable, "-c", CYCLIC_PAR], env={**env, "PYTHONHASHSEED": seed},
+        subprocess.run([sys.executable, "-c", NOT_FORESTS], env={**env, "PYTHONHASHSEED": seed},
                        capture_output=True, text=True, check=True).stdout
         for seed in ("1", "2")
     }
-    assert len(outputs) == 1
-    assert '"premise": [\n        "e1",\n        "e6"\n      ],\n      "target": "e3"' in outputs.pop()
+    assert outputs == {
+        "not a forest: event e5 has premises [[], ['e1']]\n"
+        "not a forest: event e7 has premises [['e1', 'e3']]\n"
+        "not a forest: the chain above event e3 cycles\n"
+    }
 
 
 def test_paycash_composition():
@@ -250,10 +261,6 @@ def test_denote_matches_per_node_reference(kind):
         assert es_to_json(left) == es_to_json(ref_left)
         assert es_to_json(right) == es_to_json(ref_right)
         assert es_to_json(denote_par(left, right)) == es_to_json(reference_denote_par(ref_left, ref_right))
-        for term, who, parity, ref in ((client, "A", "odd", ref_left), (server, "B", "even", ref_right)):
-            if isinstance(term, Rec):
-                approx = fix_approx(term.var, term.body, who, depth=depth, parity=parity)
-                assert es_to_json(approx) == es_to_json(ref)
 
 
 def _split_by_participant(es):
@@ -270,12 +277,43 @@ def _split_by_participant(es):
     return sides
 
 
-def test_denote_par_matches_reference_on_split_structures(small_structures):
-    # hand-built sides with repeated labels, and with ✓ in premises and
-    # generator cycles, which no compiled session type produces
-    for es in small_structures:
-        left, right = _split_by_participant(es)
+def _is_forest(es):
+    """At most one enabling per event, of at most one premise event, and
+    every event removed by peeling off, round by round, the events with no
+    parent left."""
+    if any(len(ps) > 1 or any(len(p) > 1 for p in ps) for ps in map(es.premises_of, es.event_ids)):
+        return False
+    parents = {eid: set().union(*es.premises_of(eid)) for eid in es.event_ids}
+    left = set(parents)
+    while roots := {eid for eid in left if not parents[eid] & left}:
+        left -= roots
+    return not left
+
+
+def assert_forest_par_matches_reference(es):
+    """``denote_par`` of the two sides of ``es`` equals the reference when
+    both are forests, and raises ``ValueError`` otherwise.  Returns whether
+    they were forests."""
+    left, right = _split_by_participant(es)
+    if _is_forest(left) and _is_forest(right):
         assert es_to_json(denote_par(left, right)) == es_to_json(reference_denote_par(left, right))
+        return True
+    with pytest.raises(ValueError, match="^not a forest: "):
+        denote_par(left, right)
+    return False
+
+
+def test_denote_par_matches_reference_on_split_structures(small_structures):
+    # hand-built sides with repeated labels and ✓ events with children; the
+    # splits with two enablings, a two-event premise or a cycle are rejected
+    composed = [assert_forest_par_matches_reference(es) for es in small_structures]
+    assert (len(composed), sum(composed)) == (813, 401)
+    forests = random_forests(300)
+    assert all(map(assert_forest_par_matches_reference, forests))
+    # of those, 57 have a ✓ event with a child and 47 a label repeated on a chain
+    assert sum(any(es.label_of(parent).is_tick for premise, _ in es.gens for parent in premise)
+               for es in forests) == 57
+    assert sum(max(occurrence_index(es).values()) > 1 for es in forests) == 47
 
 
 # -- oracle: composition from terms against denote_par of the denotations --------
@@ -351,11 +389,11 @@ def test_composition_reads_the_cut_off_the_compile_walk(monkeypatch):
 # -- recursion approximants ------------------------------------------------------
 
 def test_fix_depth_zero_is_bottom():
-    assert fix_approx("x", parse("!a.x"), "A", depth=0) == EMPTY_ES
+    assert denote(Rec("x", parse("!a.x")), "A", 0) == EMPTY_ES
 
 
 def test_fix_depth_one_single_event():
-    es = fix_approx("x", parse("!a.x"), "A", depth=1)
+    es = denote(Rec("x", parse("!a.x")), "A", 1)
     (event,) = es.events
     assert str(event.label) == "!a"
     assert gens_of(es) == G(((), event.id))
@@ -363,7 +401,7 @@ def test_fix_depth_one_single_event():
 
 def test_fix_chain_increases():
     body = parse("!a.x")
-    approximants = [fix_approx("x", body, "A", depth=k) for k in range(4)]
+    approximants = [denote(Rec("x", body), "A", k) for k in range(4)]
     for small, big in zip(approximants, approximants[1:]):
         assert es_leq(small, big)
         assert es_leq_oracle(small, big)

@@ -167,8 +167,8 @@ def test_co_of_tick_undefined():
 
 
 def test_action_label_string_roundtrip():
-    for label in (out("a"), inp("x_1"), TICK):
-        assert ActionLabel.from_str(str(label)) == label
+    assert [str(label) for label in (out("a"), inp("x_1"), TICK, ActionLabel("✓", "?"))] == [
+        "!a", "?x_1", "✓", "?✓"]
 
 
 # -- validation --------------------------------------------------------------
