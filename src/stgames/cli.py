@@ -111,9 +111,12 @@ def _write(chunks, out) -> None:
 def cmd_export(args, out) -> int:
     p = _load_type(args.client)
     q = _load_type(args.server)
+    # both checked here, not where they are read: `es` explores nothing and
+    # `ts` composes nothing
     if args.limit <= 0:
-        # checked here, not where it is read, as `es` explores nothing
         raise CliError("state limit must be positive")
+    if args.depth < 0:
+        raise CliError("unroll depth must be non-negative")
     system = None
     if args.what == "ts":
         system = turn_lts(p, q, args.limit)
@@ -129,7 +132,7 @@ def cmd_export(args, out) -> int:
             chunks = [ets_to_dot(composed, system)]
     if args.output:
         try:
-            with open(args.output, "w") as dest:
+            with open(args.output, "w", encoding="utf-8") as dest:
                 _write(chunks, dest)
         except OSError as exc:
             raise CliError(f"cannot write {args.output}: {exc}") from None

@@ -23,8 +23,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from json.encoder import encode_basestring
 
-from .lts import Lts
-from .opsem import DEFAULT_STATE_LIMIT
+from .lts import DEFAULT_STATE_LIMIT, Lts
 from .syntax import ActionLabel
 
 Generator = tuple[frozenset[str], str]
@@ -483,7 +482,7 @@ def es_to_json_dict(es: EventStructureGen) -> dict:
     return json.loads(es_to_json(es))
 
 
-def ets_to_dot(es: EventStructureGen, system: Lts, name: str = "ets") -> str:
+def ets_to_dot(es: EventStructureGen, system: Lts) -> str:
     """DOT rendering of ``system``, the event-labelled system :func:`ets`
-    explored from ``es``; edges show ``e / action``."""
-    return system.to_dot(name=name, edge_label={e.id: f"{e.id} / {e.label}" for e in es.events})
+    explored from ``es``, as graph ``ets``; edges show ``e / action``."""
+    return system.to_dot(name="ets", edge_label={e.id: f"{e.id} / {e.label}" for e in es.events})

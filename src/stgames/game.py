@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .denote import DEFAULT_UNROLL_DEPTH, denote_par_terms
 from .estructure import Arena, EventStructureGen, id_sort_key, playable
-from .opsem import DEFAULT_STATE_LIMIT
+from .lts import DEFAULT_STATE_LIMIT
 from .syntax import SessionType, assert_valid
 
 SUCCESS_PAYOFF = "success"
@@ -270,7 +270,6 @@ def winning_play(play, participant: str, contract: Contract) -> bool:
 @dataclass(frozen=True)
 class GameVerdict:
     participant: str
-    strategy: str  # always "eager"; `agree --strategy search` writes its own payload
     winning: bool
     counterexample: tuple[str, ...] | None = None
     bounded_depth: int | None = None
@@ -278,7 +277,7 @@ class GameVerdict:
     def to_json(self) -> dict:
         return {
             "participant": self.participant,
-            "strategy": self.strategy,
+            "strategy": "eager",  # `agree --strategy search` writes its own payload
             "winning": self.winning,
             "counterexample": list(self.counterexample) if self.counterexample is not None else None,
             "bounded_depth": self.bounded_depth,
@@ -326,7 +325,7 @@ def eager_winning(contract: Contract, participant: str) -> GameVerdict:
         owner_first = sorted(successors[i], key=lambda edge: not bit[edge[0]] & own)
         move, i = next(edge for edge in owner_first if lost[edge[1]])
         trail.append(move)
-    return GameVerdict(participant, "eager", not lost[0], tuple(trail) if lost[0] else None,
+    return GameVerdict(participant, not lost[0], tuple(trail) if lost[0] else None,
                        contract.bounded_depth)
 
 

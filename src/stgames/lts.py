@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# the default bound on the states an exploration or a game arena reaches
+DEFAULT_STATE_LIMIT = 10**5
+
 
 @dataclass(frozen=True)
 class Lts:

@@ -33,7 +33,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .lts import Lts
+from .lts import DEFAULT_STATE_LIMIT, Lts
 from .syntax import (
     TERM0,
     TICK,
@@ -51,7 +51,8 @@ from .syntax import (
     unfold_top,
 )
 
-DEFAULT_STATE_LIMIT = 10**5
+# one step of ``left ∥ right``: (tag or printed action, left', right')
+Step = tuple[str, SessionType, SessionType]
 
 
 def state_key(left: SessionType, right: SessionType) -> str:
@@ -99,8 +100,13 @@ def _component_steps(term: SessionType, side: str):
     return (), ()
 
 
-def _reduce_moves(left: SessionType, right: SessionType):
-    """Reduction steps of ``left ∥ right`` as ``(tag, left', right')``."""
+def step_reduce(left: SessionType, right: SessionType) -> list[Step]:
+    """Reduction steps of ``left ∥ right`` as ``(tag, left', right')``.
+
+    All steps are internal; the tag names the rule that fired (``commit !a
+    (left)``, ``unfold (right)``, ``sync a``) so that witness paths read
+    well.  An empty list means the state is stuck.
+    """
     left_internal, left_labelled = _component_steps(left, " (left)")
     right_internal, right_labelled = _component_steps(right, " (right)")
     moves = [(tag, successor, right) for tag, successor in left_internal]
@@ -114,17 +120,6 @@ def _reduce_moves(left: SessionType, right: SessionType):
                     and not rlabel.is_tick):
                 moves.append(("sync " + llabel.name, lcont, rcont))
     return moves
-
-
-def step_reduce(config: Configuration) -> set[tuple[str, Configuration]]:
-    """Successor configurations, each tagged with a description of the step.
-
-    All steps are internal; the tag names the rule that fired so that
-    witness paths read well.  An empty result means the configuration is
-    stuck.
-    """
-    return {(tag, Configuration(left, right))
-            for tag, left, right in _reduce_moves(config.left, config.right)}
 
 
 # ---------------------------------------------------------------------------
@@ -155,28 +150,19 @@ def _turn_side_steps(own: SessionType, other: SessionType):
     return ()
 
 
-def step_turn(config: Configuration) -> set[tuple[object, Configuration]]:
-    """Successors under the turn-based rules, labelled with the fired action."""
-    left, right = config.left, config.right
-    steps = {(label, Configuration(nleft, nright))
-             for label, nleft, nright in _turn_side_steps(left, right)}
-    steps.update((label, Configuration(nleft, nright))
-                 for label, nright, nleft in _turn_side_steps(right, left))
-    return steps
+def step_turn(left: SessionType, right: SessionType) -> list[Step]:
+    """Turn-based steps of ``left ∥ right`` as ``(action, left', right')``,
+    the fired action printed (``!a``, ``?a``, ``✓``); the left side's first."""
+    moves = [(label.text, nleft, nright) for label, nleft, nright in _turn_side_steps(left, right)]
+    moves += [(label.text, nleft, nright) for label, nright, nleft in _turn_side_steps(right, left)]
+    return moves
 
 
 # ---------------------------------------------------------------------------
 # Exploration
 # ---------------------------------------------------------------------------
 
-def _turn_moves_named(left: SessionType, right: SessionType):
-    """Turn-based steps of ``left ∥ right`` as ``(label text, left', right')``."""
-    moves = [(label.text, nleft, nright) for label, nleft, nright in _turn_side_steps(left, right)]
-    moves += [(label.text, nleft, nright) for label, nright, nleft in _turn_side_steps(right, left)]
-    return moves
-
-
-_MOVES = {"reduction": _reduce_moves, "turn": _turn_moves_named}
+_MOVES = {"reduction": step_reduce, "turn": step_turn}
 # the constructor of the client's term at a stuck state that satisfies it
 _CLIENT_DONE = {"reduction": Success, "turn": Term0}
 _LABEL_AND_KEY = itemgetter(0, 1)

@@ -457,7 +457,7 @@ def reference_eager_winning(contract, participant):
         return None
 
     failure = search(contract.es, False, ())
-    return GameVerdict(participant, "eager", failure is None, failure, contract.bounded_depth)
+    return GameVerdict(participant, failure is None, failure, contract.bounded_depth)
 
 
 def reference_find_winning_strategy(contract, participant):
@@ -537,7 +537,7 @@ def dfs_eager_winning(contract, participant):
         return None
 
     failure = search(0, index.initial, ())
-    return GameVerdict(participant, "eager", failure is None, failure, contract.bounded_depth)
+    return GameVerdict(participant, failure is None, failure, contract.bounded_depth)
 
 
 def dfs_find_winning_strategy(contract, participant):

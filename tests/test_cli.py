@@ -245,6 +245,22 @@ def test_export_memory_follows_the_structure_not_its_text():
     assert sink.chars == 2 * (len(es_to_json(compose().es)) + 1)
 
 
+def test_export_to_file_is_utf8_whatever_the_locale(tmp_path):
+    # under the C locale with UTF-8 mode off, the locale's encoding is ASCII,
+    # which cannot encode the ✓ in either export
+    env = {**os.environ, "PYTHONPATH": str(Path(stgames.__file__).parents[1]),
+           "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+    for what in ("es", "ets"):
+        target = tmp_path / f"{what}.out"
+        argv = ["export", "!a", "?a", "--what", what]
+        done = subprocess.run([sys.executable, "-m", "stgames.cli", *argv, "-o", str(target)],
+                              env=env, capture_output=True)
+        assert (done.returncode, done.stderr) == (0, b""), what
+        code, text = run(argv)
+        assert code == 0 and "✓" in text
+        assert target.read_bytes() == text.encode("utf-8"), what
+
+
 def test_export_unwritable_path_exit_two():
     code, _ = run(["export", *EXAMPLE, "--what", "es", "-o", "/nonexistent-dir/es.json"])
     assert code == 2
@@ -252,7 +268,7 @@ def test_export_unwritable_path_exit_two():
 
 def test_type_from_file(tmp_path):
     client = tmp_path / "p.st"
-    client.write_text(EXAMPLE[0])
+    client.write_text(EXAMPLE[0], encoding="utf-8")
     code, text = run(["check", f"@{client}", EXAMPLE[1]])
     assert code == 0
     assert json.loads(text)["agree"] is True
@@ -279,6 +295,18 @@ def test_limit_zero_has_one_wording(argv, capsys):
     assert capsys.readouterr().err == "error: state limit must be positive\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["agree", *EXAMPLE],
+    ["export", *EXAMPLE, "--what", "es"],
+    ["export", *EXAMPLE, "--what", "ts"],
+    ["export", *EXAMPLE, "--what", "ets"],
+], ids=["agree", "export-es", "export-ts", "export-ets"])
+def test_negative_depth_has_one_wording(argv, capsys):
+    # export checks --depth whatever --what is, also for ts, which composes nothing
+    assert run([*argv, "--depth", "-1"]) == (2, "")
+    assert capsys.readouterr().err == "error: unroll depth must be non-negative\n"
+
+
 def test_output_byte_stable():
     first = run(["export", *EXAMPLE, "--what", "es"])
     second = run(["export", *EXAMPLE, "--what", "es"])
@@ -293,7 +321,7 @@ def test_output_matches_golden_digests():
     # `export --what ts` on three more (one also at a truncating --limit),
     # recorded once, so an output change between versions fails here
     # unless it is deliberate
-    golden = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+    golden = json.loads((Path(__file__).parent / "golden_cli.json").read_text(encoding="utf-8"))
     assert len(golden) == 19
     for case in golden:
         code, text = run(case["argv"])

@@ -206,7 +206,7 @@ def test_denote_par_rejects_non_forests_whatever_the_hash_order():
     env = {**os.environ, "PYTHONPATH": str(Path(stgames.__file__).parents[1])}
     outputs = {
         subprocess.run([sys.executable, "-c", NOT_FORESTS], env={**env, "PYTHONHASHSEED": seed},
-                       capture_output=True, text=True, check=True).stdout
+                       capture_output=True, text=True, encoding="utf-8", check=True).stdout
         for seed in ("1", "2")
     }
     assert outputs == {

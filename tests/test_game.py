@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -42,7 +43,8 @@ from stgames.game import (
     winning_play,
 )
 from stgames.harness import CorpusSpec, dual, run_corpus
-from stgames.syntax import TICK, out, parse
+from stgames.opsem import check_compliance, step_turn
+from stgames.syntax import TICK, Term0, out, parse
 
 
 @pytest.fixture(scope="module")
@@ -407,6 +409,44 @@ def assert_games_match_dfs(client, server, depth):
 def test_arena_passes_match_depth_first_engines(kind):
     for client, server, depth in oracle_cases(kind):
         assert_games_match_dfs(client, server, depth)
+
+
+# -- eager counterexamples against the turn-based step relation -------------------
+
+def _replays_to_a_loss(client, server, es, counterexample, side: int) -> bool:
+    """Whether the counterexample's actions, fired in turn from ``client ∥
+    server`` through ``step_turn``, can reach a stuck pair whose ``side``
+    (0 the client's, 1 the server's) is not ``0``."""
+    pairs = [(client, server)]
+    for event in counterexample:
+        action = str(es.label_of(event))
+        pairs = [(left, right) for pair in pairs
+                 for label, left, right in step_turn(*pair) if label == action]
+    return any(not step_turn(*pair) and pair[side].__class__ is not Term0 for pair in pairs)
+
+
+@pytest.mark.parametrize("kind, want", [
+    ("finite", {("A", True, True): 226, ("B", True, True): 226}),
+    # at depth 4 every stop the unrolling cut off is a loss: 42 of A's losing
+    # stops and 43 of B's exist only in the truncated structure, the known
+    # defect of ROADMAP items 2 and 11, so they replay to a live pair; the
+    # others replay exactly where the loser's side is non-compliant
+    ("recursive", {("A", True, True): 58, ("A", False, False): 42,
+                   ("B", True, True): 38, ("B", False, False): 43}),
+])
+def test_eager_counterexamples_replay_through_step_turn(kind, want):
+    # (loser, replays to a loss, loser's side non-compliant) per losing verdict
+    seen = Counter()
+    for client, server, depth in oracle_cases(kind):
+        contract = compose_session_contracts(client, "A", server, "B", depth)
+        for who, side in (("A", 0), ("B", 1)):
+            verdict = eager_winning(contract, who)
+            if verdict.winning:
+                continue
+            replays = _replays_to_a_loss(client, server, contract.es, verdict.counterexample, side)
+            own, other = (client, server) if side == 0 else (server, client)
+            seen[who, replays, not check_compliance(own, other).is_compliant] += 1
+    assert seen == want
 
 
 def _frame_depth() -> int:
