@@ -6,10 +6,11 @@ structure JSON, event-labelled DOT, turn-based DOT) and ``corpus`` (the
 randomised theorem harness).  Types are given inline or with ``@file``.
 
 Exit codes: 0 for a positive verdict (compliant / winning / clean corpus),
-1 for a negative one, 2 for errors, indeterminate results and an ``agree``
-whose game arena hit the default state limit, 2 for an ``export --what
-ts|ets`` whose system hit ``--limit`` (the truncated system is still
-written, and stderr says so), and 2 with nothing on stderr when the reader
+1 for a negative one, 2 for errors (running out of memory included),
+indeterminate results and an ``agree`` whose game arena hit the default
+state limit, 2 for an ``export --what ts|ets`` whose system hit
+``--limit`` (the truncated system is still written, and stderr says so),
+and 2 with nothing on stderr when the reader
 closes stdout early (``stgames export ... | head``).  ``export`` writes its pieces as it
 makes them, so such an export has already written part of its output;
 it still exits 2.
@@ -18,6 +19,7 @@ it still exits 2.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -227,12 +229,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None, out=None) -> int:
     """Run one command and return its exit code (see the module docstring).
 
-    ``argv`` defaults to ``sys.argv[1:]`` and ``out`` to ``sys.stdout``.
-    Argparse errors and ``--help`` raise ``SystemExit`` (2 and 0) as
-    argparse does; every other failure is a one-line ``error:`` on stderr
-    and exit 2.
+    ``argv`` defaults to ``sys.argv[1:]`` and ``out`` to ``sys.stdout``,
+    which is switched to UTF-8 whatever the locale, as ``-o`` files are
+    written.  Argparse errors and ``--help`` raise ``SystemExit`` (2 and 0)
+    as argparse does; every other failure is a one-line ``error:`` on
+    stderr and exit 2.
     """
-    out = out if out is not None else sys.stdout
+    if out is None:
+        out = sys.stdout
+        # a replaced stream (a StringIO) has no encoding to switch
+        if isinstance(out, io.TextIOWrapper):
+            out.reconfigure(encoding="utf-8")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -251,6 +258,14 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return 2
     except RecursionError:
         print("error: input nested too deeply to analyse (recursion limit reached)", file=sys.stderr)
+        return 2
+    except (MemoryError, SystemError) as exc:
+        # CPython 3.11 and 3.12 raise this SystemError in place of a
+        # MemoryError when a Python call finds no memory for its frame
+        if isinstance(exc, SystemError) and str(exc) != "error return without exception set":
+            raise
+        print("error: out of memory (the input is too large to analyse at this depth or limit)",
+              file=sys.stderr)
         return 2
 
 

@@ -27,9 +27,13 @@ position along their own causal chain; a success event has none.  Each
 enabling of one side needs a partner for every premise event and, when its
 target is an input, for the target itself (the output it consumes).  The
 position pins each handshake to one partner per repetition while still
-allowing alternatives across incompatible branches.  Premises are not
-filtered for conflict-freeness; combinations drawing from mutually
-exclusive branches are inert.
+allowing alternatives across incompatible branches.  The composite keeps
+one enabling per component enabling, with the partners of each needed
+event as one partner set: a single partner joins the premise, and an
+event with none drops the enabling.  So the product of the partner sets,
+one generator per choice, is never built.  Partners are not filtered for
+conflict-freeness; choices drawing from mutually exclusive branches are
+inert.
 
 The rule has two callers.  :func:`denote_par_terms` composes a pair of
 valid session types: the compile walk counts each label along the causal
@@ -42,9 +46,9 @@ sequential denotations (forests) and reads the positions off them with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 
-from .estructure import Event, EventStructureGen, id_sort_key
+from .estructure import Enabling, Event, EventStructureGen, id_sort_key
 from .syntax import (
     INPUT,
     OUTPUT,
@@ -67,6 +71,9 @@ _CO_POLARITY = {OUTPUT: INPUT, INPUT: OUTPUT}
 
 PARITY_START = {"odd": 1, "even": 2}
 
+# the partner sets of a plain enabling: none
+_PLAIN: frozenset[frozenset[str]] = frozenset()
+
 
 class DenoteError(ValueError):
     pass
@@ -83,8 +90,8 @@ def _event_count(term: SessionType) -> int:
 
 @dataclass
 class _Compiler:
-    """One walk of a term, accumulating the events, conflicts and generators
-    of its structure, and the occurrence of each event.
+    """One walk of a term, accumulating the events, conflicts and (plain)
+    enablings of its structure, and the occurrence of each event.
 
     ``under`` is the premise of the events a subterm can start with: empty
     at the top, the prefix event below a prefix.  ``suffix`` is the ``@k…``
@@ -107,7 +114,7 @@ class _Compiler:
     depth: int
     events: list[Event] = field(default_factory=list)
     conflicts: set[frozenset[str]] = field(default_factory=set)
-    gens: set[tuple[frozenset[str], str]] = field(default_factory=set)
+    enablings: set[Enabling] = field(default_factory=set)
     occurrences: dict[str, int] = field(default_factory=dict)
     chain: dict[str, int] = field(default_factory=dict)
     ordinal: int = 0
@@ -121,7 +128,7 @@ class _Compiler:
             raise DenoteError(f"event id {event_id} already used")
         self.events.append(Event(event_id, self.who, label))
         self.occurrences[event_id] = self.chain.get(label.text, 0) + 1
-        self.gens.add((under, event_id))
+        self.enablings.add((under, _PLAIN, event_id))
         return event_id
 
     def compile(self, term: SessionType, suffix: str, env: dict, under: frozenset[str]) -> None:
@@ -173,7 +180,7 @@ class _Compiler:
 
     def structure(self) -> EventStructureGen:
         return EventStructureGen(
-            frozenset(self.events), frozenset(self.conflicts), frozenset(self.gens)
+            frozenset(self.events), frozenset(self.conflicts), frozenset(self.enablings)
         )
 
 
@@ -241,31 +248,44 @@ def _par(left, right, occurrence: dict[str, int]) -> EventStructureGen:
     """The partner rule on two forests with disjoint event ids.
 
     Each side has ``events`` (:class:`Event` objects), ``conflicts`` and
-    ``gens``: a structure or a finished :class:`_Compiler`.  ``occurrence``
-    maps every event of both sides to its occurrence.
+    ``enablings``: a structure or a finished :class:`_Compiler`.  A forest's
+    enablings are plain, as a partner set would give its target two
+    premises.  ``occurrence`` maps every event of both sides to its
+    occurrence.
     """
-    gens: set[tuple[frozenset[str], str]] = set()
+    enablings: set[Enabling] = set()
     for side, other in ((left, right), (right, left)):
-        table: dict[tuple[str, str, int], list[str]] = {}
+        table: dict[tuple[str, str, int], set[str]] = {}
         for event in other.events:
             label = event.label
-            table.setdefault((label.name, label.polarity, occurrence[event.id]), []).append(event.id)
-        partners: dict[str, list[str]] = {}
+            table.setdefault((label.name, label.polarity, occurrence[event.id]), set()).add(event.id)
+        # one frozenset per key, shared by every enabling that needs it
+        table = {key: frozenset(ids) for key, ids in table.items()}
+        partners: dict[str, frozenset[str]] = {}
         outputs: set[str] = set()
         for event in side.events:
             label = event.label
-            partners[event.id] = [] if label.is_tick else table.get(
-                (label.name, _CO_POLARITY[label.polarity], occurrence[event.id]), [])
+            partners[event.id] = frozenset() if label.is_tick else table.get(
+                (label.name, _CO_POLARITY[label.polarity], occurrence[event.id]), frozenset())
             if label.is_output:
                 outputs.add(event.id)
-        for premise, target in side.gens:
+        for premise, _, target in side.enablings:
             needs = premise if target in outputs else (*premise, target)
-            for choice in product(*[partners[eid] for eid in needs]):
-                gens.add((premise.union(choice), target))
+            partner_sets = []
+            for eid in needs:
+                found = partners[eid]
+                if not found:
+                    break  # no choice of partners: the enabling stands for no generator
+                if len(found) == 1:
+                    premise = premise | found
+                else:
+                    partner_sets.append(found)
+            else:
+                enablings.add((premise, frozenset(partner_sets) if partner_sets else _PLAIN, target))
     return EventStructureGen(
         frozenset(left.events) | frozenset(right.events),
         frozenset(left.conflicts) | frozenset(right.conflicts),
-        frozenset(gens),
+        frozenset(enablings),
     )
 
 
@@ -277,12 +297,14 @@ def denote_par(left: EventStructureGen, right: EventStructureGen) -> EventStruct
     occurrence (:func:`occurrence_index`, computed here from each given
     structure); a ``✓`` event has none.  A component enabling ``(X, e)``
     needs a partner for each member of ``X`` and, when ``e`` is an input,
-    for ``e`` itself (the output it consumes); one composite enabling
-    ``(X ∪ choice, e)`` is emitted per choice of partners, so a needed event
-    without partners kills the enabling.  Duplicates collapse; premises are
-    kept even when not conflict-free (such enablings never fire).  A side
-    that is not a forest is a :class:`ValueError`; a pair of session types
-    is composed by :func:`denote_par_terms`.
+    for ``e`` itself (the output it consumes).  It becomes one composite
+    enabling, which stands for the generators ``(X ∪ choice, e)``, one per
+    choice of partners: a needed event with one partner adds it to ``X``,
+    one with several adds them as a partner set, and one without partners
+    kills the enabling.  Choices are kept even when not conflict-free (such
+    generators never fire).  A side that is not a forest is a
+    :class:`ValueError`; a pair of session types is composed by
+    :func:`denote_par_terms`.
     """
     overlap = left.event_ids & right.event_ids
     if overlap:

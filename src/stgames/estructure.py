@@ -2,15 +2,23 @@
 
 An event structure is stored as a finite set of participant-tagged,
 action-labelled events, a symmetric irreflexive conflict relation, and a
-finite set of generator enablings ``(X, e)``.  The full enabling relation
-is the saturation of the generators: ``X ⊢ e`` holds for every finite
-conflict-free ``X`` that contains some generator premise for ``e``.
-Saturation is never materialised; it is answered by subset queries.
+finite set of enablings ``(X, P, e)``.  An enabling stands for the
+generators ``(X ∪ C, e)``, one for every choice ``C`` of one event from
+each *partner set* in ``P``; an enabling with no partner sets is one plain
+generator.  The full enabling relation is the saturation of the
+generators: ``Y ⊢ e`` holds for every finite conflict-free ``Y`` that
+contains some generator premise for ``e``.  Neither the saturation nor the
+generator product is materialised for playing: ``Y`` contains a generator
+premise of ``(X, P, e)`` exactly when it contains ``X`` and meets every
+partner set.  Only :attr:`EventStructureGen.gens`,
+:meth:`EventStructureGen.premises_of` and the JSON writer expand the
+product, the writer one target at a time.
 
 Generators whose premise is not conflict-free are tolerated.  They can
-never fire (a conflict-free history cannot contain them) and the parallel
-composition of denotations produces such inert generators, so pruning them
-would change printed artifacts without changing behaviour.
+never fire (a conflict-free history cannot contain them); the parallel
+composition of denotations has partner sets whose members conflict, so
+pruning the combinations they make would change printed artifacts without
+changing behaviour.
 """
 
 from __future__ import annotations
@@ -20,13 +28,15 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from json.encoder import encode_basestring
 
 from .lts import DEFAULT_STATE_LIMIT, Lts
 from .syntax import ActionLabel
 
 Generator = tuple[frozenset[str], str]
+# (premise, partner sets, target)
+Enabling = tuple[frozenset[str], frozenset[frozenset[str]], str]
 
 
 @dataclass(frozen=True)
@@ -51,13 +61,34 @@ def id_sort_key(event_id: str) -> tuple:
     return (1, 0, (), event_id)
 
 
+def _expand(enablings) -> set[frozenset[str]]:
+    """The generator premises of ``enablings``: each premise joined with
+    every choice of one event per partner set."""
+    premises = set()
+    for premise, partner_sets, _ in enablings:
+        if partner_sets:
+            premises.update(premise.union(choice) for choice in product(*partner_sets))
+        else:
+            premises.add(premise)
+    return premises
+
+
 @dataclass(frozen=True)
 class EventStructureGen:
+    """Events, conflicts and enablings ``(premise, partner sets, target)``,
+    each partner set of two or more events.
+
+    Equality and hashing compare events, conflicts and enablings as
+    stored, so two structures whose enablings expand to the same
+    generators but are factored differently are unequal; compare
+    :attr:`gens` to compare generators.
+    """
+
     events: frozenset[Event]
     conflicts: frozenset[frozenset[str]]
-    gens: frozenset[Generator]
+    enablings: frozenset[Enabling]
     _by_id: dict = field(init=False, compare=False, repr=False, hash=False)
-    _gens_by_target: dict = field(init=False, compare=False, repr=False, hash=False)
+    _by_target: dict = field(init=False, compare=False, repr=False, hash=False)
     _conflict_sets: dict = field(init=False, compare=False, repr=False, hash=False)
 
     def __post_init__(self) -> None:
@@ -72,22 +103,36 @@ class EventStructureGen:
             for eid in pair:
                 if eid not in by_id:
                     raise ValueError(f"conflict mentions unknown event {eid}")
-        by_target: dict[str, list[frozenset[str]]] = {}
+        by_target: dict[str, list[Enabling]] = {}
         known = by_id.keys()
-        for premise, target in self.gens:
+        for enabling in self.enablings:
+            premise, partner_sets, target = enabling
             if target not in by_id:
                 raise ValueError(f"enabling targets unknown event {target}")
             if not known >= premise:
                 raise ValueError(f"enabling premise mentions unknown events {sorted(premise - known)}")
-            by_target.setdefault(target, []).append(premise)
+            for partners in partner_sets:
+                if not known >= partners:
+                    raise ValueError(f"enabling partner set mentions unknown events {sorted(partners - known)}")
+                # one event would belong in the premise, none in no generator
+                if len(partners) < 2:
+                    raise ValueError(f"enabling partner set must hold two or more events: {sorted(partners)}")
+            by_target.setdefault(target, []).append(enabling)
         conflict_sets: dict[str, set[str]] = {eid: set() for eid in by_id}
         for pair in self.conflicts:
             first, second = tuple(pair)
             conflict_sets[first].add(second)
             conflict_sets[second].add(first)
         object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_gens_by_target", by_target)
+        object.__setattr__(self, "_by_target", by_target)
         object.__setattr__(self, "_conflict_sets", conflict_sets)
+
+    @cached_property
+    def gens(self) -> frozenset[Generator]:
+        """The generators ``(premise, target)``: every enabling expanded."""
+        return frozenset(
+            (premise, target) for target, enablings in self._by_target.items() for premise in _expand(enablings)
+        )
 
     @cached_property
     def play_index(self) -> PlayIndex:
@@ -125,7 +170,8 @@ class EventStructureGen:
         return frozenset(e.id for e in self.events if e.participant == participant)
 
     def premises_of(self, event_id: str) -> tuple[frozenset[str], ...]:
-        return tuple(self._gens_by_target.get(event_id, ()))
+        """The generator premises of the event, from its enablings alone."""
+        return tuple(_expand(self._by_target.get(event_id, ())))
 
     def in_conflict(self, a: str, b: str) -> bool:
         return b in self._conflict_sets.get(a, ())
@@ -140,17 +186,22 @@ class PlayIndex:
     Bit ``i`` stands for ``ids[i]``, in :func:`id_sort_key` order, so
     walking a mask from its lowest bit lists events in sorted order.  An
     event can extend a configuration when it has not fired, conflicts with
-    nothing fired, and some generator premise of it has fully fired.
+    nothing fired, and one of its enablings holds: its premise has fully
+    fired and each of its partner sets meets the fired set, which is when
+    some generator the enabling stands for has fully fired.
 
     The rule is :attr:`initial`, the events playable before anything fires
-    (the targets of empty premises), plus :meth:`step`, which updates a
-    playable set as one event fires.  Firing ``e`` can remove only ``e``
-    and the events in conflict with it, and can add only targets of
-    generators whose premise contains ``e``: any other premise met after
-    ``e`` was met before, and its target was then already playable unless
-    ``e`` blocks it.  So the update is exact from any configuration, and
-    every generator is kept, inert ones included, to answer as the
-    set-based definition does.
+    (the targets of enablings with an empty premise and no partner sets),
+    plus :meth:`step`, which updates a playable set as one event fires.
+    Firing ``e`` can remove only ``e`` and the events in conflict with it.
+    Whether an enabling holds only grows with the fired set, and firing
+    ``e`` changes it only when ``e`` is in its premise or in one of its
+    partner sets: any other enabling that holds after ``e`` held before,
+    and its target was then already playable unless ``e`` blocks it.  So
+    the update, which checks the enablings woken under ``e``, is exact
+    from any configuration.  Every enabling is kept, inert ones included,
+    to answer as the set-based definition does, and each costs one rule,
+    woken under each event of its premise and of its partner sets.
     """
 
     __slots__ = ("ids", "bit", "initial", "_keep", "_woken")
@@ -163,15 +214,16 @@ class PlayIndex:
         kill = [self.bit[eid] | self.mask(es.conflicts_of(eid)) for eid in self.ids]
         self._keep = [~mask for mask in kill]
         # per bit position, the (target bit, target's kill mask, premise
-        # mask) rules whose premise contains that event
-        self._woken: list[list[tuple[int, int, int]]] = [[] for _ in self.ids]
+        # mask, partner masks) rules of the enablings that event can help
+        self._woken: list[list[tuple[int, int, int, tuple[int, ...]]]] = [[] for _ in self.ids]
         self.initial = 0
-        for premise, target in es.gens:
-            if not premise:
+        for premise, partner_sets, target in es.enablings:
+            if not premise and not partner_sets:
                 self.initial |= self.bit[target]
                 continue
-            rule = (self.bit[target], kill[position[target]], self.mask(premise))
-            for eid in premise:
+            partners = tuple(map(self.mask, partner_sets)) if partner_sets else ()
+            rule = (self.bit[target], kill[position[target]], self.mask(premise), partners)
+            for eid in premise.union(*partner_sets) if partner_sets else premise:
                 self._woken[position[eid]].append(rule)
 
     def mask(self, ids) -> int:
@@ -200,8 +252,13 @@ class PlayIndex:
         fired |= bit
         unfired = ~fired
         moves &= self._keep[position]
-        for target, blocked, premise in self._woken[position]:
-            if not fired & blocked and not premise & unfired:
+        for target, blocked, premise, partners in self._woken[position]:
+            if fired & blocked or premise & unfired:
+                continue
+            for partner in partners:
+                if not partner & fired:
+                    break
+            else:
                 moves |= target
         return moves
 
@@ -240,10 +297,11 @@ class Arena:
 
 
 def make_es(events, conflicts=(), gens=()) -> EventStructureGen:
-    """Normalising constructor: conflicts as id pairs, gens as (premise, target)."""
+    """Normalising constructor: conflicts as id pairs, gens as (premise,
+    target), each a plain enabling (one with no partner sets)."""
     conflict_set = frozenset(frozenset(pair) for pair in conflicts)
-    gen_set = frozenset((frozenset(premise), target) for premise, target in gens)
-    return EventStructureGen(frozenset(events), conflict_set, gen_set)
+    enablings = frozenset((frozenset(premise), frozenset(), target) for premise, target in gens)
+    return EventStructureGen(frozenset(events), conflict_set, enablings)
 
 
 EMPTY_ES = make_es(())
@@ -311,7 +369,7 @@ def remainder(es: EventStructureGen, event_id: str) -> EventStructureGen:
         if any(b in conflict_sets[a] for a, b in combinations(premise, 2)):
             continue
         gens.add((premise - {event_id}, target))
-    return EventStructureGen(survivors, conflicts, frozenset(gens))
+    return make_es(survivors, conflicts, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +456,12 @@ def es_lub(chain) -> EventStructureGen:
             raise ValueError("input is not an increasing chain")
     events: set[Event] = set()
     conflicts: set[frozenset[str]] = set()
-    gens: set[Generator] = set()
+    enablings: set[Enabling] = set()
     for es in items:
         events |= es.events
         conflicts |= es.conflicts
-        gens |= es.gens
-    return EventStructureGen(frozenset(events), frozenset(conflicts), frozenset(gens))
+        enablings |= es.enablings
+    return EventStructureGen(frozenset(events), frozenset(conflicts), frozenset(enablings))
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +476,10 @@ def _array(items: list[str], pad: str) -> str:
 def es_json_chunks(es: EventStructureGen) -> Iterator[str]:
     """The text of :func:`es_to_json` in pieces, for writing as it is made:
     the head with the conflicts, then one piece per target holding that
-    target's enablings, then the events.  Their concatenation is the text.
+    target's generators, then the events.  Their concatenation is the text.
 
     A piece per target keeps the pieces few (one write each) while no more
-    than one target's enablings is held as text at a time.
+    than one target's generators is expanded and held as text at a time.
     """
     ids = sorted(es.event_ids, key=id_sort_key)
     # id_sort_key is injective (its last component is the id), so sorting on
@@ -435,9 +493,11 @@ def es_json_chunks(es: EventStructureGen) -> Iterator[str]:
     yield f'{{\n  "conflicts": {_array(conflicts, "  ")},\n  "enablings": '
     opening = sep = "[\n    "
     for target in ids:
-        premises = es._gens_by_target.get(target)
-        if not premises:
+        enablings = es._by_target.get(target)
+        if not enablings:
             continue
+        # this target's generators, expanded only while they are written
+        premises = _expand(enablings)
         end = f',\n      "target": {quoted(target)}\n    }}'
         yield sep + ",\n    ".join([
             '{\n      "premise": ' + _array([*map(quoted, premise)], "      ") + end
@@ -454,7 +514,8 @@ def es_json_chunks(es: EventStructureGen) -> Iterator[str]:
 
 def es_to_json(es: EventStructureGen) -> str:
     """The structure as a JSON object of ``conflicts`` (id pairs),
-    ``enablings`` (``premise`` ids and ``target`` id) and ``events``
+    ``enablings`` (one ``premise`` and ``target`` per generator, so each
+    enabling is written expanded) and ``events``
     (``id``, ``label``, ``participant``), in its one layout: two-space
     indent, sorted keys and non-ASCII kept, the text ``json.dumps(...,
     indent=2, sort_keys=True, ensure_ascii=False)`` gives for that data.
@@ -466,7 +527,7 @@ def es_to_json(es: EventStructureGen) -> str:
 
     The text is the join of :func:`es_json_chunks`, which writers that
     stream (``stgames export``) use piece by piece: the head and conflicts,
-    one piece per target's enablings, then the events.  ``json.dumps``
+    one piece per target's generators, then the events.  ``json.dumps``
     falls back to its pure-Python encoder whenever ``indent`` is set, so
     the pieces are written directly from the structure, with no
     intermediate dict: one rank table orders the ids, and one table holds

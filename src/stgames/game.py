@@ -52,7 +52,7 @@ class Contract:
         for kind in self.payoffs.values():
             if kind != SUCCESS_PAYOFF:
                 raise ValueError(f"unknown payoff kind {kind!r}")
-        obliged = {e.participant for e in self.es.events if self.es.premises_of(e.id)}
+        obliged = {self.es.event(target).participant for _, _, target in self.es.enablings}
         missing = obliged - self.payoffs.keys()
         if missing:
             raise ValueError(f"participants with obligations but no payoff: {sorted(missing)}")
@@ -83,7 +83,7 @@ def compose_contracts_union(first: Contract, second: Contract) -> Contract:
     es = EventStructureGen(
         first.es.events | second.es.events,
         first.es.conflicts | second.es.conflicts,
-        first.es.gens | second.es.gens,
+        first.es.enablings | second.es.enablings,
     )
     payoffs = dict(first.payoffs)
     payoffs.update(second.payoffs)

@@ -826,7 +826,7 @@ def reference_denote(term, who, unroll_depth=6, parity="odd"):
         gens = {(frozenset(), event.id)} | {
             (premise or frozenset({event.id}), target) for premise, target in cont.gens
         }
-        return EventStructureGen(cont.events | {event}, cont.conflicts, frozenset(gens))
+        return make_es(cont.events | {event}, cont.conflicts, gens)
 
     def choice(branches):
         ids, events, conflicts, gens = set(), set(), set(), set()
@@ -841,7 +841,7 @@ def reference_denote(term, who, unroll_depth=6, parity="odd"):
         for i, first in enumerate(initials):
             for second in initials[i + 1:]:
                 conflicts |= {frozenset({a, b}) for a in first for b in second}
-        return EventStructureGen(frozenset(events), frozenset(conflicts), frozenset(gens))
+        return make_es(events, conflicts, gens)
 
     def fix(var, body, body_path, copy, env, depth):
         if depth <= 0:
@@ -953,11 +953,7 @@ def reference_denote_par(left: EventStructureGen, right: EventStructureGen) -> E
                 for sync in synchronisers:
                     for assignment in product(*candidate_lists):
                         gens.add((premise | frozenset(assignment) | {sync}, target))
-    return EventStructureGen(
-        left.events | right.events,
-        left.conflicts | right.conflicts,
-        frozenset(gens),
-    )
+    return make_es(left.events | right.events, left.conflicts | right.conflicts, gens)
 
 
 # ---------------------------------------------------------------------------

@@ -229,20 +229,19 @@ def _traced_peak(call) -> int:
 
 
 def test_export_memory_follows_the_structure_not_its_text():
-    # export writes as it goes, so its peak stays near that of composing the
-    # pair; holding the whole text as well would about double it
-    p, q = map(parse, DOUBLING)
+    # export writes as it goes, expanding one target's generators at a time,
+    # so its peak stays a fraction of its text (4 MB here): holding the
+    # whole text would exceed the bound fourfold
     sink = _CountingSink()
 
     def export():
-        assert main(["export", *DOUBLING, "--depth", "5"], out=sink) == 0
+        assert main(["export", *DOUBLING, "--depth", "6"], out=sink) == 0
 
-    def compose():
-        return compose_session_contracts(p, "A", q, "B", 5)
-
-    export(), compose()  # fill the caches both share before measuring
-    assert _traced_peak(export) <= 1.25 * _traced_peak(compose)
-    assert sink.chars == 2 * (len(es_to_json(compose().es)) + 1)
+    export()  # fill the caches before measuring
+    p, q = map(parse, DOUBLING)
+    size = len(es_to_json(compose_session_contracts(p, "A", q, "B", 6).es)) + 1
+    assert _traced_peak(export) <= size / 4
+    assert sink.chars == 2 * size
 
 
 def test_export_to_file_is_utf8_whatever_the_locale(tmp_path):
@@ -259,6 +258,22 @@ def test_export_to_file_is_utf8_whatever_the_locale(tmp_path):
         code, text = run(argv)
         assert code == 0 and "✓" in text
         assert target.read_bytes() == text.encode("utf-8"), what
+
+
+@pytest.mark.parametrize("argv", [
+    ["export", "!a", "?a", "--what", "es"],
+    ["export", "!a", "?a", "--what", "ets"],
+    ["check", "!a.!b", "?a", "--format", "text"],
+], ids=["es", "ets", "check-text"])
+def test_stdout_is_utf8_whatever_the_locale(argv):
+    # each output holds a ✓, which the C locale's ASCII cannot encode
+    env = {**os.environ, "PYTHONPATH": str(Path(stgames.__file__).parents[1]),
+           "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+    done = subprocess.run([sys.executable, "-m", "stgames.cli", *argv], env=env, capture_output=True)
+    code, text = run(argv)
+    assert "✓" in text
+    assert (done.returncode, done.stderr) == (code, b"")
+    assert done.stdout == text.encode("utf-8")
 
 
 def test_export_unwritable_path_exit_two():
@@ -445,6 +460,30 @@ def test_deeply_nested_type_exit_two(capsys):
     code, _ = run(["check", "!a." * 3000 + "1", "?a"])
     assert code == 2
     assert "nested too deeply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [MemoryError(), SystemError("error return without exception set")],
+                         ids=["MemoryError", "frame-SystemError"])
+def test_out_of_memory_exit_two(monkeypatch, capsys, error):
+    # CPython 3.11 and 3.12 raise the SystemError where a call finds no
+    # memory for its frame
+    def compose(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "compose_session_contracts", compose)
+    code, text = run(["agree", *EXAMPLE])
+    assert (code, text) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+
+def test_other_system_errors_are_not_out_of_memory(monkeypatch):
+    def compose(*args):
+        raise SystemError("some other internal error")
+
+    monkeypatch.setattr(cli, "compose_session_contracts", compose)
+    with pytest.raises(SystemError, match="some other"):
+        run(["agree", *EXAMPLE])
 
 
 def test_check_long_chain_exit_zero():

@@ -18,11 +18,13 @@ from conftest import (
     random_forests,
     reference_denote,
     reference_denote_par,
+    reference_playable,
 )
 from stgames.denote import DenoteError, _compile, denote, denote_par, occurrence_index
 from stgames.estructure import EMPTY_ES, Event, EventStructureGen, es_leq, es_to_json, make_es
 from stgames.game import compose_session_contracts
 from stgames.harness import CorpusSpec, corpus_pair, dual
+from stgames.lts import DEFAULT_STATE_LIMIT
 from stgames.syntax import TICK, Rec, out, parse
 
 
@@ -95,6 +97,19 @@ def test_example_composed_structure(example):
     assert composed.events == client.events | server.events
     assert composed.conflicts == client.conflicts | server.conflicts
     assert gens_of(composed) == EXAMPLE_COMPOSED_GENS
+
+
+def test_example_composed_enablings(example):
+    # 11 enablings stand for the 18 generators: a lone partner joins the
+    # premise (e5 in e4's), several form a partner set, and an enabling
+    # that needs an event without partners is dropped (e14's and e16's)
+    _, _, composed = example
+    by_target = {target: (premise, partner_sets) for premise, partner_sets, target in composed.enablings}
+    assert len(by_target) == len(composed.enablings) == 11
+    assert by_target["e3"] == ({"e1"}, {frozenset({"e2", "e10"})})
+    assert by_target["e4"] == ({"e2", "e5"}, {frozenset({"e1", "e7"})})
+    assert by_target["e6"] == ({"e4", "e5"}, frozenset())
+    assert "e14" not in by_target and "e16" not in by_target
 
 
 def test_example_dead_branch_has_no_enablings(example):
@@ -339,6 +354,44 @@ def test_composition_from_terms_matches_denote_par(kind):
     for client, server, depth in oracle_cases(kind):
         for d in sorted({0, 1, depth}):
             assert_composes_as_denote_par(client, server, d)
+
+
+# -- partner sets with several members, against the product reference -----------
+
+# each choice doubles the partners of the events below it
+DOUBLING_FAMILIES = ("rec x . (!a.x (+) !b.x)", "rec x . (!a.?c.x (+) !b.?c.x)")
+
+
+def _partner_set_cases():
+    for source in DOUBLING_FAMILIES:
+        client = parse(source)
+        for depth in (3, 4, 5):
+            yield client, dual(client), depth
+    yield from oracle_cases("nested")
+
+
+def test_partner_sets_expand_to_the_reference_generators():
+    # the enablings expand to the generators the reference builds with one
+    # product per component enabling, and the play index, which reads the
+    # enablings unexpanded, plays as a scan of those generators does
+    with_sets = 0
+    for client, server, depth in _partner_set_cases():
+        es = compose_session_contracts(client, "A", server, "B", depth).es
+        reference = reference_denote_par(denote(client, "A", depth, "odd"),
+                                         denote(server, "B", depth, "even"))
+        assert es.gens == reference.gens
+        arena = es.arena(DEFAULT_STATE_LIMIT)
+        assert arena.moves == [reference_playable(es, fired) for fired in arena.fired]
+        with_sets += any(partner_sets for _, partner_sets, _ in es.enablings)
+    # every doubling case and 94 of the 150 nested pairs have a partner set
+    assert with_sets == 6 + 94
+
+
+def test_doubling_family_enabling_and_generator_counts():
+    client = parse(DOUBLING_FAMILIES[0])
+    es = compose_session_contracts(client, "A", dual(client), "B", 5).es
+    assert (len(es.events), len(es.enablings), len(es.gens)) == (124, 124, 4672)
+    assert sum(bool(partner_sets) for _, partner_sets, _ in es.enablings) == 122
 
 
 def test_composition_from_terms_rejects_negative_depth():

@@ -29,6 +29,7 @@ from stgames.denote import denote, denote_par
 from stgames.estructure import (
     EMPTY_ES,
     Event,
+    EventStructureGen,
     conflict_free,
     enabled,
     es_json_chunks,
@@ -394,6 +395,22 @@ def test_generator_endpoints_checked():
     # the unknown ids are named in sorted order, whatever the set's order
     with pytest.raises(ValueError, match=r"^enabling premise mentions unknown events \['e7', 'e9'\]$"):
         make_es(events, (), [(("e9", "e1", "e7"), "e1")])
+
+
+def test_partner_sets_checked():
+    events = frozenset(Event(eid, "A", out("a")) for eid in ("e1", "e3", "e5"))
+
+    def build(*partner_sets):
+        return EventStructureGen(events, frozenset(), frozenset(
+            {(frozenset({"e1"}), frozenset(map(frozenset, partner_sets)), "e5")}))
+
+    assert build(("e1", "e3")).gens == {(frozenset({"e1"}), "e5"), (frozenset({"e1", "e3"}), "e5")}
+    with pytest.raises(ValueError, match=r"^enabling partner set mentions unknown events \['e9'\]$"):
+        build(("e3", "e9"))
+    # one partner belongs in the premise, and none stands for no generator
+    for partners in (("e3",), ()):
+        with pytest.raises(ValueError, match=r"^enabling partner set must hold two or more events: "):
+            build(partners)
 
 
 def test_json_is_deterministic(example_composed):
