@@ -81,7 +81,7 @@ def cmd_check(args, out) -> int:
 def cmd_agree(args, out) -> int:
     p = _load_type(args.client)
     q = _load_type(args.server)
-    who = args.participant or args.participants[0]
+    who = args.participants[0] if args.participant is None else args.participant
     if who not in args.participants:
         raise CliError(f"unknown participant {who}")
     contract = compose_session_contracts(p, args.participants[0], q, args.participants[1], args.depth)

@@ -23,8 +23,7 @@ all the verdict reads.  Terms keep their printed forms and unfoldings
 once, across explorations.  A commit's one-branch choice and a written
 buffer are new terms: ``state_key`` prints each when it first names it,
 and its continuation only if that keeps no form yet.  The step relations
-dispatch on a term's constructor once and read each label's kept text and
-tick flag.
+dispatch on a term's constructor once and read each label's kept text.
 """
 
 from __future__ import annotations
@@ -105,19 +104,17 @@ def step_reduce(left: SessionType, right: SessionType) -> list[Step]:
 
     All steps are internal; the tag names the rule that fired (``commit !a
     (left)``, ``unfold (right)``, ``sync a``) so that witness paths read
-    well.  An empty list means the state is stuck.
+    well.  An empty list means the state is stuck.  It expects valid terms
+    (see ``syntax.validate``), so no choice offers ``✓``.
     """
     left_internal, left_labelled = _component_steps(left, " (left)")
     right_internal, right_labelled = _component_steps(right, " (right)")
     moves = [(tag, successor, right) for tag, successor in left_internal]
     moves += [(tag, left, successor) for tag, successor in right_internal]
     for llabel, lcont in left_labelled:
-        if llabel.is_tick:
-            continue
         for rlabel, rcont in right_labelled:
             # rlabel == llabel.co(), without building the co-action
-            if (llabel.name == rlabel.name and llabel.polarity != rlabel.polarity
-                    and not rlabel.is_tick):
+            if llabel.name == rlabel.name and llabel.polarity != rlabel.polarity:
                 moves.append(("sync " + llabel.name, lcont, rcont))
     return moves
 
@@ -129,8 +126,9 @@ def step_reduce(left: SessionType, right: SessionType) -> list[Step]:
 def _turn_side_steps(own: SessionType, other: SessionType):
     """Moves of one side against the other side's current term.
 
-    Returns (label, own', other') triples; recursion on either side is
-    unfolded on the fly and never shows up as a step.
+    Returns (label, own', other') triples; recursion is unfolded on the fly
+    and never shows up as a step.  On valid terms a ``rec`` never unfolds
+    to a buffer and a buffer holds an output, so a read needs no more.
     """
     if own.__class__ is Rec:
         own = unfold_top(own)
@@ -138,13 +136,10 @@ def _turn_side_steps(own: SessionType, other: SessionType):
     if cls is InternalChoice:
         return [(label, Buffer(label, cont), other) for label, cont in own.branches]
     if cls is ExternalChoice:
-        peer = unfold_top(other) if other.__class__ is Rec else other
-        if peer.__class__ is not Buffer or peer.action.is_tick:
+        if other.__class__ is not Buffer:
             return ()
-        name, polarity, rest = peer.action.name, peer.action.polarity, peer.cont
-        # label == peer.action.co(), without building the co-action
-        return [(label, cont, rest) for label, cont in own.branches
-                if label.name == name and label.polarity != polarity]
+        name, rest = other.action.name, other.cont
+        return [(label, cont, rest) for label, cont in own.branches if label.name == name]
     if cls is Success:
         return ((TICK, TERM0, other),)
     return ()
@@ -152,7 +147,8 @@ def _turn_side_steps(own: SessionType, other: SessionType):
 
 def step_turn(left: SessionType, right: SessionType) -> list[Step]:
     """Turn-based steps of ``left ∥ right`` as ``(action, left', right')``,
-    the fired action printed (``!a``, ``?a``, ``✓``); the left side's first."""
+    the fired action printed (``!a``, ``?a``, ``✓``); the left side's first.
+    It expects valid terms (see ``syntax.validate``)."""
     moves = [(label.text, nleft, nright) for label, nleft, nright in _turn_side_steps(left, right)]
     moves += [(label.text, nleft, nright) for label, nright, nleft in _turn_side_steps(right, left)]
     return moves

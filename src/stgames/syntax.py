@@ -303,15 +303,19 @@ def pretty(term: SessionType) -> str:
 def _pretty(term: SessionType, top: bool) -> str:
     """The form of ``term`` at the top level or, if not ``top``, as the
     continuation of a prefix; the first call keeps both forms on the term.
-    It dispatches on the term's exact class, choices and buffers first."""
+    It dispatches on the term's exact class, choices and buffers first, and
+    calls itself from its branch loop: one frame per nesting level."""
     forms = getattr(term, "_printed", None)
     if forms is None:
         cls = term.__class__
         grouped = False
         if cls is InternalChoice or cls is ExternalChoice:
-            sep = " (+) " if cls is InternalChoice else " + "
-            text = sep.join([_pretty_branch(label, cont) for label, cont in term.branches])
-            grouped = len(term.branches) != 1
+            parts = []
+            for label, cont in term.branches:
+                head = label.polarity + label.name
+                parts.append(head if cont.__class__ is Success else f"{head}.{_pretty(cont, False)}")
+            text = (" (+) " if cls is InternalChoice else " + ").join(parts)
+            grouped = len(parts) != 1
         elif cls is Buffer:
             text = f"[{term.action.text}]{_pretty(term.cont, False)}"
         elif cls is Rec:
@@ -328,13 +332,6 @@ def _pretty(term: SessionType, top: bool) -> str:
         forms = (text, f"({text})" if grouped else text)
         object.__setattr__(term, "_printed", forms)  # frozen: write once, past the dataclass guard
     return forms[0] if top else forms[1]
-
-
-def _pretty_branch(label: ActionLabel, cont: SessionType) -> str:
-    head = f"{label.polarity}{label.name}"
-    if cont.__class__ is Success:
-        return head
-    return f"{head}.{_pretty(cont, False)}"
 
 
 # ---------------------------------------------------------------------------
@@ -432,39 +429,36 @@ def free_vars(term: SessionType) -> frozenset[str]:
     return frozenset()
 
 
-def _fresh(base: str, avoid: frozenset[str]) -> str:
-    if base not in avoid:
-        return base
-    k = 1
-    while f"{base}{k}" in avoid:
-        k += 1
-    return f"{base}{k}"
-
-
 def substitute(term: SessionType, var: str, replacement: SessionType) -> SessionType:
-    """Capture-avoiding substitution of ``replacement`` for ``var``."""
+    """``term`` with ``replacement`` for each free ``var``.  The replacement
+    must be closed, so no binder can capture it; an open one is a ``ValueError``."""
+    if free_vars(replacement):
+        raise ValueError(f"substitute needs a closed replacement, got {pretty(replacement)}")
+    return _substitute(term, var, replacement)
+
+
+def _substitute(term: SessionType, var: str, replacement: SessionType) -> SessionType:
     if isinstance(term, Var):
         return replacement if term.name == var else term
     if isinstance(term, (Success, Term0)):
         return term
     if isinstance(term, Buffer):
-        return Buffer(term.action, substitute(term.cont, var, replacement))
+        return Buffer(term.action, _substitute(term.cont, var, replacement))
     if isinstance(term, Rec):
         if term.var == var:
             return term
-        if term.var in free_vars(replacement) and var in free_vars(term.body):
-            fresh = _fresh(term.var, free_vars(term.body) | free_vars(replacement) | {var})
-            renamed = substitute(term.body, term.var, Var(fresh))
-            return Rec(fresh, substitute(renamed, var, replacement))
-        return Rec(term.var, substitute(term.body, var, replacement))
+        return Rec(term.var, _substitute(term.body, var, replacement))
     if isinstance(term, (InternalChoice, ExternalChoice)):
-        branches = tuple((label, substitute(cont, var, replacement)) for label, cont in term.branches)
-        return type(term)(branches)
+        branches = []
+        for label, cont in term.branches:
+            branches.append((label, _substitute(cont, var, replacement)))
+        return type(term)(tuple(branches))
     raise TypeError(f"not a session type: {term!r}")
 
 
 def unfold(term: Rec) -> SessionType:
-    """One unfolding of a recursive term: the body with the binder substituted in.
+    """One unfolding of a closed recursive term: the body with the term
+    substituted for its binder; an open term is a ``ValueError``.
 
     Each ``Rec`` object is unfolded once and keeps the result, so later
     calls return that same unfolding.
@@ -488,15 +482,18 @@ def unfold_top(term: SessionType) -> SessionType:
 def is_recursive(term: SessionType) -> bool:
     """Whether ``term`` contains a ``rec``.  Every ``rec`` prints as
     ``rec x . …``, so a kept printed form without ``rec `` answers at once."""
-    forms = getattr(term, "_printed", None)
-    if forms is not None and "rec " not in forms[0]:
-        return False
-    if isinstance(term, Rec):
-        return True
-    if isinstance(term, (InternalChoice, ExternalChoice)):
-        return any(is_recursive(cont) for _, cont in term.branches)
-    if isinstance(term, Buffer):
-        return is_recursive(term.cont)
+    stack = [term]
+    while stack:
+        term = stack.pop()
+        forms = getattr(term, "_printed", None)
+        if forms is not None and "rec " not in forms[0]:
+            continue
+        if isinstance(term, Rec):
+            return True
+        if isinstance(term, (InternalChoice, ExternalChoice)):
+            stack.extend(cont for _, cont in term.branches)
+        elif isinstance(term, Buffer):
+            stack.append(term.cont)
     return False
 
 

@@ -446,14 +446,16 @@ def test_equal_participants_exit_two(argv, capsys):
     assert "distinct participants" in capsys.readouterr().err
 
 
-def test_agree_unknown_participant_fails_before_composing(monkeypatch, capsys):
+@pytest.mark.parametrize("who", ["C", ""], ids=["named", "empty"])
+def test_agree_unknown_participant_fails_before_composing(monkeypatch, capsys, who):
+    # an empty name is unknown too, not the default participant
     def compose(*args):
         raise AssertionError("composed before checking --participant")
 
     monkeypatch.setattr(cli, "compose_session_contracts", compose)
-    code, _ = run(["agree", *EXAMPLE, "--participant", "C"])
+    code, _ = run(["agree", *EXAMPLE, "--participant", who])
     assert code == 2
-    assert "unknown participant C" in capsys.readouterr().err
+    assert f"unknown participant {who}\n" in capsys.readouterr().err
 
 
 def test_deeply_nested_type_exit_two(capsys):
@@ -491,6 +493,35 @@ def test_check_long_chain_exit_zero():
     # and exploring take a bounded number of frames per nesting level
     code, _ = run(["check", ".".join(["!a"] * 300), ".".join(["?a"] * 300)])
     assert code == 0
+
+
+CHAIN = 900
+DEEP_PAIRS = {
+    "plain": (".".join(["!a"] * CHAIN), ".".join(["?a"] * CHAIN)),
+    "rec": ("rec x . " + ".".join(["!a"] * CHAIN) + ".x", "rec x . " + ".".join(["?a"] * CHAIN) + ".x"),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(DEEP_PAIRS))
+@pytest.mark.parametrize("command", [["check"], ["agree"], ["export", "--what", "es"],
+                                     ["export", "--what", "ets"], ["export", "--what", "ts"]],
+                         ids=["check", "agree", "es", "ets", "ts"])
+def test_deep_chain_is_analysed(pair, command):
+    # 900-prefix chains, plain and under rec, in a fresh interpreter, where
+    # pytest's own frames do not eat into the recursion limit: printing,
+    # unfolding and exploring take one frame per nesting level at most.  A
+    # recursion is unrolled once (--depth 1), as the default depth nests the
+    # chain six times over in the compile walk; eager then loses the bounded
+    # game, the documented bounded verdict, so agree exits 1 there
+    argv = [*command, *DEEP_PAIRS[pair]]
+    if pair == "rec" and command[-1] in ("agree", "es", "ets"):
+        argv += ["--depth", "1"]
+    env = {**os.environ, "PYTHONPATH": str(Path(stgames.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "stgames.cli", *argv], env=env, capture_output=True)
+    expected = 1 if (pair, command[0]) == ("rec", "agree") else 0
+    assert (done.returncode, done.stderr) == (expected, b"")
+    if expected:
+        assert b"bounded at depth 1" in done.stdout
 
 
 def test_check_nested_choices_exit_zero():

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import pytest
-from conftest import large_pairs, reference_parse
+from conftest import large_pairs, nested_spec, reference_parse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stgames.harness import CorpusSpec, corpus_pair
+from stgames.harness import CorpusSpec, _subterms, corpus_pair
 from stgames.syntax import (
     SUCCESS,
     TICK,
@@ -254,10 +254,34 @@ def nameless_unfold(rec_nameless):
     "rec x . !a.(rec y . ?b.x)",
     "rec x . !a.(rec y . ?b.x + ?c.y)",
     "rec x . (!a.x (+) !b.x)",
+    "rec x . !a.(rec x . ?b.x)",
 ])
 def test_unfold_matches_debruijn_oracle(source):
     term = parse(source)
     assert to_debruijn(unfold(term)) == nameless_unfold(to_debruijn(term))
+
+
+def _closed_recs(term):
+    return [sub for _, sub in _subterms(term) if isinstance(sub, Rec) and not free_vars(sub)]
+
+
+def test_unfold_matches_debruijn_oracle_under_nested_binders():
+    # every closed rec subterm of the nested oracle types and of those
+    # subterms' one-step unfoldings, where a binder once open is now closed
+    spec = nested_spec()
+    recs = {}
+    for index in range(spec.count):
+        for term in corpus_pair(spec, index):
+            for rec in _closed_recs(term):
+                recs.setdefault(pretty(rec), rec)
+                for inner in _closed_recs(unfold(rec)):
+                    recs.setdefault(pretty(inner), inner)
+    # in 4 of the 181, unfolding substitutes under a nested binder
+    assert len(recs) == 181
+    assert sum(any(isinstance(sub, Rec) and rec.var in free_vars(sub) for _, sub in _subterms(rec.body))
+               for rec in recs.values()) == 4
+    for rec in recs.values():
+        assert to_debruijn(unfold(rec)) == nameless_unfold(to_debruijn(rec)), pretty(rec)
 
 
 def test_unfold_spec_examples():
@@ -273,14 +297,17 @@ def test_unfold_is_kept_on_the_term():
     assert unfold(term) is unfold(term)
 
 
-def test_substitute_avoids_capture():
-    # substituting a term with a free y under a binder for y must rename
+def test_substitute_rejects_open_replacement():
+    # a closed replacement has no free variable for a binder to capture, so
+    # no binder is renamed; an open one, here a free y to go under a binder
+    # for y, is refused, and so is unfolding an open rec
     body = Rec("y", InternalChoice(((out("a"), Var("x")),)))
-    replacement = InternalChoice(((out("b"), Var("y")),))
-    result = substitute(body, "x", replacement)
-    assert isinstance(result, Rec)
-    assert result.var != "y"
-    assert "y" in free_vars(result)
+    with pytest.raises(ValueError, match=r"closed replacement, got !b\.y$"):
+        substitute(body, "x", InternalChoice(((out("b"), Var("y")),)))
+    closed = parse("rec z . ?c.z")
+    assert substitute(body, "x", closed) == Rec("y", InternalChoice(((out("a"), closed),)))
+    with pytest.raises(ValueError, match="closed replacement"):
+        unfold(Rec("x", InternalChoice(((out("a"), Var("y")),))))
 
 
 # -- printing ----------------------------------------------------------------
