@@ -83,9 +83,13 @@ def _event_count(term: SessionType) -> int:
     """The event positions of ``term``: its success leaves and branches."""
     if isinstance(term, Success):
         return 1
+    if isinstance(term, Rec):
+        return _event_count(term.body)
+    count = 0
     if isinstance(term, (InternalChoice, ExternalChoice)):
-        return sum(1 + _event_count(cont) for _, cont in term.branches)
-    return _event_count(term.body) if isinstance(term, Rec) else 0
+        for _, cont in term.branches:
+            count += 1 + _event_count(cont)
+    return count
 
 
 @dataclass
@@ -96,8 +100,10 @@ class _Compiler:
     ``under`` is the premise of the events a subterm can start with: empty
     at the top, the prefix event below a prefix.  ``suffix`` is the ``@k…``
     copy chain of the events being compiled.  ``env`` maps each variable in
-    scope to its recursion binding ``(var, body, env, depth, ordinal,
-    var_ordinal)``; :meth:`fix` unrolls it at the binder and at each use.
+    scope to its recursion binding ``(rec, env, depth, ordinal,
+    var_ordinal)``: the ``rec`` term, its binder's environment, the
+    unrollings left and the ordinals its body starts at; each use compiles
+    one more copy of the body in place, under its own copy chain.
     ``chain`` counts the events of each label (by printed form) on the
     causal chain being compiled, which is the stack of prefixes whose
     continuation the walk is in, so an event's occurrence is its label's
@@ -138,8 +144,15 @@ class _Compiler:
             pass
         elif isinstance(term, Var):
             # validate has rejected free variables, so the binding exists
+            rec, rec_env, depth, ordinal, var_ordinal = env[term.name]
             resume = self.ordinal, self.var_ordinal + 1
-            self.fix(env[term.name], f"{suffix}@{self.var_ordinal}", under)
+            if depth:
+                copy = f"{suffix}@{self.var_ordinal}"
+                inner = {**rec_env, rec.var: (rec, rec_env, depth - 1, ordinal, var_ordinal)}
+                self.ordinal, self.var_ordinal = ordinal, var_ordinal
+                self.compile(rec.body, copy, inner, under)
+            else:
+                self.cut = True
             self.ordinal, self.var_ordinal = resume
         elif isinstance(term, (InternalChoice, ExternalChoice)):
             # each branch starts with its prefix event alone, so the branches
@@ -155,28 +168,13 @@ class _Compiler:
             self.conflicts.update(frozenset(pair) for pair in combinations(firsts, 2))
         elif isinstance(term, Rec):
             if self.depth:
-                self.fix((term.var, term.body, env, self.depth, self.ordinal, self.var_ordinal), suffix, under)
+                binding = (term, env, self.depth - 1, self.ordinal, self.var_ordinal)
+                self.compile(term.body, suffix, {**env, term.var: binding}, under)
             else:
                 self.ordinal += _event_count(term.body)
                 self.cut = True
         else:
             raise DenoteError(f"cannot compile {term!r}")
-
-    def fix(self, binding: tuple, suffix: str, under: frozenset[str]) -> None:
-        """Unroll a recursion binding once more, if its depth allows.
-
-        The variable maps to the next, shallower binding, resolved in the
-        environment of the binder, and numbered from the binding's ordinals.
-        Each use site passes its own copy chain, so copies reached along
-        different occurrences never share events.
-        """
-        var, body, env, depth, ordinal, var_ordinal = binding
-        if depth <= 0:
-            self.cut = True
-            return
-        inner = {**env, var: (var, body, env, depth - 1, ordinal, var_ordinal)}
-        self.ordinal, self.var_ordinal = ordinal, var_ordinal
-        self.compile(body, suffix, inner, under)
 
     def structure(self) -> EventStructureGen:
         return EventStructureGen(

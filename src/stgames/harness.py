@@ -191,14 +191,10 @@ def truncate(term: SessionType, depth: int) -> SessionType:
         if isinstance(t, (InternalChoice, ExternalChoice)):
             return type(t)(tuple((label, tr(cont, env)) for label, cont in t.branches))
         if isinstance(t, Rec):
-            def approximant(k: int) -> SessionType:
-                if k >= depth:
-                    return TERM0
-                inner = dict(env)
-                inner[t.var] = approximant(k + 1)
-                return tr(t.body, inner)
-
-            return approximant(0)
+            approximant = TERM0
+            for _ in range(depth):
+                approximant = tr(t.body, {**env, t.var: approximant})
+            return approximant
         raise TypeError(f"not a session type: {t!r}")
 
     return tr(term, {})

@@ -30,7 +30,9 @@ reference bisimulation re-signs every state in every refinement round,
 the design the worklist refinement replaced.  The reference parser
 tokenizes the whole text with a per-character loop into ``(kind, value,
 position)`` tuples and wraps every prefix in a one-branch choice before a
-choice unwraps it, the design the string-token descent replaced.
+choice unwraps it, the design the string-token descent replaced.  The
+reference truncation unrolls a recursion through a nested closure, one
+call per approximant, the design the loop replaced.
 """
 
 from __future__ import annotations
@@ -868,6 +870,30 @@ def reference_denote(term, who, unroll_depth=6, parity="odd"):
         return fix(t.var, t.body, path + ("r",), copy, env, unroll_depth)
 
     return compile_(term, (), (), {})
+
+
+def reference_truncate(term: SessionType, depth: int) -> SessionType:
+    """Truncate as the nested closure did: the k-th approximant of a
+    recursion is its body with the variable bound to the (k+1)-th, and the
+    ``depth``-th is the dead process."""
+
+    def tr(t, env):
+        if isinstance(t, (Success, Term0)):
+            return t
+        if isinstance(t, Var):
+            return env[t.name]
+        if isinstance(t, (InternalChoice, ExternalChoice)):
+            return type(t)(tuple((label, tr(cont, env)) for label, cont in t.branches))
+        assert isinstance(t, Rec)
+
+        def approximant(k):
+            if k >= depth:
+                return Term0()
+            return tr(t.body, {**env, t.var: approximant(k + 1)})
+
+        return approximant(0)
+
+    return tr(term, {})
 
 
 # ---------------------------------------------------------------------------

@@ -502,26 +502,31 @@ DEEP_PAIRS = {
 }
 
 
+def run_fresh(argv):
+    """Run the CLI in a fresh interpreter, where pytest's own frames do not
+    eat into the recursion limit."""
+    env = {**os.environ, "PYTHONPATH": str(Path(stgames.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "stgames.cli", *argv], env=env, capture_output=True)
+
+
 @pytest.mark.parametrize("pair", sorted(DEEP_PAIRS))
 @pytest.mark.parametrize("command", [["check"], ["agree"], ["export", "--what", "es"],
                                      ["export", "--what", "ets"], ["export", "--what", "ts"]],
                          ids=["check", "agree", "es", "ets", "ts"])
 def test_deep_chain_is_analysed(pair, command):
-    # 900-prefix chains, plain and under rec, in a fresh interpreter, where
-    # pytest's own frames do not eat into the recursion limit: printing,
-    # unfolding and exploring take one frame per nesting level at most.  A
-    # recursion is unrolled once (--depth 1), as the default depth nests the
-    # chain six times over in the compile walk; eager then loses the bounded
-    # game, the documented bounded verdict, so agree exits 1 there
-    argv = [*command, *DEEP_PAIRS[pair]]
-    if pair == "rec" and command[-1] in ("agree", "es", "ets"):
-        argv += ["--depth", "1"]
-    env = {**os.environ, "PYTHONPATH": str(Path(stgames.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-m", "stgames.cli", *argv], env=env, capture_output=True)
-    expected = 1 if (pair, command[0]) == ("rec", "agree") else 0
-    assert (done.returncode, done.stderr) == (expected, b"")
-    if expected:
-        assert b"bounded at depth 1" in done.stdout
+    # 900-prefix chains, plain and under rec: printing, unfolding and
+    # exploring take one frame per nesting level at most.  A recursion is
+    # unrolled once (--depth 1), as the default depth nests the chain six
+    # times over in the compile walk, and not at all (--depth 0), where the
+    # walk only counts the body's events; eager then loses the bounded game,
+    # the documented bounded verdict, so agree exits 1 there
+    unrolled = pair == "rec" and command[-1] in ("agree", "es", "ets")
+    for depth in ("1", "0") if unrolled else (None,):
+        done = run_fresh([*command, *DEEP_PAIRS[pair], *(("--depth", depth) if depth else ())])
+        expected = 1 if (pair, command[0]) == ("rec", "agree") else 0
+        assert (done.returncode, done.stderr) == (expected, b""), depth
+        if expected:
+            assert f"bounded at depth {depth}".encode() in done.stdout
 
 
 def test_check_nested_choices_exit_zero():
@@ -535,9 +540,17 @@ def test_check_nested_choices_exit_zero():
 
 
 def test_deep_unroll_exit_two(capsys):
-    code, _ = run(["agree", "rec x . !a.x", "rec y . ?a.y", "--depth", "400"])
+    code, _ = run(["agree", "rec x . !a.x", "rec y . ?a.y", "--depth", "700"])
     assert code == 2
     assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_deep_unroll_is_decided():
+    # the compile walk takes one frame per unrolling, so 450 unrollings of a
+    # one-prefix loop stay within the recursion limit
+    done = run_fresh(["agree", "rec x . !a.x", "rec y . ?a.y", "--depth", "450"])
+    assert (done.returncode, done.stderr) == (1, b"")
+    assert b"bounded at depth 450" in done.stdout
 
 
 def test_corpus_command():

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stgames
-from conftest import acceptance_contracts, acceptance_pairs, acceptance_spec, oracle_cases, reference_bisim
+from conftest import (acceptance_contracts, acceptance_pairs, acceptance_spec, oracle_cases, reference_bisim,
+                      reference_truncate)
 from stgames.denote import denote, denote_par
 from stgames.estructure import ets, make_es
 from stgames.game import compose_session_contracts
@@ -33,7 +34,7 @@ from stgames.harness import (
 )
 from stgames.lts import Lts
 from stgames.opsem import check_compliance
-from stgames.syntax import Term0, Var, is_recursive, parse, pretty, validate
+from stgames.syntax import ExternalChoice, InternalChoice, Term0, Var, is_recursive, parse, pretty, validate
 
 
 # -- bisimulation ---------------------------------------------------------------
@@ -271,6 +272,41 @@ def test_truncate_denotes_the_approximant(kind):
         truncated = denote(truncate(term, depth), "A", 0)
         assert len(truncated.events) == len(approximant.events), (pretty(term), depth)
         assert bisim(ets(truncated, relabel=True), ets(approximant, relabel=True)), (pretty(term), depth)
+
+
+def same_term(left, right) -> bool:
+    """``left == right`` for terms that share subterms, each pair of nodes
+    compared once: a truncation shares every approximant it nests, and ``==``
+    walks the unshared tree, which grows exponentially with the depth."""
+    equal: set[tuple[int, int]] = set()
+
+    def same(a, b):
+        if a is b or (id(a), id(b)) in equal:
+            return True
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, (InternalChoice, ExternalChoice)):
+            found = len(a.branches) == len(b.branches) and all(
+                la == lb and same(ca, cb) for (la, ca), (lb, cb) in zip(a.branches, b.branches))
+        else:
+            found = a == b
+        if found:
+            equal.add((id(a), id(b)))
+        return found
+
+    return same(left, right)
+
+
+def test_truncate_matches_the_reference():
+    # the loop against the nested closure it replaced, on every recursive
+    # oracle type and two binders that shadow or nest, at depths 0..6
+    terms = {term for kind in ("recursive", "nested", "families")
+             for p, q, _ in oracle_cases(kind) for term in (p, q)}
+    terms |= {parse("rec x . !a.(rec x . ?b.x)"), parse("rec x . !a.(rec y . (!b.x (+) !c.y))")}
+    for term in terms:
+        for depth in range(7):
+            assert same_term(truncate(term, depth), reference_truncate(term, depth)), (pretty(term), depth)
+    assert not same_term(parse("!a.!b"), parse("!a.!c"))
 
 
 def test_truncated_types_execute_under_both_checkers():
