@@ -264,9 +264,11 @@ def main(argv: list[str] | None = None, out=None) -> int:
         # MemoryError when a Python call finds no memory for its frame
         if isinstance(exc, SystemError) and str(exc) != "error return without exception set":
             raise
-        print("error: out of memory (the input is too large to analyse at this depth or limit)",
-              file=sys.stderr)
-        return 2
+    # out of memory: reported past the handler, whose traceback still holds
+    # the failed computation's frames, so printing there could fail again
+    print("error: out of memory (the input is too large to analyse at this depth or limit)",
+          file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

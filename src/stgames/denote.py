@@ -61,6 +61,7 @@ from .syntax import (
     Success,
     Term0,
     Var,
+    _walk,
     pretty,
     validate,
 )
@@ -81,14 +82,13 @@ class DenoteError(ValueError):
 
 def _event_count(term: SessionType) -> int:
     """The event positions of ``term``: its success leaves and branches."""
-    if isinstance(term, Success):
-        return 1
-    if isinstance(term, Rec):
-        return _event_count(term.body)
     count = 0
-    if isinstance(term, (InternalChoice, ExternalChoice)):
-        for _, cont in term.branches:
-            count += 1 + _event_count(cont)
+    for t, _, _ in _walk(term):
+        cls = t.__class__
+        if cls is Success:
+            count += 1
+        elif cls is InternalChoice or cls is ExternalChoice:
+            count += len(t.branches)
     return count
 
 

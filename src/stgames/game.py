@@ -61,44 +61,6 @@ class Contract:
         return self.es.participants() | frozenset(self.payoffs)
 
 
-def composable(first: Contract, second: Contract) -> bool:
-    """Contracts compose only when no participant gets paid by both."""
-    return not (first.payoffs.keys() & second.payoffs.keys())
-
-
-def compose_contracts_union(first: Contract, second: Contract) -> Contract:
-    """Plain componentwise union of two composable contracts.
-
-    This is the literal composition on contracts; it introduces no
-    synchronisation between the two event structures and is exposed for
-    diagnosis.  Session types are composed with
-    :func:`compose_session_contracts` instead, which builds the interaction
-    enablings.
-    """
-    if not composable(first, second):
-        raise ValueError("contracts assign payoffs to a common participant")
-    overlap = first.es.event_ids & second.es.event_ids
-    if overlap:
-        raise ValueError(f"contracts share events {sorted(overlap)}")
-    es = EventStructureGen(
-        first.es.events | second.es.events,
-        first.es.conflicts | second.es.conflicts,
-        first.es.enablings | second.es.enablings,
-    )
-    payoffs = dict(first.payoffs)
-    payoffs.update(second.payoffs)
-    bounded = _merge_bounds(first.bounded_depth, second.bounded_depth)
-    return Contract(es, payoffs, bounded)
-
-
-def _merge_bounds(a: int | None, b: int | None) -> int | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
 def compose_session_contracts(p: SessionType, a: str, q: SessionType, b: str,
                               unroll_depth: int = DEFAULT_UNROLL_DEPTH) -> Contract:
     """The game arena for a client type ``p`` of ``a`` against server ``q`` of ``b``.

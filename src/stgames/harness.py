@@ -180,7 +180,9 @@ def truncate(term: SessionType, depth: int) -> SessionType:
 
     The denotation of the result is the depth-``depth`` approximant of the
     original type's denotation, so this is the protocol that bounded game
-    verdicts actually speak about.
+    verdicts actually speak about.  Only the reduction checker may judge the
+    result: the ``0`` that ends an approximant is the ``Term0`` the turn
+    semantics reaches after ``✓``, so the turn checker reads a cut as success.
     """
 
     def tr(t: SessionType, env: dict[str, SessionType]) -> SessionType:

@@ -348,60 +348,72 @@ class Violation:
         return f"{self.rule}: {self.detail} in {self.subterm}"
 
 
+def _walk(term: SessionType):
+    """Yield ``(subterm, scope, depth)`` for every subterm of ``term`` in
+    pre-order, each choice's branches in their order.
+
+    ``depth`` counts the action prefixes above the subterm, and ``scope``
+    maps each variable bound above it to its binder's ``depth``, so a bound
+    variable is guarded exactly when its ``depth`` exceeds its binder's.
+    The walk keeps an explicit stack, with no Python frame per nesting
+    level; only a ``rec`` copies ``scope``.
+    """
+    stack = [(term, {}, 0)]
+    while stack:
+        node = stack.pop()
+        yield node
+        term, scope, depth = node
+        cls = term.__class__
+        if cls is InternalChoice or cls is ExternalChoice:
+            depth += 1
+            stack.extend([(cont, scope, depth) for _, cont in reversed(term.branches)])
+        elif cls is Rec:
+            stack.append((term.body, {**scope, term.var: depth}, depth))
+        elif cls is Buffer:
+            stack.append((term.cont, scope, depth))
+
+
 def validate(term: SessionType) -> list[Violation]:
     """Check closedness, guardedness and per-choice action distinctness.
 
     Violations are data, not failures; an empty report means the term is a
-    well-formed user-level session type.
+    well-formed user-level session type.  They are reported in the pre-order
+    of the subterms they concern.
     """
     report: list[Violation] = []
-    _validate(term, {}, report)
+    for sub, scope, depth in _walk(term):
+        cls = sub.__class__
+        if cls is Var:
+            name = sub.name
+            if name not in scope:
+                report.append(Violation("free-variable", name, f"{name} is not bound"))
+            elif depth == scope[name]:
+                report.append(
+                    Violation("unguarded-recursion", name,
+                              f"{name} occurs with no action prefix below its binder")
+                )
+        elif cls is InternalChoice or cls is ExternalChoice:
+            want = OUTPUT if cls is InternalChoice else INPUT
+            if not sub.branches:
+                report.append(Violation("empty-choice", pretty(sub), "choice has no branches"))
+            seen: set[str] = set()
+            for label, _ in sub.branches:
+                if label.polarity != want or label.is_tick:
+                    report.append(
+                        Violation("wrong-polarity", pretty(sub), f"branch action {label} has the wrong polarity")
+                    )
+                if label.name in seen:
+                    report.append(
+                        Violation("duplicate-action", pretty(sub), f"action {label} appears twice")
+                    )
+                seen.add(label.name)
+        elif cls is Buffer:
+            report.append(Violation("runtime-only-term", pretty(sub), "buffers are not user syntax"))
+        elif cls is Term0:
+            report.append(Violation("runtime-only-term", pretty(sub), "0 is not user syntax"))
+        elif cls is not Success and cls is not Rec:
+            raise TypeError(f"not a session type: {sub!r}")
     return report
-
-
-def _validate(term: SessionType, guarded: dict[str, bool], report: list[Violation]) -> None:
-    # guarded maps in-scope variables to "an action prefix separates us from
-    # the binder"; a Var is only legal when its entry exists and is True.
-    if isinstance(term, (Success, Term0)):
-        if isinstance(term, Term0):
-            report.append(Violation("runtime-only-term", pretty(term), "0 is not user syntax"))
-        return
-    if isinstance(term, Buffer):
-        report.append(Violation("runtime-only-term", pretty(term), "buffers are not user syntax"))
-        _validate(term.cont, guarded, report)
-        return
-    if isinstance(term, Var):
-        if term.name not in guarded:
-            report.append(Violation("free-variable", term.name, f"{term.name} is not bound"))
-        elif not guarded[term.name]:
-            report.append(
-                Violation("unguarded-recursion", term.name,
-                          f"{term.name} occurs with no action prefix below its binder")
-            )
-        return
-    if isinstance(term, Rec):
-        inner = dict(guarded)
-        inner[term.var] = False
-        _validate(term.body, inner, report)
-        return
-    if isinstance(term, (InternalChoice, ExternalChoice)):
-        want = OUTPUT if isinstance(term, InternalChoice) else INPUT
-        if not term.branches:
-            report.append(Violation("empty-choice", pretty(term), "choice has no branches"))
-        seen: set[str] = set()
-        for label, cont in term.branches:
-            if label.polarity != want or label.is_tick:
-                report.append(
-                    Violation("wrong-polarity", pretty(term), f"branch action {label} has the wrong polarity")
-                )
-            if label.name in seen:
-                report.append(
-                    Violation("duplicate-action", pretty(term), f"action {label} appears twice")
-                )
-            seen.add(label.name)
-            _validate(cont, dict.fromkeys(guarded, True), report)
-        return
-    raise TypeError(f"not a session type: {term!r}")
 
 
 def assert_valid(term: SessionType, what: str = "session type") -> None:
@@ -415,18 +427,7 @@ def assert_valid(term: SessionType, what: str = "session type") -> None:
 # ---------------------------------------------------------------------------
 
 def free_vars(term: SessionType) -> frozenset[str]:
-    if isinstance(term, Var):
-        return frozenset({term.name})
-    if isinstance(term, Rec):
-        return free_vars(term.body) - {term.var}
-    if isinstance(term, (InternalChoice, ExternalChoice)):
-        out: frozenset[str] = frozenset()
-        for _, cont in term.branches:
-            out |= free_vars(cont)
-        return out
-    if isinstance(term, Buffer):
-        return free_vars(term.cont)
-    return frozenset()
+    return frozenset(t.name for t, scope, _ in _walk(term) if t.__class__ is Var and t.name not in scope)
 
 
 def substitute(term: SessionType, var: str, replacement: SessionType) -> SessionType:
@@ -501,22 +502,5 @@ def min_loop_guard(term: SessionType) -> int | None:
     """Fewest action prefixes between any recursion binder and a use of its
     variable; ``None`` when no recursion variable is used.  One trip around
     a loop fires at least this many of the owner's events."""
-    best: int | None = None
-
-    def walk(t: SessionType, depths: dict[str, int]) -> None:
-        nonlocal best
-        if isinstance(t, Var):
-            if t.name in depths:
-                candidate = depths[t.name]
-                best = candidate if best is None else min(best, candidate)
-        elif isinstance(t, (InternalChoice, ExternalChoice)):
-            deeper = {name: depth + 1 for name, depth in depths.items()}
-            for _, cont in t.branches:
-                walk(cont, deeper)
-        elif isinstance(t, Rec):
-            inner = dict(depths)
-            inner[t.var] = 0
-            walk(t.body, inner)
-
-    walk(term, {})
-    return best
+    return min((depth - scope[t.name] for t, scope, depth in _walk(term)
+                if t.__class__ is Var and t.name in scope), default=None)

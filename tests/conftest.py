@@ -32,7 +32,10 @@ tokenizes the whole text with a per-character loop into ``(kind, value,
 position)`` tuples and wraps every prefix in a one-branch choice before a
 choice unwraps it, the design the string-token descent replaced.  The
 reference truncation unrolls a recursion through a nested closure, one
-call per approximant, the design the loop replaced.
+call per approximant, the design the loop replaced.  The reference term
+folds (validation, free variables, loop guards and event counts) each
+descend recursively with a scope of their own, the design the one scoped
+walk replaced.
 """
 
 from __future__ import annotations
@@ -72,9 +75,11 @@ from stgames.syntax import (
     Success,
     Term0,
     Var,
+    Violation,
     inp,
     out,
     parse,
+    pretty,
 )
 
 # ---------------------------------------------------------------------------
@@ -894,6 +899,109 @@ def reference_truncate(term: SessionType, depth: int) -> SessionType:
         return approximant(0)
 
     return tr(term, {})
+
+
+# ---------------------------------------------------------------------------
+# Reference term folds: one recursive descent each
+# ---------------------------------------------------------------------------
+
+def reference_validate(term: SessionType) -> list[Violation]:
+    report: list[Violation] = []
+    _reference_validate(term, {}, report)
+    return report
+
+
+def _reference_validate(term: SessionType, guarded: dict[str, bool], report: list[Violation]) -> None:
+    # guarded maps in-scope variables to "an action prefix separates us from
+    # the binder"; a Var is only legal when its entry exists and is True.
+    if isinstance(term, (Success, Term0)):
+        if isinstance(term, Term0):
+            report.append(Violation("runtime-only-term", pretty(term), "0 is not user syntax"))
+        return
+    if isinstance(term, Buffer):
+        report.append(Violation("runtime-only-term", pretty(term), "buffers are not user syntax"))
+        _reference_validate(term.cont, guarded, report)
+        return
+    if isinstance(term, Var):
+        if term.name not in guarded:
+            report.append(Violation("free-variable", term.name, f"{term.name} is not bound"))
+        elif not guarded[term.name]:
+            report.append(
+                Violation("unguarded-recursion", term.name,
+                          f"{term.name} occurs with no action prefix below its binder")
+            )
+        return
+    if isinstance(term, Rec):
+        inner = dict(guarded)
+        inner[term.var] = False
+        _reference_validate(term.body, inner, report)
+        return
+    assert isinstance(term, (InternalChoice, ExternalChoice))
+    want = OUTPUT if isinstance(term, InternalChoice) else INPUT
+    if not term.branches:
+        report.append(Violation("empty-choice", pretty(term), "choice has no branches"))
+    seen: set[str] = set()
+    for label, cont in term.branches:
+        if label.polarity != want or label.is_tick:
+            report.append(
+                Violation("wrong-polarity", pretty(term), f"branch action {label} has the wrong polarity")
+            )
+        if label.name in seen:
+            report.append(Violation("duplicate-action", pretty(term), f"action {label} appears twice"))
+        seen.add(label.name)
+        _reference_validate(cont, dict.fromkeys(guarded, True), report)
+
+
+def reference_free_vars(term: SessionType) -> frozenset[str]:
+    if isinstance(term, Var):
+        return frozenset({term.name})
+    if isinstance(term, Rec):
+        return reference_free_vars(term.body) - {term.var}
+    if isinstance(term, (InternalChoice, ExternalChoice)):
+        found: frozenset[str] = frozenset()
+        for _, cont in term.branches:
+            found |= reference_free_vars(cont)
+        return found
+    if isinstance(term, Buffer):
+        return reference_free_vars(term.cont)
+    return frozenset()
+
+
+def reference_min_loop_guard(term: SessionType) -> int | None:
+    """The fewest choices between a binder and a use of its variable; a
+    buffer's continuation is not searched."""
+    best: int | None = None
+
+    def walk(t: SessionType, depths: dict[str, int]) -> None:
+        nonlocal best
+        if isinstance(t, Var):
+            if t.name in depths:
+                candidate = depths[t.name]
+                best = candidate if best is None else min(best, candidate)
+        elif isinstance(t, (InternalChoice, ExternalChoice)):
+            deeper = {name: depth + 1 for name, depth in depths.items()}
+            for _, cont in t.branches:
+                walk(cont, deeper)
+        elif isinstance(t, Rec):
+            inner = dict(depths)
+            inner[t.var] = 0
+            walk(t.body, inner)
+
+    walk(term, {})
+    return best
+
+
+def reference_event_count(term: SessionType) -> int:
+    """Success leaves plus choice branches; a buffer's continuation is not counted."""
+    if isinstance(term, Success):
+        return 1
+    if isinstance(term, Rec):
+        return reference_event_count(term.body)
+    count = 0
+    if isinstance(term, (InternalChoice, ExternalChoice)):
+        for _, cont in term.branches:
+            count += 1 + reference_event_count(cont)
+    return count
 
 
 # ---------------------------------------------------------------------------

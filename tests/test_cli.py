@@ -479,6 +479,27 @@ def test_out_of_memory_exit_two(monkeypatch, capsys, error):
     assert err.startswith("error: out of memory") and err.count("\n") == 1
 
 
+# nested pair 115 (seed 1001): at depth 4 the compile walk alone needs more
+# than 256 MiB
+NESTED_115 = ("rec x0 . rec x1 . ?b + ?c.(!a.?d.x1 (+) !c.?d.x1) + ?d.x0",
+              "rec x0 . rec x1 . !b (+) !c.(?a.!d.x1 + ?c.!d.x1 + ?d) (+) !d.x0")
+
+
+def test_out_of_memory_under_an_address_space_cap():
+    # a real exhaustion, not a raised stand-in: the message is printed past
+    # the handler, whose traceback still holds the failed walk's frames, so
+    # printing cannot run out of memory again and dump a traceback
+    resource = pytest.importorskip("resource")
+    cap = 256 * 2**20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    done = run_fresh(["agree", *NESTED_115, "--depth", "4"], preexec_fn=limit)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith(b"error: out of memory") and done.stderr.count(b"\n") == 1
+
+
 def test_other_system_errors_are_not_out_of_memory(monkeypatch):
     def compose(*args):
         raise SystemError("some other internal error")
@@ -502,11 +523,12 @@ DEEP_PAIRS = {
 }
 
 
-def run_fresh(argv):
+def run_fresh(argv, **options):
     """Run the CLI in a fresh interpreter, where pytest's own frames do not
-    eat into the recursion limit."""
+    eat into the recursion limit; ``options`` go to ``subprocess.run``."""
     env = {**os.environ, "PYTHONPATH": str(Path(stgames.__file__).parents[1])}
-    return subprocess.run([sys.executable, "-m", "stgames.cli", *argv], env=env, capture_output=True)
+    return subprocess.run([sys.executable, "-m", "stgames.cli", *argv], env=env, capture_output=True,
+                          **options)
 
 
 @pytest.mark.parametrize("pair", sorted(DEEP_PAIRS))

@@ -22,14 +22,12 @@ from conftest import (
 )
 from stgames import cli, game
 from stgames.denote import denote
-from stgames.estructure import EMPTY_ES, Event, ets, make_es, playable
+from stgames.estructure import Event, ets, make_es, playable
 from stgames.game import (
     Contract,
     EagerStrategy,
     ExplicitStrategy,
     StateLimitError,
-    composable,
-    compose_contracts_union,
     compose_session_contracts,
     conforms,
     culpable_at_end,
@@ -62,7 +60,7 @@ def paycash_contract():
     return compose_session_contracts(parse("!payCash (+) !payCC"), "A", parse("?payCash"), "B")
 
 
-# -- contracts and composability ----------------------------------------------
+# -- contracts and composition ------------------------------------------------
 
 def test_contract_requires_payoffs_for_obliged_participants():
     es = denote(parse("!a"), "A")
@@ -71,32 +69,12 @@ def test_contract_requires_payoffs_for_obliged_participants():
     Contract(es, {"A": "success"})
 
 
-def test_composable_disjoint_payoffs():
-    left = Contract(denote(parse("!a"), "A", parity="odd"), {"A": "success"})
-    right = Contract(denote(parse("?a"), "B", parity="even"), {"B": "success"})
-    same = Contract(denote(parse("?a"), "A", parity="even"), {"A": "success"})
-    empty = Contract(EMPTY_ES, {})
-    assert composable(left, right)
-    assert not composable(left, same)
-    assert composable(left, empty) and composable(empty, right)
-
-
-def test_union_composition_is_plain_union():
-    left = Contract(denote(parse("!a"), "A", parity="odd"), {"A": "success"})
-    right = Contract(denote(parse("?a"), "B", parity="even"), {"B": "success"})
-    union = compose_contracts_union(left, right)
-    assert union.es.gens == left.es.gens | right.es.gens
-    # the union gives the reader an unconditional enabling: no synchronisation
-    reader = next(e.id for e in right.es.events if str(e.label) == "?a")
-    assert (frozenset(), reader) in union.es.gens
-    # whereas the session composition makes it wait for the writer
-    session = compose_session_contracts(parse("!a"), "A", parse("?a"), "B")
-    assert (frozenset(), "e2") not in session.es.gens
-
-
 def test_same_participant_composition_rejected():
     with pytest.raises(ValueError):
         compose_session_contracts(parse("!a"), "A", parse("?a"), "A")
+    # between distinct participants, the session composition makes ?a wait for !a
+    session = compose_session_contracts(parse("!a"), "A", parse("?a"), "B")
+    assert (frozenset(), "e2") not in session.es.gens
 
 
 def test_example_contract_wires_denotations(example_contract):

@@ -2,16 +2,31 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
-from conftest import large_pairs, nested_spec, reference_parse
+from conftest import (
+    DEEP_FAMILIES,
+    large_pairs,
+    nested_spec,
+    oracle_cases,
+    reference_event_count,
+    reference_free_vars,
+    reference_min_loop_guard,
+    reference_parse,
+    reference_validate,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stgames.harness import CorpusSpec, _subterms, corpus_pair
+from stgames.denote import _event_count
+from stgames.harness import CorpusSpec, _subterms, corpus_pair, dual
 from stgames.syntax import (
     SUCCESS,
+    TERM0,
     TICK,
     ActionLabel,
+    Buffer,
     ExternalChoice,
     InternalChoice,
     ParseError,
@@ -20,6 +35,7 @@ from stgames.syntax import (
     Var,
     free_vars,
     inp,
+    min_loop_guard,
     out,
     parse,
     pretty,
@@ -369,3 +385,86 @@ def test_unfold_preserves_validity(body):
     term = Rec("x", InternalChoice(((out("a"), body), (out("e"), Var("x")))))
     assert validate(term) == []
     assert validate(unfold(term)) == []
+
+
+# -- the scoped walk against the recursive references ------------------------
+
+def assert_walks_as_references(term):
+    """``validate`` (report order included), ``free_vars``, ``min_loop_guard``
+    and ``_event_count`` agree with the recursive references on ``term`` and
+    on the body of each ``rec`` in it, where the binder's variable is free."""
+    for sub in [term, *(rec.body for _, rec in _subterms(term) if isinstance(rec, Rec))]:
+        assert validate(sub) == reference_validate(sub), pretty(sub)
+        assert free_vars(sub) == reference_free_vars(sub), pretty(sub)
+        assert min_loop_guard(sub) == reference_min_loop_guard(sub), pretty(sub)
+        assert _event_count(sub) == reference_event_count(sub), pretty(sub)
+
+
+def test_walk_matches_references_on_corpus_types():
+    # both acceptance corpora, the nested-recursion oracle pairs, the
+    # deep-unroll families and the check-large style pairs
+    pairs = [case[:2] for kind in ("finite", "recursive", "nested") for case in oracle_cases(kind)]
+    families = [parse(source) for source, _ in DEEP_FAMILIES]
+    pairs += [(client, dual(client)) for client in families]
+    pairs += large_pairs()
+    for pair in pairs:
+        for term in pair:
+            assert_walks_as_references(term)
+
+
+_vars = st.sampled_from(["x", "y", "z"])
+
+
+def _open_terms():
+    """Terms the parser can produce, with free and unguarded variables."""
+    return st.recursive(
+        st.one_of(st.just(SUCCESS), _vars.map(Var)),
+        lambda inner: st.one_of(_branches("internal", inner), _branches("external", inner),
+                                st.builds(Rec, _vars, inner)),
+        max_leaves=16,
+    )
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_open_terms())
+def test_walk_matches_references_on_parser_shaped_terms(term):
+    assert parse(pretty(term)) == term
+    assert_walks_as_references(term)
+
+
+_labels = st.sampled_from([out("a"), inp("a"), out("b"), inp("b"), TICK])
+
+
+def _arbitrary_terms():
+    """Terms no parse yields: ``0``, buffers, wrong polarity, duplicate
+    actions and empty choices."""
+    def choice(cls, inner):
+        return st.lists(st.tuples(_labels, inner), max_size=3).map(lambda branches: cls(tuple(branches)))
+
+    return st.recursive(
+        st.one_of(st.just(SUCCESS), st.just(TERM0), _vars.map(Var)),
+        lambda inner: st.one_of(choice(InternalChoice, inner), choice(ExternalChoice, inner),
+                                st.builds(Rec, _vars, inner), st.builds(Buffer, _labels, inner)),
+        max_leaves=16,
+    )
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_arbitrary_terms())
+def test_walk_reports_as_references_on_arbitrary_terms(term):
+    # the walk reports a choice's own violations before those below it,
+    # where the reference interleaves them branch by branch
+    assert Counter(validate(term)) == Counter(reference_validate(term))
+    assert free_vars(term) == reference_free_vars(term)
+
+
+def test_walk_handles_a_deep_term():
+    # 5,000 levels, a rec every tenth: the walk keeps its own stack, where a
+    # recursive fold needs a Python frame per level
+    term = Var("x0")
+    for level in reversed(range(5000)):
+        term = Rec(f"x{level}", term) if level % 10 == 0 else InternalChoice(((out("a"), term),))
+    assert validate(term) == []
+    assert free_vars(term) == frozenset()
+    assert min_loop_guard(term) == 4500
+    assert _event_count(term) == 4500
