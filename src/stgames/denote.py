@@ -138,23 +138,8 @@ class _Compiler:
         return event_id
 
     def compile(self, term: SessionType, suffix: str, env: dict, under: frozenset[str]) -> None:
-        if isinstance(term, Success):
-            self.add_initial(suffix, TICK, under)
-        elif isinstance(term, Term0):
-            pass
-        elif isinstance(term, Var):
-            # validate has rejected free variables, so the binding exists
-            rec, rec_env, depth, ordinal, var_ordinal = env[term.name]
-            resume = self.ordinal, self.var_ordinal + 1
-            if depth:
-                copy = f"{suffix}@{self.var_ordinal}"
-                inner = {**rec_env, rec.var: (rec, rec_env, depth - 1, ordinal, var_ordinal)}
-                self.ordinal, self.var_ordinal = ordinal, var_ordinal
-                self.compile(rec.body, copy, inner, under)
-            else:
-                self.cut = True
-            self.ordinal, self.var_ordinal = resume
-        elif isinstance(term, (InternalChoice, ExternalChoice)):
+        cls = term.__class__
+        if cls is InternalChoice or cls is ExternalChoice:
             # each branch starts with its prefix event alone, so the branches
             # conflict pairwise on those
             firsts = []
@@ -166,14 +151,28 @@ class _Compiler:
                 chain[label.text] = count - 1
                 firsts.append(first)
             self.conflicts.update(frozenset(pair) for pair in combinations(firsts, 2))
-        elif isinstance(term, Rec):
+        elif cls is Success:
+            self.add_initial(suffix, TICK, under)
+        elif cls is Var:
+            # validate has rejected free variables, so the binding exists
+            rec, rec_env, depth, ordinal, var_ordinal = env[term.name]
+            resume = self.ordinal, self.var_ordinal + 1
+            if depth:
+                copy = f"{suffix}@{self.var_ordinal}"
+                inner = {**rec_env, rec.var: (rec, rec_env, depth - 1, ordinal, var_ordinal)}
+                self.ordinal, self.var_ordinal = ordinal, var_ordinal
+                self.compile(rec.body, copy, inner, under)
+            else:
+                self.cut = True
+            self.ordinal, self.var_ordinal = resume
+        elif cls is Rec:
             if self.depth:
                 binding = (term, env, self.depth - 1, self.ordinal, self.var_ordinal)
                 self.compile(term.body, suffix, {**env, term.var: binding}, under)
             else:
                 self.ordinal += _event_count(term.body)
                 self.cut = True
-        else:
+        elif cls is not Term0:
             raise DenoteError(f"cannot compile {term!r}")
 
     def structure(self) -> EventStructureGen:

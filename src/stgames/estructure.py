@@ -202,29 +202,52 @@ class PlayIndex:
     from any configuration.  Every enabling is kept, inert ones included,
     to answer as the set-based definition does, and each costs one rule,
     woken under each event of its premise and of its partner sets.
+
+    The masks are built once, by ORing bits straight from the structure:
+    an event's kill mask (its bit and its conflicts') over its conflict
+    set, an enabling's premise mask and one mask per partner set over
+    their ids.  Each rule is filed under the set bits of its premise mask
+    ORed with its partner masks.
     """
 
     __slots__ = ("ids", "bit", "initial", "_keep", "_woken")
 
     def __init__(self, es: EventStructureGen) -> None:
-        self.ids = tuple(sorted(es.event_ids, key=id_sort_key))
-        position = {eid: i for i, eid in enumerate(self.ids)}
-        self.bit = {eid: 1 << i for eid, i in position.items()}
+        self.ids = ids = tuple(sorted(es.event_ids, key=id_sort_key))
+        self.bit = bit = {eid: 1 << i for i, eid in enumerate(ids)}
         # an event's bit plus its conflict mask: what firing it rules out
-        kill = [self.bit[eid] | self.mask(es.conflicts_of(eid)) for eid in self.ids]
-        self._keep = [~mask for mask in kill]
+        kill = {}
+        for eid, others in es._conflict_sets.items():
+            mask = bit[eid]
+            for other in others:
+                mask |= bit[other]
+            kill[eid] = mask
+        self._keep = [~kill[eid] for eid in ids]
         # per bit position, the (target bit, target's kill mask, premise
         # mask, partner masks) rules of the enablings that event can help
-        self._woken: list[list[tuple[int, int, int, tuple[int, ...]]]] = [[] for _ in self.ids]
+        self._woken: list[list[tuple[int, int, int, tuple[int, ...]]]] = [[] for _ in ids]
         self.initial = 0
         for premise, partner_sets, target in es.enablings:
             if not premise and not partner_sets:
-                self.initial |= self.bit[target]
+                self.initial |= bit[target]
                 continue
-            partners = tuple(map(self.mask, partner_sets)) if partner_sets else ()
-            rule = (self.bit[target], kill[position[target]], self.mask(premise), partners)
-            for eid in premise.union(*partner_sets) if partner_sets else premise:
-                self._woken[position[eid]].append(rule)
+            needed = 0
+            for eid in premise:
+                needed |= bit[eid]
+            partners = []
+            woken = needed
+            for partner_set in partner_sets:
+                mask = 0
+                for eid in partner_set:
+                    mask |= bit[eid]
+                partners.append(mask)
+                woken |= mask
+            rule = (bit[target], kill[target], needed, tuple(partners))
+            # file the rule under each event of its premise and partner sets
+            while woken:
+                low = woken & -woken
+                self._woken[low.bit_length() - 1].append(rule)
+                woken ^= low
 
     def mask(self, ids) -> int:
         """The configuration holding ``ids``; an id of no event is a ``KeyError``."""
@@ -268,7 +291,11 @@ class Arena:
     one: ``i`` has fired mask ``fired[i]``, playable mask ``moves[i]`` and an
     ``(event id, successor)`` pair per move in ``successors[i]``, sorted.  An
     edge fires one event, so reverse numbering is reverse topological.  At
-    ``limit`` configurations, a move to a new one sets ``truncated`` instead."""
+    ``limit`` configurations, a move to a new one sets ``truncated`` instead.
+
+    Each configuration's moves are walked bit by bit, lowest first, so the
+    successors come in sorted order; a move's id is read off its bit's
+    position in the index's ``ids``."""
 
     __slots__ = ("fired", "moves", "successors", "truncated")
 
@@ -277,12 +304,15 @@ class Arena:
         self.moves = move_masks = [index.initial]
         self.successors: list[list[tuple[str, int]]] = []
         self.truncated = False
+        ids, step = index.ids, index.step
         number = {0: 0}
         # the two lists grow as the loop reads them: they are the queue
         for fired, moves in zip(fired_masks, move_masks):
             out = []
-            for event_id in index.members(moves):
-                bit = index.bit[event_id]
+            rest = moves
+            while rest:  # lowest bit first: the moves in sorted order
+                bit = rest & -rest
+                rest ^= bit
                 nxt = fired | bit
                 successor = number.get(nxt)
                 if successor is None:
@@ -291,8 +321,8 @@ class Arena:
                         continue
                     successor = number[nxt] = len(fired_masks)
                     fired_masks.append(nxt)
-                    move_masks.append(index.step(fired, moves, bit))
-                out.append((event_id, successor))
+                    move_masks.append(step(fired, moves, bit))
+                out.append((ids[bit.bit_length() - 1], successor))
             self.successors.append(out)
 
 
@@ -396,12 +426,16 @@ def ets(es: EventStructureGen, step_bound: int = DEFAULT_STATE_LIMIT, relabel: b
     ``{e1,e5}``; the initial state is ``{}``.  Edge labels are event ids,
     or the events' action labels when ``relabel`` is set.  ``step_bound``
     caps the states of ``es.arena(step_bound)``, setting the truncation flag.
+
+    States are named from the arena's fired masks and edges read off its
+    successors, whose moves it walked bit by bit; each event's label text
+    is read once, into one table the edges share.
     """
     if step_bound <= 0:
         raise ValueError("state limit must be positive")
     arena = es.arena(step_bound)
     index = es.play_index
-    labels = {eid: str(es.label_of(eid)) if relabel else eid for eid in index.ids}
+    labels = {eid: es._by_id[eid].label.text if relabel else eid for eid in index.ids}
     names = ["{" + ",".join(index.members(fired)) + "}" for fired in arena.fired]
     edges = {(names[i], labels[eid], names[j]) for i, out in enumerate(arena.successors) for eid, j in out}
     return Lts(frozenset(names), "{}", frozenset(edges), arena.truncated)

@@ -260,9 +260,14 @@ def _explored(contract: Contract, participant: str) -> tuple[Arena, dict[str, in
         raise ValueError(f"no payoff defined for {participant}")
     es = contract.es
     index = es.play_index
-    own = index.mask(es.events_of(participant))
-    ticks = index.mask(e.id for e in es.events if e.participant == participant and e.label.is_tick)
-    return es.arena(DEFAULT_STATE_LIMIT), index.bit, own, ticks
+    bit = index.bit
+    own = ticks = 0
+    for event in es.events:
+        if event.participant == participant:
+            own |= bit[event.id]
+            if event.label.is_tick:
+                ticks |= bit[event.id]
+    return es.arena(DEFAULT_STATE_LIMIT), bit, own, ticks
 
 
 def eager_winning(contract: Contract, participant: str) -> GameVerdict:

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import accumulate, product
 
 from .denote import DEFAULT_UNROLL_DEPTH
 from .estructure import ets
@@ -53,6 +55,7 @@ from .syntax import (
     IDENT_RE,
     SUCCESS,
     TERM0,
+    ActionLabel,
     ExternalChoice,
     InternalChoice,
     Rec,
@@ -243,26 +246,44 @@ class CorpusSpec:
                 raise ValueError(f"corpus action {name!r} is not an identifier")
 
 
+def _kind_table() -> dict[tuple[str, bool, bool, bool], tuple[tuple[str, ...], tuple[int, ...]]]:
+    """The node kinds the generator may draw and their cumulative weights,
+    keyed by (role, budget left, rec allowed, guarded variable in scope)."""
+    table = {}
+    for role, has_budget, rec, var in product(("client", "server"), *[(False, True)] * 3):
+        kinds, weights = ["success"], [2]
+        if has_budget:
+            kinds += ["internal", "external"]
+            weights += (5, 3) if role == "client" else (3, 5)
+            if rec:
+                kinds.append("rec")
+                weights.append(2)
+        if var:
+            kinds.append("var")
+            weights.append(3)
+        table[role, has_budget, rec, var] = (tuple(kinds), tuple(accumulate(weights)))
+    return table
+
+
+_KINDS = _kind_table()
+
+
+@lru_cache(maxsize=64)
+def _action_labels(actions: tuple[str, ...]) -> dict[str, dict[str, ActionLabel]]:
+    """One output and one input label per action name, by choice kind."""
+    return {"internal": {name: out(name) for name in actions},
+            "external": {name: inp(name) for name in actions}}
+
+
 def _gen_type(rng: random.Random, spec: CorpusSpec, role: str, budget: int,
               scope: dict[str, bool], rec_budget: int) -> SessionType:
-    guarded = sorted(name for name, ok in scope.items() if ok)
-    choices: list[str] = ["success"]
-    weights: list[int] = [2]
-    if budget > 0:
-        internal_weight, external_weight = (5, 3) if role == "client" else (3, 5)
-        choices += ["internal", "external"]
-        weights += [internal_weight, external_weight]
-        if rec_budget > 0 and budget > 1:
-            choices.append("rec")
-            weights.append(2)
-    if guarded:
-        choices.append("var")
-        weights.append(3)
-    kind = rng.choices(choices, weights)[0]
+    # cumulative weights draw exactly as the weights they accumulate
+    kinds, cum_weights = _KINDS[role, budget > 0, rec_budget > 0 and budget > 1, True in scope.values()]
+    kind = rng.choices(kinds, cum_weights=cum_weights)[0]
     if kind == "success":
         return SUCCESS
     if kind == "var":
-        return Var(rng.choice(guarded))
+        return Var(rng.choice(sorted(name for name, ok in scope.items() if ok)))
     if kind == "rec":
         name = f"x{len(scope)}"
         inner = dict(scope)  # a binder is not a prefix: outer guard status persists
@@ -271,10 +292,10 @@ def _gen_type(rng: random.Random, spec: CorpusSpec, role: str, budget: int,
         return Rec(name, body) if name in free_vars(body) else body
     width = rng.randint(1, min(spec.max_branch, budget))
     names = rng.sample(spec.actions, min(width, len(spec.actions)))
-    make = out if kind == "internal" else inp
+    labels = _action_labels(spec.actions)[kind]
     deeper = dict.fromkeys(scope, True)
     branches = tuple(
-        (make(name), _gen_type(rng, spec, role, budget - 1, deeper, rec_budget))
+        (labels[name], _gen_type(rng, spec, role, budget - 1, deeper, rec_budget))
         for name in sorted(names)
     )
     return InternalChoice(branches) if kind == "internal" else ExternalChoice(branches)
@@ -323,6 +344,13 @@ def random_session_type(spec: CorpusSpec, role: str, index: int = 0) -> SessionT
     internal versus external choices.  Identical arguments always produce
     the same term; every output validates cleanly.  With recursion allowed
     the client stream is guaranteed recursive.
+
+    Each node's kind is drawn from a fixed table of kinds and cumulative
+    weights, keyed by the role, whether budget is left, whether a ``rec``
+    is allowed and whether a guarded variable is in scope.
+    ``random.choices`` accumulates plain weights into exactly those
+    cumulative weights, so the draws are the ones the weights give.  Each
+    action label is made once per name and polarity.
     """
     if role not in ("client", "server"):
         raise ValueError("role must be 'client' or 'server'")
@@ -334,16 +362,22 @@ def random_session_type(spec: CorpusSpec, role: str, index: int = 0) -> SessionT
     return term
 
 
+@lru_cache(maxsize=1024)
+def _co(label: ActionLabel) -> ActionLabel:
+    """``label.co()``, made once per label."""
+    return label.co()
+
+
 def dual(term: SessionType) -> SessionType:
     """Swap choice flavours and action polarities; the canonical partner."""
-    if isinstance(term, (Success, Term0, Var)):
-        return term
-    if isinstance(term, Rec):
+    cls = term.__class__
+    if cls is InternalChoice or cls is ExternalChoice:
+        flipped = ExternalChoice if cls is InternalChoice else InternalChoice
+        return flipped(tuple((_co(label), dual(cont)) for label, cont in term.branches))
+    if cls is Rec:
         return Rec(term.var, dual(term.body))
-    if isinstance(term, InternalChoice):
-        return ExternalChoice(tuple((label.co(), dual(cont)) for label, cont in term.branches))
-    if isinstance(term, ExternalChoice):
-        return InternalChoice(tuple((label.co(), dual(cont)) for label, cont in term.branches))
+    if cls is Success or cls is Term0 or cls is Var:
+        return term
     raise TypeError(f"not a session type: {term!r}")
 
 

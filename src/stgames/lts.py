@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 # the default bound on the states an exploration or a game arena reaches
 DEFAULT_STATE_LIMIT = 10**5
@@ -24,8 +25,9 @@ class Lts:
     def __post_init__(self) -> None:
         if self.initial not in self.states:
             raise ValueError("initial state is not a state")
-        sources, _, targets = zip(*self.edges) if self.edges else ((), (), ())
-        if not self.states.issuperset(sources + targets):
+        states, edges = self.states, self.edges
+        if not (states.issuperset(map(itemgetter(0), edges))
+                and states.issuperset(map(itemgetter(2), edges))):
             raise ValueError("edge endpoint is not a state")
 
     @property

@@ -35,7 +35,10 @@ reference truncation unrolls a recursion through a nested closure, one
 call per approximant, the design the loop replaced.  The reference term
 folds (validation, free variables, loop guards and event counts) each
 descend recursively with a scope of their own, the design the one scoped
-walk replaced.
+walk replaced.  The reference corpus generator builds each node's kind and
+weight lists afresh and makes a label per branch, and the reference dual a
+co-label per branch, the design the kind table and the labels made once per
+name and polarity replaced.
 """
 
 from __future__ import annotations
@@ -76,6 +79,7 @@ from stgames.syntax import (
     Term0,
     Var,
     Violation,
+    free_vars,
     inp,
     out,
     parse,
@@ -242,6 +246,41 @@ def random_forests(count: int) -> list[EventStructureGen]:
     """The first ``count`` of one seeded sequence of :func:`random_forest`."""
     rng = random.Random(4021)
     return [random_forest(rng) for _ in range(count)]
+
+
+def random_partner_structure(rng: random.Random, max_events: int = 6) -> EventStructureGen:
+    """A structure built with :class:`EventStructureGen` directly, whose
+    enablings carry one to three partner sets each: members are drawn from
+    every event but the target, one member may repeat a premise event, and
+    two members of a set may be made to conflict.  Plain enablings, ``e1``'s
+    with an empty premise, start the plays."""
+    events = [Event(f"e{i}", "AB"[(i - 1) % 2], rng.choice(_LABEL_POOL))
+              for i in range(1, rng.randint(3, max_events) + 1)]
+    ids = [e.id for e in events]
+    conflicts = {frozenset(pair) for pair in combinations(ids, 2) if rng.random() < 0.15}
+    enablings = set()
+    for target in ids:
+        others = [eid for eid in ids if eid != target]
+        if target == "e1" or rng.random() < 0.4:
+            enablings.add((frozenset(rng.sample(others, rng.randint(0, target != "e1"))), frozenset(), target))
+        for _ in range(rng.randint(0, 2)):
+            premise = frozenset(rng.sample(others, rng.randint(0, 2)))
+            partner_sets = set()
+            for _ in range(rng.randint(1, 3)):
+                members = rng.sample(others, rng.randint(2, min(3, len(others))))
+                if premise and rng.random() < 0.5:
+                    members.append(rng.choice(sorted(premise)))
+                if rng.random() < 0.3:
+                    conflicts.add(frozenset(members[:2]))
+                partner_sets.add(frozenset(members))
+            enablings.add((premise, frozenset(partner_sets), target))
+    return EventStructureGen(frozenset(events), frozenset(conflicts), frozenset(enablings))
+
+
+def partner_structures(count: int = 200) -> list[EventStructureGen]:
+    """The first ``count`` of one seeded sequence of :func:`random_partner_structure`."""
+    rng = random.Random(7310)
+    return [random_partner_structure(rng) for _ in range(count)]
 
 
 @pytest.fixture(scope="session")
@@ -1285,3 +1324,73 @@ def reference_bisim(a, b, bound=None):
         if stable:
             break
     return block[("a", a.initial)] == block[("b", b.initial)]
+
+
+# ---------------------------------------------------------------------------
+# Reference corpus generator: weight lists per node, a label per branch
+# ---------------------------------------------------------------------------
+
+def reference_gen_type(rng: random.Random, spec, role: str, budget: int,
+                       scope: dict[str, bool], rec_budget: int) -> SessionType:
+    guarded = sorted(name for name, ok in scope.items() if ok)
+    choices: list[str] = ["success"]
+    weights: list[int] = [2]
+    if budget > 0:
+        internal_weight, external_weight = (5, 3) if role == "client" else (3, 5)
+        choices += ["internal", "external"]
+        weights += [internal_weight, external_weight]
+        if rec_budget > 0 and budget > 1:
+            choices.append("rec")
+            weights.append(2)
+    if guarded:
+        choices.append("var")
+        weights.append(3)
+    kind = rng.choices(choices, weights)[0]
+    if kind == "success":
+        return SUCCESS
+    if kind == "var":
+        return Var(rng.choice(guarded))
+    if kind == "rec":
+        name = f"x{len(scope)}"
+        inner = dict(scope)
+        inner[name] = False
+        body = reference_gen_type(rng, spec, role, budget - 1, inner, rec_budget - 1)
+        return Rec(name, body) if name in free_vars(body) else body
+    width = rng.randint(1, min(spec.max_branch, budget))
+    names = rng.sample(spec.actions, min(width, len(spec.actions)))
+    make = out if kind == "internal" else inp
+    deeper = dict.fromkeys(scope, True)
+    branches = tuple(
+        (make(name), reference_gen_type(rng, spec, role, budget - 1, deeper, rec_budget))
+        for name in sorted(names)
+    )
+    return InternalChoice(branches) if kind == "internal" else ExternalChoice(branches)
+
+
+def reference_dual(term: SessionType) -> SessionType:
+    if isinstance(term, (Success, Term0, Var)):
+        return term
+    if isinstance(term, Rec):
+        return Rec(term.var, reference_dual(term.body))
+    if isinstance(term, InternalChoice):
+        return ExternalChoice(tuple((label.co(), reference_dual(cont)) for label, cont in term.branches))
+    if isinstance(term, ExternalChoice):
+        return InternalChoice(tuple((label.co(), reference_dual(cont)) for label, cont in term.branches))
+    raise TypeError(f"not a session type: {term!r}")
+
+
+def reference_corpus_pair(spec, index: int) -> tuple[SessionType, SessionType]:
+    """``corpus_pair`` over the reference generator and dual; the loop
+    wrapping and the perturbation are the harness's own."""
+    from stgames.harness import _ensure_recursive, _perturb
+
+    def draw(role: str) -> SessionType:
+        rng = random.Random(f"{spec.seed}/{role}/{index}/v1")
+        term = reference_gen_type(rng, spec, role, spec.max_depth, {}, 2 if spec.allow_recursion else 0)
+        return _ensure_recursive(term, rng) if spec.allow_recursion and role == "client" else term
+
+    client = draw("client")
+    rng = random.Random(f"{spec.seed}/pair/{index}/v1")
+    if rng.random() < 0.5:
+        return client, _perturb(reference_dual(client), rng, spec)
+    return client, draw("server")

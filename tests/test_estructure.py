@@ -18,6 +18,7 @@ from conftest import (
     conflict_free_raw,
     es_leq_oracle,
     exhaustive_tiny_structures,
+    partner_structures,
     powerset,
     random_structure,
     reference_es_to_json,
@@ -214,16 +215,33 @@ def _reachable(es):
                 stack.append(nxt)
 
 
-@pytest.mark.parametrize("family", ["small", "finite", "recursive"])
+@pytest.mark.parametrize("family", ["small", "partner", "finite", "recursive"])
 def test_step_matches_full_scan(family, small_structures):
-    if family == "small":
+    if family in ("small", "partner"):
         # the update is exact from any set: try every event from every subset
-        for es in small_structures:
+        for es in small_structures if family == "small" else partner_structures():
             every = (1 << len(es.play_index.ids)) - 1
             _step_checks(es, [(fired, every) for fired in range(every + 1)])
         return
     for contract in acceptance_contracts(family):
         _step_checks(contract.es, _reachable(contract.es))
+
+
+def test_partner_family_has_the_shapes_it_is_for():
+    """Partner sets of each size the family draws, members that repeat a
+    premise event, members that conflict, and events only a partner-set
+    enabling can make playable, reached in play."""
+    sizes, overlapping, conflicting, reached = set(), 0, 0, 0
+    for es in partner_structures():
+        plain = {target for _, partner_sets, target in es.enablings if not partner_sets}
+        for premise, partner_sets, _ in es.enablings:
+            sizes.add(len(partner_sets))
+            overlapping += any(members & premise for members in partner_sets)
+            conflicting += any(es.in_conflict(a, b) for members in partner_sets
+                               for a, b in combinations(members, 2))
+        reached += sum(event not in plain for _, event, _ in ets(es).edges)
+    assert sizes == {0, 1, 2, 3}
+    assert min(overlapping, conflicting, reached) >= 100
 
 
 # -- transition system --------------------------------------------------------

@@ -16,6 +16,7 @@ from conftest import (
     dfs_eager_winning,
     dfs_find_winning_strategy,
     oracle_cases,
+    partner_structures,
     random_structure,
     reference_eager_winning,
     reference_find_winning_strategy,
@@ -381,6 +382,14 @@ def assert_games_match_dfs(client, server, depth):
         for bound in (1, 7):
             assert ets(contract.es, bound, relabel) == bfs_ets(contract.es, bound, relabel)
         assert ets(contract.es, relabel=relabel) == bfs_ets(contract.es, relabel=relabel)
+
+
+def test_ets_matches_breadth_first_on_partner_structures():
+    for es in partner_structures():
+        for relabel in (False, True):
+            for bound in (1, 3):
+                assert ets(es, bound, relabel) == bfs_ets(es, bound, relabel)
+            assert ets(es, relabel=relabel) == bfs_ets(es, relabel=relabel)
 
 
 @pytest.mark.parametrize("kind", ["finite", "recursive", "families", "nested"])

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import stgames
 from conftest import (acceptance_contracts, acceptance_pairs, acceptance_spec, oracle_cases, reference_bisim,
-                      reference_truncate)
+                      reference_corpus_pair, reference_truncate)
 from stgames.denote import denote, denote_par
 from stgames.estructure import ets, make_es
 from stgames.game import compose_session_contracts
@@ -403,6 +403,24 @@ def test_corpus_pairs_match_recorded_digest(name):
         p, q = corpus_pair(spec, index)
         h.update((pretty(p) + "\n" + pretty(q) + "\n").encode())
     assert h.hexdigest() == digest
+
+
+# the default alphabet, and four names that are not listed in sorted order
+ORACLE_ALPHABETS = (CorpusSpec(seed=0, count=0).actions, ("quit", "ack", "pong", "ping"))
+
+
+def assert_generates_as_reference(seed: int, recursive: bool, actions: tuple[str, ...]) -> None:
+    """The first pair of the seed's corpus prints as the reference
+    generator's, client and server."""
+    spec = CorpusSpec(seed=seed, count=1, allow_recursion=recursive, actions=actions)
+    assert [*map(pretty, corpus_pair(spec, 0))] == [*map(pretty, reference_corpus_pair(spec, 0))], seed
+
+
+@pytest.mark.parametrize("actions", ORACLE_ALPHABETS, ids=["default", "four-names"])
+@pytest.mark.parametrize("recursive", [False, True], ids=["finite", "recursive"])
+def test_generator_matches_reference(recursive, actions):
+    for seed in range(2000):
+        assert_generates_as_reference(seed, recursive, actions)
 
 
 def test_dual_is_compliant_partner():
