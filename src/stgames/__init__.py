@@ -44,7 +44,6 @@ from .harness import (
     CorpusSummary,
     CorrespondenceReport,
     bisim,
-    bounded_bisim_depth,
     contract_ets,
     corpus_pair,
     dual,

@@ -197,9 +197,10 @@ def denote(term: SessionType, who: str, unroll_depth: int = DEFAULT_UNROLL_DEPTH
     ``parity`` picks the id stream: ``odd`` (e1, e3, ...) for the first
     participant and ``even`` (e2, e4, ...) for the second.  ``unroll_depth``
     bounds every recursion; the result at a deeper bound extends the result
-    at a shallower one.  A free variable is a :class:`DenoteError`.
+    at a shallower one.  A free variable is a :class:`DenoteError`; ``0``
+    and empty choices, which ``harness.truncate`` leaves, denote no event.
     """
-    problems = [v for v in validate(term) if v.rule != "runtime-only-term"]
+    problems = [v for v in validate(term) if v.rule not in ("runtime-only-term", "empty-choice")]
     if problems:
         raise DenoteError(f"cannot compile invalid type {pretty(term)}: "
                           + "; ".join(str(v) for v in problems))

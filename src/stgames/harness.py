@@ -7,22 +7,22 @@ fixtures and on reproducible random corpora:
 
 * the two compliance checkers agree;
 * the turn-based system and the event-labelled system of the composed
-  denotation are strongly bisimilar (n-step bisimilar for recursive pairs,
-  whose denotations are finite approximants);
+  denotation are strongly bisimilar;
 * compliance holds exactly when the eager strategy wins, and compliant
   pairs admit a winning strategy.
 
 Recursive pairs are handled at a bound: the game side uses the depth-d
 denotation, and the compliance side of the correspondence is taken on the
-d-times unfolded types with the recursion tail replaced by the dead
-process ``0``, which is the protocol the approximant denotes.
+d-times unfolded types, each unfolding ending in a stuck empty choice,
+which is the protocol the approximant denotes.  So recursive pairs are
+compared exactly, through their truncations: the turn-based system of the
+truncated types is strongly bisimilar to the event-labelled system of the
+depth-d denotation.
 
 Bisimilarity is decided by worklist partition refinement (Kanellakis and
 Smolka, Inf. Comput. 1990; Paige and Tarjan, SIAM J. Comput. 1987).
 Block ids stay stable across rounds, so after the first round only the
-predecessors of states that changed block are signed again: every other
-state's signature is unchanged, so round ``k`` is still the ``k``-th
-approximant of the fixpoint, which is what a bounded check compares at.
+predecessors of states that changed block are signed again.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from .opsem import (
 from .syntax import (
     IDENT_RE,
     SUCCESS,
-    TERM0,
     ActionLabel,
     ExternalChoice,
     InternalChoice,
@@ -66,7 +65,6 @@ from .syntax import (
     free_vars,
     inp,
     is_recursive,
-    min_loop_guard,
     out,
     pretty,
 )
@@ -76,7 +74,7 @@ from .syntax import (
 # Bisimulation
 # ---------------------------------------------------------------------------
 
-def bisim(a: Lts, b: Lts, bound: int | None = None) -> bool:
+def bisim(a: Lts, b: Lts) -> bool:
     """Strong bisimilarity of two finite LTSs by worklist partition refinement.
 
     Round ``k`` splits the states by their signature, the set of
@@ -90,15 +88,10 @@ def bisim(a: Lts, b: Lts, bound: int | None = None) -> bool:
     ``k`` is still exactly the ``k``-th approximant of the bisimulation
     fixpoint.  Refinement stops when no block splits.
 
-    With ``bound`` set, stops after that many rounds and so decides
-    ``bound``-step bisimilarity, which is what a truncated system can
-    honestly be compared at; ``bound=0`` relates every pair.  Completely
-    disjoint label alphabets are rejected: that is the signature of
-    comparing an event-labelled system that was never relabelled to
+    Completely disjoint label alphabets are rejected: that is the signature
+    of comparing an event-labelled system that was never relabelled to
     actions.
     """
-    if bound is not None and bound < 0:
-        raise ValueError("bisimulation bound must be non-negative")
     labels_a, labels_b = a.labels, b.labels
     if labels_a and labels_b and not (labels_a & labels_b):
         raise ValueError(
@@ -117,9 +110,7 @@ def bisim(a: Lts, b: Lts, bound: int | None = None) -> bool:
     members = [list(range(size))]
     signature: list[frozenset] = [frozenset()] * size
     dirty = range(size)
-    rounds = 0
-    while dirty and (bound is None or rounds < bound):
-        rounds += 1
+    while dirty:
         touched = set()
         for state in dirty:
             signature[state] = frozenset([(label, block[dst]) for label, dst in successors[state]])
@@ -154,38 +145,25 @@ def contract_ets(contract: Contract, step_bound: int = DEFAULT_STATE_LIMIT) -> L
     return ets(contract.es, step_bound=step_bound, relabel=True)
 
 
-def bounded_bisim_depth(p: SessionType, q: SessionType,
-                        unroll_depth: int = DEFAULT_UNROLL_DEPTH) -> int | None:
-    """How many steps the truncated denotation provably tracks the real system.
-
-    ``None`` means the denotations are exact (the compile walk cuts no
-    recursion) and so is the comparison.  A deviation needs one side to
-    fire more events than its approximant holds, which takes more than
-    ``unroll_depth * guard`` own events; since no side can fire more than
-    half the steps plus one, twice that bound minus two is safe.  Depth 0
-    cuts every recursion and denotes none of its events, so the bound is 0
-    when there is one.  Above depth 0 a recursion is cut exactly when its
-    variable is used, which is when its loop guard exists, so each type's
-    guard is found once and decides both.
-    """
-    if unroll_depth == 0:
-        return 0 if is_recursive(p) or is_recursive(q) else None
-    guards = [g for g in (min_loop_guard(p), min_loop_guard(q)) if g is not None]
-    return max(1, 2 * unroll_depth * min(guards) - 2) if guards else None
-
-
 # ---------------------------------------------------------------------------
 # Depth truncation of recursive types
 # ---------------------------------------------------------------------------
 
+# where a truncation cuts a recursion: stuck under both semantics, and
+# neither ``1`` nor the ``0`` a side reaches after ``✓``
+_CUT = InternalChoice(())
+
+
 def truncate(term: SessionType, depth: int) -> SessionType:
-    """Unfold every recursion ``depth`` times, ending in the dead process ``0``.
+    """Unfold every recursion ``depth`` times, ending in a stuck empty choice.
 
     The denotation of the result is the depth-``depth`` approximant of the
     original type's denotation, so this is the protocol that bounded game
-    verdicts actually speak about.  Only the reduction checker may judge the
-    result: the ``0`` that ends an approximant is the ``Term0`` the turn
-    semantics reaches after ``✓``, so the turn checker reads a cut as success.
+    verdicts actually speak about.  Both compliance checkers can judge it
+    (with ``validate_inputs=False``, as an empty choice is not user syntax).
+    The empty choice prints as nothing at the top and as ``()`` below a
+    prefix, never as ``0``, so a cut never shares a state with a side that
+    has terminated.
     """
 
     def tr(t: SessionType, env: dict[str, SessionType]) -> SessionType:
@@ -196,7 +174,7 @@ def truncate(term: SessionType, depth: int) -> SessionType:
         if isinstance(t, (InternalChoice, ExternalChoice)):
             return type(t)(tuple((label, tr(cont, env)) for label, cont in t.branches))
         if isinstance(t, Rec):
-            approximant = TERM0
+            approximant = _CUT
             for _ in range(depth):
                 approximant = tr(t.body, {**env, t.var: approximant})
             return approximant
@@ -436,7 +414,12 @@ def corpus_pair(spec: CorpusSpec, index: int) -> tuple[SessionType, SessionType]
 
 @dataclass(frozen=True)
 class CorrespondenceReport:
-    """One pair's verdicts; ``contract`` is the composed game, kept for reuse."""
+    """One pair's verdicts; ``contract`` is the composed game, kept for reuse.
+
+    ``compliance`` is the turn-based verdict on the types, truncated when
+    ``bounded``; its ``lts`` is the turn-based system of the contract's
+    pair, so it is what the contract's event-labelled system is compared with.
+    """
 
     compliance: ComplianceVerdict
     eager: GameVerdict
@@ -454,9 +437,10 @@ def correspondence_check(p: SessionType, q: SessionType,
     The client ``p`` belongs to participant A and the server ``q`` to B.
     For finite pairs the comparison is exact.  For recursive pairs both
     sides are taken at the same bound: the game on the depth-``d``
-    denotation, compliance on the ``d``-times unfolded types.  A compliant
-    pair is also searched for a winning strategy of A (the corollary);
-    ``strategy_found`` is ``None`` for the others.
+    denotation, compliance on the ``d``-times unfolded types.  Compliance
+    is judged by the turn-based checker, whose system is kept on the
+    verdict.  A compliant pair is also searched for a winning strategy of A
+    (the corollary); ``strategy_found`` is ``None`` for the others.
     """
     # composing validates both types, so the compliance checks do not again
     contract = compose_session_contracts(p, "A", q, "B", unroll_depth)
@@ -464,7 +448,7 @@ def correspondence_check(p: SessionType, q: SessionType,
     bounded = contract.bounded_depth is not None
     if bounded:
         p, q = truncate(p, unroll_depth), truncate(q, unroll_depth)
-    compliance = check_compliance(p, q, state_limit, validate_inputs=False)
+    compliance = check_compliance_turn(p, q, state_limit, validate_inputs=False)
     agree = (
         compliance.status != "indeterminate"
         and compliance.is_compliant == eager.winning
@@ -532,10 +516,10 @@ def run_corpus(spec: CorpusSpec, state_limit: int = DEFAULT_STATE_LIMIT) -> Corp
         except StateLimitError as exc:
             fail("game-state-limit", str(exc))
             continue
-        # an unbounded report already holds the untruncated reduction verdict
-        reduction = (check_compliance(p, q, state_limit, validate_inputs=False)
-                     if report.bounded else report.compliance)
-        turn = check_compliance_turn(p, q, state_limit, validate_inputs=False)
+        reduction = check_compliance(p, q, state_limit, validate_inputs=False)
+        # an unbounded report already holds the untruncated turn-based verdict
+        turn = (check_compliance_turn(p, q, state_limit, validate_inputs=False)
+                if report.bounded else report.compliance)
         if reduction.status == turn.status and reduction.status != "indeterminate":
             summary.checker_agreements += 1
         else:
@@ -553,15 +537,13 @@ def run_corpus(spec: CorpusSpec, state_limit: int = DEFAULT_STATE_LIMIT) -> Corp
             else:
                 fail("winning-strategy-existence", "compliant pair without a winning strategy")
 
-        ts = turn.lts
+        # the turn-based system of the pair the contract denotes
+        ts = report.compliance.lts
         es_lts = contract_ets(report.contract, state_limit)
-        # only a cut recursion bounds the comparison (see bounded_bisim_depth)
-        bound = bounded_bisim_depth(p, q, spec.unroll_depth) if report.bounded else None
         if ts.truncated or es_lts.truncated:
             fail("bisimulation", "state limit hit; systems not fully explored")
-        elif bisim(ts, es_lts, bound):
+        elif bisim(ts, es_lts):
             summary.bisim_agreements += 1
         else:
-            kind = "strong" if bound is None else f"{bound}-step"
-            fail("bisimulation", f"turn-based and event-labelled systems not {kind} bisimilar")
+            fail("bisimulation", "turn-based and event-labelled systems not strong bisimilar")
     return summary

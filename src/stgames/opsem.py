@@ -81,8 +81,8 @@ def _component_steps(term: SessionType, side: str):
     ``(label, continuation)`` branches that can synchronise.  Committing is
     only a move for choices with at least two branches; a one-branch
     internal choice is already committed and can only fire its output.
-    Buffers do not exist in this semantics; the dead process 0 (which
-    depth-truncated recursive types contain) is simply stuck.
+    Buffers do not exist in this semantics; ``1``, ``0`` and an empty
+    choice (where a depth-truncated type cuts a recursion) are stuck.
     """
     cls = term.__class__
     if cls is InternalChoice:

@@ -496,11 +496,3 @@ def is_recursive(term: SessionType) -> bool:
         elif isinstance(term, Buffer):
             stack.append(term.cont)
     return False
-
-
-def min_loop_guard(term: SessionType) -> int | None:
-    """Fewest action prefixes between any recursion binder and a use of its
-    variable; ``None`` when no recursion variable is used.  One trip around
-    a loop fires at least this many of the owner's events."""
-    return min((depth - scope[t.name] for t, scope, depth in _walk(term)
-                if t.__class__ is Var and t.name in scope), default=None)

@@ -32,8 +32,9 @@ tokenizes the whole text with a per-character loop into ``(kind, value,
 position)`` tuples and wraps every prefix in a one-branch choice before a
 choice unwraps it, the design the string-token descent replaced.  The
 reference truncation unrolls a recursion through a nested closure, one
-call per approximant, the design the loop replaced.  The reference term
-folds (validation, free variables, loop guards and event counts) each
+call per approximant, the design the loop replaced, and ends it in its own
+empty choice.  The reference term
+folds (validation, free variables and event counts) each
 descend recursively with a scope of their own, the design the one scoped
 walk replaced.  The reference corpus generator builds each node's kind and
 weight lists afresh and makes a label per branch, and the reference dual a
@@ -919,7 +920,7 @@ def reference_denote(term, who, unroll_depth=6, parity="odd"):
 def reference_truncate(term: SessionType, depth: int) -> SessionType:
     """Truncate as the nested closure did: the k-th approximant of a
     recursion is its body with the variable bound to the (k+1)-th, and the
-    ``depth``-th is the dead process."""
+    ``depth``-th is a stuck empty choice."""
 
     def tr(t, env):
         if isinstance(t, (Success, Term0)):
@@ -932,7 +933,7 @@ def reference_truncate(term: SessionType, depth: int) -> SessionType:
 
         def approximant(k):
             if k >= depth:
-                return Term0()
+                return InternalChoice(())
             return tr(t.body, {**env, t.var: approximant(k + 1)})
 
         return approximant(0)
@@ -1004,30 +1005,6 @@ def reference_free_vars(term: SessionType) -> frozenset[str]:
     if isinstance(term, Buffer):
         return reference_free_vars(term.cont)
     return frozenset()
-
-
-def reference_min_loop_guard(term: SessionType) -> int | None:
-    """The fewest choices between a binder and a use of its variable; a
-    buffer's continuation is not searched."""
-    best: int | None = None
-
-    def walk(t: SessionType, depths: dict[str, int]) -> None:
-        nonlocal best
-        if isinstance(t, Var):
-            if t.name in depths:
-                candidate = depths[t.name]
-                best = candidate if best is None else min(best, candidate)
-        elif isinstance(t, (InternalChoice, ExternalChoice)):
-            deeper = {name: depth + 1 for name, depth in depths.items()}
-            for _, cont in t.branches:
-                walk(cont, deeper)
-        elif isinstance(t, Rec):
-            inner = dict(depths)
-            inner[t.var] = 0
-            walk(t.body, inner)
-
-    walk(term, {})
-    return best
 
 
 def reference_event_count(term: SessionType) -> int:
@@ -1296,11 +1273,10 @@ def reference_explore(config, semantics, state_limit):
 # Reference bisimulation: every state re-signed in every round
 # ---------------------------------------------------------------------------
 
-def reference_bisim(a, b, bound=None):
+def reference_bisim(a, b):
     """Partition refinement as the whole-partition loop did it: each round
     signs every state over the previous round's blocks and numbers the
-    blocks afresh, until the block count stops growing or ``bound`` rounds
-    have run."""
+    blocks afresh, until the block count stops growing."""
     if a.labels and b.labels and not (a.labels & b.labels):
         raise ValueError(
             "edge label alphabets are disjoint; relabel event-identified edges to actions first"
@@ -1311,14 +1287,12 @@ def reference_bisim(a, b, bound=None):
         for src, label, dst in lts.edges:
             successors[(tag, src)].append((label, (tag, dst)))
     block = dict.fromkeys(states, 0)
-    rounds = 0
-    while bound is None or rounds < bound:
+    while True:
         groups = {}
         new_block = {}
         for state in states:
             signature = frozenset((label, block[dst]) for label, dst in successors[state])
             new_block[state] = groups.setdefault(signature, len(groups))
-        rounds += 1
         stable = len(set(new_block.values())) == len(set(block.values()))
         block = new_block
         if stable:

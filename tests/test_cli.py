@@ -595,7 +595,7 @@ def test_corpus_recursive_command():
 
 def test_corpus_recursive_depth_zero_bisimulations_agree():
     # pairs 0 and 2 have the client rec loop . !a.loop; at depth 0 its
-    # denotation is empty, and a 0-step comparison relates every pair
+    # denotation is empty, and so is its truncation, a stuck empty choice
     code, text = run(["corpus", "--count", "3", "--recursive", "--unroll-depth", "0"])
     assert code == 0
     data = json.loads(text)

@@ -25,6 +25,7 @@ from stgames.estructure import EMPTY_ES, Event, EventStructureGen, es_leq, es_to
 from stgames.game import compose_session_contracts
 from stgames.harness import CorpusSpec, corpus_pair, dual
 from stgames.lts import DEFAULT_STATE_LIMIT
+from stgames.opsem import check_compliance
 from stgames.syntax import TICK, Rec, out, parse
 
 
@@ -420,23 +421,22 @@ def test_composition_reads_the_cut_off_the_compile_walk(monkeypatch):
     # reads no syntactic prediction of it
     cases = [case for kind in ("finite", "recursive") for case in oracle_cases(kind)]
     calls = []
-    for name in ("is_recursive", "min_loop_guard"):
-        original = getattr(stgames.syntax, name)
+    original = stgames.syntax.is_recursive
 
-        def counting(term, name=name, original=original):
-            calls.append(name)
-            return original(term)
+    def counting(term):
+        calls.append(term)
+        return original(term)
 
-        for module_name, module in list(sys.modules.items()):
-            if module_name.startswith("stgames") and getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counting)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("stgames") and getattr(module, "is_recursive", None) is original:
+            monkeypatch.setattr(module, "is_recursive", counting)
     for client, server, depth in cases:
         compose_session_contracts(client, "A", server, "B", depth)
     assert calls == []
-    # the patch reaches callers: the harness still reads both names
-    for depth in (0, 1):
-        stgames.harness.bounded_bisim_depth(parse("rec x . !a.x"), parse("?a"), depth)
-    assert calls == ["is_recursive", "min_loop_guard", "min_loop_guard"]
+    # the patch reaches callers: a compliance check still asks of each side
+    client, server = parse("!a"), parse("?a")
+    check_compliance(client, server)
+    assert calls == [client, server]
 
 
 # -- recursion approximants ------------------------------------------------------

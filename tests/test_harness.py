@@ -21,11 +21,9 @@ from stgames.game import compose_session_contracts
 from stgames.harness import (
     CorpusSpec,
     bisim,
-    bounded_bisim_depth,
     contract_ets,
     corpus_pair,
     dual,
-    min_loop_guard,
     random_session_type,
     run_corpus,
     correspondence_check,
@@ -33,7 +31,7 @@ from stgames.harness import (
     turn_lts,
 )
 from stgames.lts import Lts
-from stgames.opsem import check_compliance
+from stgames.opsem import check_compliance, check_compliance_turn, state_key, step_reduce, step_turn
 from stgames.syntax import ExternalChoice, InternalChoice, Term0, Var, is_recursive, parse, pretty, validate
 
 
@@ -70,27 +68,9 @@ def test_bisim_unwinds_cycles():
     assert bisim(a, b)
 
 
-def test_bounded_bisim_sees_only_the_horizon():
-    a = lts([("s0", "x", "s1"), ("s1", "x", "s2"), ("s2", "x", "s3")])
-    b = lts([("s0", "x", "s1"), ("s1", "x", "s2")])
-    assert bisim(a, b, bound=2)
-    assert not bisim(a, b, bound=3)
-    assert not bisim(a, b)
-
-
-def test_bisim_rejects_negative_bound():
-    # a negative bound ran no round, and the one-block partition related everything
-    a = lts([("s0", "x", "s1")])
-    b = lts([("s0", "x", "s1"), ("s0", "y", "s2")])
-    assert bisim(a, b, bound=0)
-    assert not bisim(a, b, bound=1)
-    with pytest.raises(ValueError, match="bisimulation bound must be non-negative"):
-        bisim(a, b, bound=-1)
-
-
-def _bisim_outcome(check, a, b, bound):
+def _bisim_outcome(check, a, b):
     try:
-        return check(a, b, bound)
+        return check(a, b)
     except ValueError as exc:
         return str(exc)
 
@@ -125,28 +105,25 @@ def lts_pairs(draw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(pair=lts_pairs(), bound=st.sampled_from([None, 0, 1, 2, 3, 4, 5]))
-def test_bisim_matches_reference_on_small_systems(pair, bound):
+@given(pair=lts_pairs())
+def test_bisim_matches_reference_on_small_systems(pair):
     a, b = pair
-    assert _bisim_outcome(bisim, a, b, bound) == _bisim_outcome(reference_bisim, a, b, bound)
+    assert _bisim_outcome(bisim, a, b) == _bisim_outcome(reference_bisim, a, b)
 
 
 @pytest.mark.parametrize("family", ["finite", "recursive"])
 def test_bisim_matches_reference(family):
     # ROADMAP aim 3: the worklist refinement against the whole-partition
-    # loop it replaced, on every acceptance pair's turn-based system against
-    # its own event-labelled system (bisimilar) and the previous pair's
-    # (mostly not), at the pair's own bound and at 0-3
+    # loop it replaced, on the turn-based system of every acceptance pair's
+    # truncated types against its own event-labelled system (bisimilar) and
+    # the previous pair's (mostly not)
     depth = acceptance_spec(family).unroll_depth
-    pairs = acceptance_pairs(family)
-    systems = [(turn_lts(p, q), contract_ets(contract))
-               for (p, q), contract in zip(pairs, acceptance_contracts(family))]
-    for index, (p, q) in enumerate(pairs):
-        ts = systems[index][0]
-        for es_lts in (systems[index][1], systems[index - 1][1]):
-            for bound in (bounded_bisim_depth(p, q, depth), 0, 1, 2, 3):
-                assert (_bisim_outcome(bisim, ts, es_lts, bound)
-                        == _bisim_outcome(reference_bisim, ts, es_lts, bound)), (index, bound)
+    systems = [(turn_lts(truncate(p, depth), truncate(q, depth)), contract_ets(contract))
+               for (p, q), contract in zip(acceptance_pairs(family), acceptance_contracts(family))]
+    for index, (ts, own) in enumerate(systems):
+        assert bisim(ts, own), index
+        for es_lts in (own, systems[index - 1][1]):
+            assert _bisim_outcome(bisim, ts, es_lts) == _bisim_outcome(reference_bisim, ts, es_lts), index
 
 
 def test_bisim_rejects_disjoint_alphabets():
@@ -190,53 +167,54 @@ def test_mutated_structure_not_bisimilar():
 
 
 def test_simplest_recursive_pair_bounded_bisimilar():
+    # the approximant is strongly bisimilar to the truncated types' system,
+    # not to the endless loop of the types themselves
     p, q = parse("rec x . !a.x"), parse("rec y . ?a.y")
-    contract = compose_session_contracts(p, "A", q, "B", 4)
-    bound = bounded_bisim_depth(p, q, 4)
-    assert bound == 6
-    assert bisim(turn_lts(p, q), contract_ets(contract), bound)
+    es_lts = contract_ets(compose_session_contracts(p, "A", q, "B", 4))
+    assert bisim(turn_lts(truncate(p, 4), truncate(q, 4)), es_lts)
+    assert not bisim(turn_lts(p, q), es_lts)
 
 
 def test_asymmetric_rate_recursion_bounded_bisimilar():
-    # the reader consumes two outputs per unrolling, so its approximant is
-    # the short side; the bound must stay inside the joint horizon
+    # the reader consumes two outputs per unrolling, so its approximant runs
+    # out first; the truncations stop where the approximants do
     p, q = parse("rec x . !a.x"), parse("rec y . ?a.?a.y")
-    bound = bounded_bisim_depth(p, q, 4)
     contract = compose_session_contracts(p, "A", q, "B", 4)
-    assert bisim(turn_lts(p, q), contract_ets(contract), bound)
+    assert bisim(turn_lts(truncate(p, 4), truncate(q, 4)), contract_ets(contract))
 
 
-# -- syntactic helpers ------------------------------------------------------------
-
-def test_min_loop_guard():
-    assert min_loop_guard(parse("!a")) is None
-    assert min_loop_guard(parse("rec x . !a.x")) == 1
-    assert min_loop_guard(parse("rec x . !a.!b.x")) == 2
-    assert min_loop_guard(parse("rec x . (!a.x (+) !b.!c.x)")) == 1
-
-
-def test_bounded_bisim_depth_rules():
-    assert bounded_bisim_depth(parse("!a"), parse("?a")) is None
-    # one recursive side is enough to force a bound
-    assert bounded_bisim_depth(parse("rec x . !a.x"), parse("?a"), 4) == 6
-    assert bounded_bisim_depth(parse("rec x . !a.x"), parse("rec y . ?a.?a.y"), 4) == 6
-    # a binder whose variable is never used cuts nothing, except at depth 0
-    assert bounded_bisim_depth(parse("rec x . !a"), parse("?a"), 4) is None
-    # depth 0 denotes no event of any recursion, so it tracks nothing
-    assert bounded_bisim_depth(parse("rec x . !a"), parse("?a"), 0) == 0
-    assert bounded_bisim_depth(parse("rec x . !a.x"), parse("rec y . ?a.y"), 0) == 0
+def assert_bounded_correspondence(p, q, depth) -> bool:
+    """Whether composing ``p`` and ``q`` at ``depth`` cuts a recursion; if it
+    does, the two checkers give one verdict on the truncated types, and
+    their turn-based system is strongly bisimilar to the event-labelled
+    system of the depth-``depth`` composition."""
+    contract = compose_session_contracts(p, "A", q, "B", depth)
+    if contract.bounded_depth is None:
+        return False
+    tp, tq = truncate(p, depth), truncate(q, depth)
+    reduction = check_compliance(tp, tq, validate_inputs=False)
+    turn = check_compliance_turn(tp, tq, validate_inputs=False)
+    case = (pretty(p), pretty(q), depth)
+    assert reduction.status == turn.status != "indeterminate", case
+    assert bisim(turn.lts, contract_ets(contract)), case
+    return True
 
 
-def test_bounded_bisim_depth_is_none_exactly_when_no_recursion_is_cut():
-    # run_corpus reads the bound only for a bounded report, so the two must agree
-    checks = 0
-    for kind in ("finite", "recursive", "nested", "families"):
-        for p, q, depth in oracle_cases(kind):
-            for d in (depth, 0):
-                bounded = compose_session_contracts(p, "A", q, "B", d).bounded_depth
-                assert (bounded_bisim_depth(p, q, d) is None) == (bounded is None), (pretty(p), pretty(q), d)
-                checks += 1
-    assert checks == 1592
+# the cases of the bounded correspondence oracle: the seed-42 recursive
+# corpus at depths 0-4, the nested oracle pairs at depths 0-2 and the
+# deep-unroll families at each depth up to their deepest; how many cut
+BOUNDED_ORACLE = {
+    "recursive": (range(5), 500),
+    "nested": (range(3), 450),
+    "families": (None, 46),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BOUNDED_ORACLE))
+def test_bounded_correspondence_oracle(kind):
+    depths, expected = BOUNDED_ORACLE[kind]
+    cases = [(p, q, d) for p, q, depth in oracle_cases(kind) for d in (depths or (depth,))]
+    assert sum(assert_bounded_correspondence(*case) for case in cases) == expected
 
 
 def test_unused_binder_is_exact_in_the_correspondence():
@@ -247,14 +225,34 @@ def test_unused_binder_is_exact_in_the_correspondence():
 
 
 def test_truncate_replaces_recursion_with_dead_process():
-    term = truncate(parse("rec x . !a.x"), 2)
-    assert pretty(term) == "!a.!a.0"
+    # the dead end is an empty choice, never the 0 a side reaches after ✓
+    term = truncate(parse("rec x . (!a.x (+) !b)"), 2)
+    assert pretty(term) == "!a.(!a.() (+) !b) (+) !b"
     assert not is_recursive(term)
-    assert any(isinstance(t, Term0) for t in [term] + [c for _, c in getattr(term, "branches", ())]) or "0" in pretty(term)
+    cut = term.branches[0][1].branches[0][1]
+    assert cut == InternalChoice(()) and pretty(cut) == ""
 
 
 def test_truncate_depth_zero_is_dead():
-    assert truncate(parse("rec x . !a.x"), 0) == Term0()
+    cut = truncate(parse("rec x . !a.x"), 0)
+    assert cut == InternalChoice(()) and not isinstance(cut, Term0)
+    # stuck under both semantics, against an input it could feed or another cut
+    for other in (parse("?a"), cut):
+        assert step_reduce(cut, other) == [] and step_turn(cut, other) == []
+
+
+def test_cut_and_terminated_side_have_distinct_state_keys():
+    # after !a ?a the client is cut, after !b ?b ✓ it has terminated; with
+    # 0 as the dead end both were the state 0 || 0, so the turn checker
+    # read the cut as success
+    p = truncate(parse("rec x . (!a.x (+) !b)"), 1)
+    q = truncate(parse("rec y . (?a.y + ?b)"), 1)
+    assert state_key(p.branches[0][1], q.branches[0][1]) == " || "
+    states = turn_lts(p, q).states
+    assert {" || ", "0 || 0"} <= states
+    verdicts = [check(p, q, validate_inputs=False) for check in (check_compliance, check_compliance_turn)]
+    assert [(v.status, v.witness) for v in verdicts] == [
+        ("non-compliant", ("commit !a (left)", "sync a")), ("non-compliant", ("!a", "?a"))]
 
 
 # how many client and server types each oracle_cases kind yields
@@ -312,8 +310,9 @@ def test_truncate_matches_the_reference():
 def test_truncated_types_execute_under_both_checkers():
     p = truncate(parse("rec x . !a.x"), 3)
     q = truncate(parse("rec y . ?a.y"), 3)
-    verdict = check_compliance(p, q, validate_inputs=False)
-    assert verdict.status == "non-compliant"
+    reduction = check_compliance(p, q, validate_inputs=False)
+    turn = check_compliance_turn(p, q, validate_inputs=False)
+    assert reduction.status == turn.status == "non-compliant"
 
 
 # -- corpus generation -------------------------------------------------------------

@@ -12,7 +12,6 @@ from conftest import (
     oracle_cases,
     reference_event_count,
     reference_free_vars,
-    reference_min_loop_guard,
     reference_parse,
     reference_validate,
 )
@@ -35,7 +34,6 @@ from stgames.syntax import (
     Var,
     free_vars,
     inp,
-    min_loop_guard,
     out,
     parse,
     pretty,
@@ -390,13 +388,12 @@ def test_unfold_preserves_validity(body):
 # -- the scoped walk against the recursive references ------------------------
 
 def assert_walks_as_references(term):
-    """``validate`` (report order included), ``free_vars``, ``min_loop_guard``
-    and ``_event_count`` agree with the recursive references on ``term`` and
+    """``validate`` (report order included), ``free_vars`` and
+    ``_event_count`` agree with the recursive references on ``term`` and
     on the body of each ``rec`` in it, where the binder's variable is free."""
     for sub in [term, *(rec.body for _, rec in _subterms(term) if isinstance(rec, Rec))]:
         assert validate(sub) == reference_validate(sub), pretty(sub)
         assert free_vars(sub) == reference_free_vars(sub), pretty(sub)
-        assert min_loop_guard(sub) == reference_min_loop_guard(sub), pretty(sub)
         assert _event_count(sub) == reference_event_count(sub), pretty(sub)
 
 
@@ -466,5 +463,4 @@ def test_walk_handles_a_deep_term():
         term = Rec(f"x{level}", term) if level % 10 == 0 else InternalChoice(((out("a"), term),))
     assert validate(term) == []
     assert free_vars(term) == frozenset()
-    assert min_loop_guard(term) == 4500
     assert _event_count(term) == 4500
