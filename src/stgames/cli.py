@@ -40,7 +40,7 @@ class CliError(ValueError):
 def _load_type(text: str):
     if text.startswith("@"):
         try:
-            text = Path(text[1:]).read_text(encoding="utf-8")
+            text = Path(text[1:]).read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise CliError(f"cannot read {text[1:]}: {exc}") from None
     try:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import accumulate, product
 
 from .denote import DEFAULT_UNROLL_DEPTH
@@ -54,7 +53,6 @@ from .opsem import (
 from .syntax import (
     IDENT_RE,
     SUCCESS,
-    ActionLabel,
     ExternalChoice,
     InternalChoice,
     Rec,
@@ -246,13 +244,6 @@ def _kind_table() -> dict[tuple[str, bool, bool, bool], tuple[tuple[str, ...], t
 _KINDS = _kind_table()
 
 
-@lru_cache(maxsize=64)
-def _action_labels(actions: tuple[str, ...]) -> dict[str, dict[str, ActionLabel]]:
-    """One output and one input label per action name, by choice kind."""
-    return {"internal": {name: out(name) for name in actions},
-            "external": {name: inp(name) for name in actions}}
-
-
 def _gen_type(rng: random.Random, spec: CorpusSpec, role: str, budget: int,
               scope: dict[str, bool], rec_budget: int) -> SessionType:
     # cumulative weights draw exactly as the weights they accumulate
@@ -270,10 +261,10 @@ def _gen_type(rng: random.Random, spec: CorpusSpec, role: str, budget: int,
         return Rec(name, body) if name in free_vars(body) else body
     width = rng.randint(1, min(spec.max_branch, budget))
     names = rng.sample(spec.actions, min(width, len(spec.actions)))
-    labels = _action_labels(spec.actions)[kind]
+    make_label = out if kind == "internal" else inp
     deeper = dict.fromkeys(scope, True)
     branches = tuple(
-        (labels[name], _gen_type(rng, spec, role, budget - 1, deeper, rec_budget))
+        (make_label(name), _gen_type(rng, spec, role, budget - 1, deeper, rec_budget))
         for name in sorted(names)
     )
     return InternalChoice(branches) if kind == "internal" else ExternalChoice(branches)
@@ -327,8 +318,8 @@ def random_session_type(spec: CorpusSpec, role: str, index: int = 0) -> SessionT
     weights, keyed by the role, whether budget is left, whether a ``rec``
     is allowed and whether a guarded variable is in scope.
     ``random.choices`` accumulates plain weights into exactly those
-    cumulative weights, so the draws are the ones the weights give.  Each
-    action label is made once per name and polarity.
+    cumulative weights, so the draws are the ones the weights give.  Action
+    labels come from ``out`` and ``inp``, one object per name and polarity.
     """
     if role not in ("client", "server"):
         raise ValueError("role must be 'client' or 'server'")
@@ -340,18 +331,12 @@ def random_session_type(spec: CorpusSpec, role: str, index: int = 0) -> SessionT
     return term
 
 
-@lru_cache(maxsize=1024)
-def _co(label: ActionLabel) -> ActionLabel:
-    """``label.co()``, made once per label."""
-    return label.co()
-
-
 def dual(term: SessionType) -> SessionType:
     """Swap choice flavours and action polarities; the canonical partner."""
     cls = term.__class__
     if cls is InternalChoice or cls is ExternalChoice:
         flipped = ExternalChoice if cls is InternalChoice else InternalChoice
-        return flipped(tuple((_co(label), dual(cont)) for label, cont in term.branches))
+        return flipped(tuple((label.co(), dual(cont)) for label, cont in term.branches))
     if cls is Rec:
         return Rec(term.var, dual(term.body))
     if cls is Success or cls is Term0 or cls is Var:
@@ -441,6 +426,8 @@ def correspondence_check(p: SessionType, q: SessionType,
     is judged by the turn-based checker, whose system is kept on the
     verdict.  A compliant pair is also searched for a winning strategy of A
     (the corollary); ``strategy_found`` is ``None`` for the others.
+    ``state_limit`` caps the compliance exploration only: the games always
+    read the arena at ``DEFAULT_STATE_LIMIT``.
     """
     # composing validates both types, so the compliance checks do not again
     contract = compose_session_contracts(p, "A", q, "B", unroll_depth)
@@ -495,6 +482,9 @@ def run_corpus(spec: CorpusSpec, state_limit: int = DEFAULT_STATE_LIMIT) -> Corp
 
     Every disagreement, or game cut short by the state limit, is recorded
     with the pair that produced it; the expectation is zero failures.
+    ``state_limit`` caps the compliance explorations and ``contract_ets``;
+    the games read the arena at ``DEFAULT_STATE_LIMIT`` whatever it is, so
+    at any other limit a pair explores its arena twice.
     """
     summary = CorpusSummary(spec)
     for index in range(spec.count):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 OUTPUT = "!"
 INPUT = "?"
@@ -35,9 +36,11 @@ class ActionLabel:
     are distinct labels; ``co`` swaps polarity.  The distinguished success
     label ``✓`` is an output with no co-action.
 
-    Each label keeps ``is_tick`` and its printed form ``text`` (``str``),
-    formed once at construction.  Neither is a dataclass field, so equality,
-    hashing and ``repr`` read ``name`` and ``polarity`` only.
+    Each label keeps ``is_output``, ``is_tick`` and its printed form
+    ``text`` (``str``), formed once at construction.  None is a dataclass
+    field, so equality, hashing and ``repr`` read ``name`` and ``polarity``
+    only.  Labels are values: ``out`` and ``inp`` make one per name and
+    polarity, and ``co`` returns theirs, but any equal label is as good.
     """
 
     name: str
@@ -46,33 +49,35 @@ class ActionLabel:
     def __post_init__(self) -> None:
         if self.polarity not in (OUTPUT, INPUT):
             raise ValueError(f"polarity must be {OUTPUT!r} or {INPUT!r}, got {self.polarity!r}")
-        tick = self.polarity == OUTPUT and self.name == TICK_NAME
-        object.__setattr__(self, "is_tick", tick)  # frozen: write once, past the dataclass guard
+        is_output = self.polarity == OUTPUT
+        tick = is_output and self.name == TICK_NAME
+        object.__setattr__(self, "is_output", is_output)  # frozen: write once, past the dataclass guard
+        object.__setattr__(self, "is_tick", tick)
         object.__setattr__(self, "text", TICK_NAME if tick else self.polarity + self.name)
 
-    @property
-    def is_output(self) -> bool:
-        return self.polarity == OUTPUT
-
     def co(self) -> ActionLabel:
-        """The complementary action; undefined for ``✓``."""
+        """The complementary action, as ``out`` or ``inp`` makes it; undefined for ``✓``."""
         if self.is_tick:
             raise ValueError("co(✓) is undefined")
-        return ActionLabel(self.name, INPUT if self.is_output else OUTPUT)
+        return inp(self.name) if self.is_output else out(self.name)
 
     def __str__(self) -> str:
         return self.text
 
 
-TICK = ActionLabel(TICK_NAME, OUTPUT)
-
-
+@lru_cache(maxsize=None)
 def out(name: str) -> ActionLabel:
+    """The output label ``!name``, the same object on every call."""
     return ActionLabel(name, OUTPUT)
 
 
+@lru_cache(maxsize=None)
 def inp(name: str) -> ActionLabel:
+    """The input label ``?name``, the same object on every call."""
     return ActionLabel(name, INPUT)
+
+
+TICK = out(TICK_NAME)
 
 
 class SessionType:
@@ -150,6 +155,7 @@ _TOKEN_RE = re.compile(rf"\(\+\)|{IDENT_RE.pattern}|\S")
 _SYMBOLS = frozenset(("(+)", "(", ")", "+", ".", "!", "?", "1"))
 _LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 _CHOICE = {OUTPUT: InternalChoice, INPUT: ExternalChoice}
+_LABEL = {OUTPUT: out, INPUT: inp}
 
 
 class _Failure(Exception):
@@ -175,11 +181,10 @@ class _Descent:
     chain costs one frame per prefix, a parenthesised choice three per level.
     """
 
-    __slots__ = ("tokens", "labels")
+    __slots__ = ("tokens",)
 
     def __init__(self, tokens: list[str]):
         self.tokens = tokens  # ends with "", the end of the input
-        self.labels: dict[str, ActionLabel] = {}  # one label per polarity and name
 
     def term(self, i: int) -> tuple[SessionType, int]:
         tokens = self.tokens
@@ -226,9 +231,7 @@ class _Descent:
             name = tokens[i + 1]
             if name[:1] not in _LETTERS:
                 raise _Failure(f"expected ident, found {name!r}", i + 1)
-            label = self.labels.get(tok + name)
-            if label is None:
-                label = self.labels[tok + name] = ActionLabel(name, tok)
+            label = _LABEL[tok](name)
             if tokens[i + 2] != ".":
                 return (label, SUCCESS), i + 2
             cont, i = self.atom(i + 3)

@@ -38,8 +38,8 @@ folds (validation, free variables and event counts) each
 descend recursively with a scope of their own, the design the one scoped
 walk replaced.  The reference corpus generator builds each node's kind and
 weight lists afresh and makes a label per branch, and the reference dual a
-co-label per branch, the design the kind table and the labels made once per
-name and polarity replaced.
+co-label per branch, the design the kind table and the one label per name
+and polarity that ``out`` and ``inp`` return replaced.
 """
 
 from __future__ import annotations

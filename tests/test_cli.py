@@ -289,6 +289,16 @@ def test_type_from_file(tmp_path):
     assert json.loads(text)["agree"] is True
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_type_file_with_byte_order_mark(tmp_path, newline):
+    # a leading UTF-8 byte-order mark is skipped, not read as a character
+    server = tmp_path / "bom.st"
+    server.write_bytes(b"\xef\xbb\xbf" + (EXAMPLE[1] + newline).encode("utf-8"))
+    inline = run(["check", *EXAMPLE])
+    assert inline[0] == 0
+    assert run(["check", EXAMPLE[0], f"@{server}"]) == inline
+
+
 def test_type_file_not_utf8_names_the_file(tmp_path, capsys):
     server = tmp_path / "bad.st"
     server.write_bytes(b"\xff")

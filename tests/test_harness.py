@@ -553,6 +553,17 @@ def test_small_recursive_corpus_zero_failures():
     assert summary.pairs == 15
 
 
+def test_corpus_state_limit_caps_explorations_not_games():
+    # the games read the arena at the default limit: pair 1 is still decided
+    # by eager play while its compliance and ETS explorations truncate
+    summary = run_corpus(CorpusSpec(seed=42, count=3), state_limit=5)
+    checks = {(failure["pair"], failure["check"]) for failure in summary.failures}
+    assert checks == {(1, "compliance-checkers"), (1, "compliance-vs-eager"), (1, "bisimulation")}
+    details = {failure["check"]: failure["detail"] for failure in summary.failures}
+    assert details["compliance-vs-eager"] == "compliance=indeterminate eager_winning=False"
+    assert details["bisimulation"] == "state limit hit; systems not fully explored"
+
+
 def test_summary_json_reproducible():
     spec = CorpusSpec(seed=21, count=10)
     assert run_corpus(spec).to_json() == run_corpus(spec).to_json()

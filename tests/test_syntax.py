@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stgames.denote import _event_count
-from stgames.harness import CorpusSpec, _subterms, corpus_pair, dual
+from stgames.harness import CorpusSpec, _subterms, corpus_pair, dual, random_session_type
 from stgames.syntax import (
     SUCCESS,
     TERM0,
@@ -169,10 +169,27 @@ def test_rec_continuation_requires_parens():
     ))
 
 
+def _branch_labels(term):
+    return [label for _, sub in _subterms(term) if isinstance(sub, (InternalChoice, ExternalChoice))
+            for label, _ in sub.branches]
+
+
 def test_co_involution():
     label = out("a")
     assert label.co().co() == label
     assert inp("b").co() == out("b")
+    # one label per polarity and name: out, inp and co return the same objects
+    assert out("a") is out("a") and inp("a") is inp("a")
+    assert inp("a").co() is out("a") and out("a").co() is inp("a")
+    assert ActionLabel("a", "?").co() is out("a")
+    assert TICK is out("✓")
+    term = parse("!a.?b")
+    spec = CorpusSpec(seed=3, count=1, allow_recursion=True)
+    for source in (term, dual(term), random_session_type(spec, "client"), random_session_type(spec, "server")):
+        labels = _branch_labels(source)
+        assert labels
+        for label in labels:
+            assert label is (out if label.is_output else inp)(label.name)
 
 
 def test_co_of_tick_undefined():
