@@ -154,7 +154,7 @@ def cmd_corpus(args, out) -> int:
         allow_recursion=args.recursive,
         unroll_depth=args.unroll_depth,
     )
-    summary = run_corpus(spec, state_limit=args.limit)
+    summary = run_corpus(spec)
     _emit(summary.to_json(), args.format, out)
     return 0 if summary.ok else 1
 
@@ -214,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     export.set_defaults(run=cmd_export)
 
     corpus = sub.add_parser("corpus", help="run the randomised theorem harness")
-    _add_limit(corpus)
     _add_format(corpus)
     corpus.add_argument("--seed", type=int, default=42)
     corpus.add_argument("--count", type=int, default=500)

@@ -138,9 +138,9 @@ def turn_lts(p: SessionType, q: SessionType,
     return explore(Configuration(p, q), state_limit, semantics="turn")
 
 
-def contract_ets(contract: Contract, step_bound: int = DEFAULT_STATE_LIMIT) -> Lts:
-    """The event-labelled system of a contract's structure, relabelled to actions."""
-    return ets(contract.es, step_bound=step_bound, relabel=True)
+def contract_ets(contract: Contract) -> Lts:
+    """The event-labelled system of the arena the contract's games read, relabelled to actions."""
+    return ets(contract.es, DEFAULT_STATE_LIMIT, relabel=True)
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +415,7 @@ class CorrespondenceReport:
 
 
 def correspondence_check(p: SessionType, q: SessionType,
-                   unroll_depth: int = DEFAULT_UNROLL_DEPTH,
-                   state_limit: int = DEFAULT_STATE_LIMIT) -> CorrespondenceReport:
+                   unroll_depth: int = DEFAULT_UNROLL_DEPTH) -> CorrespondenceReport:
     """Compare compliance with eager winning on one pair.
 
     The client ``p`` belongs to participant A and the server ``q`` to B.
@@ -426,8 +425,7 @@ def correspondence_check(p: SessionType, q: SessionType,
     is judged by the turn-based checker, whose system is kept on the
     verdict.  A compliant pair is also searched for a winning strategy of A
     (the corollary); ``strategy_found`` is ``None`` for the others.
-    ``state_limit`` caps the compliance exploration only: the games always
-    read the arena at ``DEFAULT_STATE_LIMIT``.
+    A game arena cut short by the state limit raises :class:`StateLimitError`.
     """
     # composing validates both types, so the compliance checks do not again
     contract = compose_session_contracts(p, "A", q, "B", unroll_depth)
@@ -435,7 +433,7 @@ def correspondence_check(p: SessionType, q: SessionType,
     bounded = contract.bounded_depth is not None
     if bounded:
         p, q = truncate(p, unroll_depth), truncate(q, unroll_depth)
-    compliance = check_compliance_turn(p, q, state_limit, validate_inputs=False)
+    compliance = check_compliance_turn(p, q, DEFAULT_STATE_LIMIT, validate_inputs=False)
     agree = (
         compliance.status != "indeterminate"
         and compliance.is_compliant == eager.winning
@@ -477,14 +475,12 @@ class CorpusSummary:
         }
 
 
-def run_corpus(spec: CorpusSpec, state_limit: int = DEFAULT_STATE_LIMIT) -> CorpusSummary:
+def run_corpus(spec: CorpusSpec) -> CorpusSummary:
     """Assert the correspondence results over every pair of one corpus.
 
-    Every disagreement, or game cut short by the state limit, is recorded
-    with the pair that produced it; the expectation is zero failures.
-    ``state_limit`` caps the compliance explorations and ``contract_ets``;
-    the games read the arena at ``DEFAULT_STATE_LIMIT`` whatever it is, so
-    at any other limit a pair explores its arena twice.
+    Every disagreement is recorded with the pair that produced it; the
+    expectation is zero failures.  A pair whose explorations stop at
+    ``DEFAULT_STATE_LIMIT`` gets one ``state-limit`` failure and no other check.
     """
     summary = CorpusSummary(spec)
     for index in range(spec.count):
@@ -502,15 +498,23 @@ def run_corpus(spec: CorpusSpec, state_limit: int = DEFAULT_STATE_LIMIT) -> Corp
 
         # correspondence_check validates both types as it composes them
         try:
-            report = correspondence_check(p, q, spec.unroll_depth, state_limit=state_limit)
+            report = correspondence_check(p, q, spec.unroll_depth)
         except StateLimitError as exc:
-            fail("game-state-limit", str(exc))
+            fail("state-limit", f"indeterminate: {exc}")
             continue
-        reduction = check_compliance(p, q, state_limit, validate_inputs=False)
+        reduction = check_compliance(p, q, DEFAULT_STATE_LIMIT, validate_inputs=False)
         # an unbounded report already holds the untruncated turn-based verdict
-        turn = (check_compliance_turn(p, q, state_limit, validate_inputs=False)
+        turn = (check_compliance_turn(p, q, DEFAULT_STATE_LIMIT, validate_inputs=False)
                 if report.bounded else report.compliance)
-        if reduction.status == turn.status and reduction.status != "indeterminate":
+        es_lts = contract_ets(report.contract)
+        stopped = ", ".join(name for name, truncated in (
+            ("reduction", reduction.truncated),
+            ("turn-based", turn.truncated or report.compliance.truncated),
+            ("event-labelled", es_lts.truncated)) if truncated)
+        if stopped:
+            fail("state-limit", f"indeterminate: stopped at the state limit of {DEFAULT_STATE_LIMIT}: {stopped}")
+            continue
+        if reduction.status == turn.status:
             summary.checker_agreements += 1
         else:
             fail("compliance-checkers", f"reduction says {reduction.status}, turn-based says {turn.status}")
@@ -528,11 +532,7 @@ def run_corpus(spec: CorpusSpec, state_limit: int = DEFAULT_STATE_LIMIT) -> Corp
                 fail("winning-strategy-existence", "compliant pair without a winning strategy")
 
         # the turn-based system of the pair the contract denotes
-        ts = report.compliance.lts
-        es_lts = contract_ets(report.contract, state_limit)
-        if ts.truncated or es_lts.truncated:
-            fail("bisimulation", "state limit hit; systems not fully explored")
-        elif bisim(ts, es_lts):
+        if bisim(report.compliance.lts, es_lts):
             summary.bisim_agreements += 1
         else:
             fail("bisimulation", "turn-based and event-labelled systems not strong bisimilar")

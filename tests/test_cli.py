@@ -313,8 +313,7 @@ def test_type_file_not_utf8_names_the_file(tmp_path, capsys):
     ["export", *EXAMPLE, "--what", "es"],
     ["export", *EXAMPLE, "--what", "ts"],
     ["export", *EXAMPLE, "--what", "ets"],
-    ["corpus", "--count", "1"],
-], ids=["check", "export-es", "export-ts", "export-ets", "corpus"])
+], ids=["check", "export-es", "export-ts", "export-ets"])
 def test_limit_zero_has_one_wording(argv, capsys):
     assert run([*argv, "--limit", "0"]) == (2, "")
     assert capsys.readouterr().err == "error: state limit must be positive\n"
@@ -641,10 +640,12 @@ def test_check_rejects_depth(option, capsys):
     assert option[0] in capsys.readouterr().err
 
 
-def test_agree_rejects_limit(capsys):
-    # neither game engine takes a state limit, so agree has no --limit
+@pytest.mark.parametrize("argv", [["agree", *EXAMPLE], ["corpus"]], ids=["agree", "corpus"])
+def test_agree_rejects_limit(argv, capsys):
+    # neither agree nor corpus takes a state limit: their explorations read
+    # the default one, and a truncation there is only a failure
     with pytest.raises(SystemExit) as exc:
-        run(["agree", *EXAMPLE, "--limit", "1"])
+        run([*argv, "--limit", "1"])
     assert exc.value.code == 2
     assert "--limit" in capsys.readouterr().err
 

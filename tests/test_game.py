@@ -510,5 +510,5 @@ def test_corpus_records_a_truncated_arena_and_goes_on(monkeypatch):
     _limited(monkeypatch, 10)
     summary = run_corpus(CorpusSpec(seed=42, count=6))
     assert summary.pairs == 6
-    assert [(f["pair"], f["check"]) for f in summary.failures] == [(4, "game-state-limit")]
+    assert [(f["pair"], f["check"]) for f in summary.failures] == [(4, "state-limit")]
     assert summary.correspondence_agreements == summary.checker_agreements == 5

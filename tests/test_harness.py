@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stgames
+from stgames import estructure, game, harness, opsem
 from conftest import (acceptance_contracts, acceptance_pairs, acceptance_spec, oracle_cases, reference_bisim,
                       reference_corpus_pair, reference_truncate)
 from stgames.denote import denote, denote_par
@@ -553,15 +554,58 @@ def test_small_recursive_corpus_zero_failures():
     assert summary.pairs == 15
 
 
-def test_corpus_state_limit_caps_explorations_not_games():
-    # the games read the arena at the default limit: pair 1 is still decided
-    # by eager play while its compliance and ETS explorations truncate
-    summary = run_corpus(CorpusSpec(seed=42, count=3), state_limit=5)
-    checks = {(failure["pair"], failure["check"]) for failure in summary.failures}
-    assert checks == {(1, "compliance-checkers"), (1, "compliance-vs-eager"), (1, "bisimulation")}
-    details = {failure["check"]: failure["detail"] for failure in summary.failures}
-    assert details["compliance-vs-eager"] == "compliance=indeterminate eager_winning=False"
-    assert details["bisimulation"] == "state limit hit; systems not fully explored"
+def _count_work(monkeypatch) -> dict[str, int]:
+    """Count the arenas and the compliance explorations built from here on."""
+    counts = {"arenas": 0, "explorations": 0}
+
+    def counting(key, original):
+        def wrapper(*args):
+            counts[key] += 1
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(estructure.Arena, "__init__", counting("arenas", estructure.Arena.__init__))
+    monkeypatch.setattr(opsem, "_explore", counting("explorations", opsem._explore))
+    return counts
+
+
+@pytest.mark.parametrize("recursive", [False, True], ids=["finite", "recursive"])
+def test_corpus_work_per_pair(recursive, monkeypatch):
+    # the games and the event-labelled system share one arena; a finite pair
+    # is explored under reduction and turn, a recursive one also under turn
+    # on its truncations
+    counts = _count_work(monkeypatch)
+    summary = run_corpus(CorpusSpec(seed=42, count=30, allow_recursion=recursive))
+    assert summary.ok
+    assert counts == {"arenas": 30, "explorations": (3 if recursive else 2) * 30}
+
+
+def test_corpus_reports_a_pair_cut_short_once(monkeypatch):
+    # at 10 states, pair 1's compliance explorations and event-labelled
+    # system stop (its eager verdict is a loss inside the arena) and pair
+    # 4's eager verdict needs more of the arena; each is one failure, and
+    # each pair still explores one arena
+    counts = _count_work(monkeypatch)
+    monkeypatch.setattr(harness, "DEFAULT_STATE_LIMIT", 10)
+    monkeypatch.setattr(game, "DEFAULT_STATE_LIMIT", 10)
+    summary = run_corpus(CorpusSpec(seed=42, count=6))
+    assert [(f["pair"], f["check"], f["detail"]) for f in summary.failures] == [
+        (1, "state-limit", "indeterminate: stopped at the state limit of 10: "
+                           "reduction, turn-based, event-labelled"),
+        (4, "state-limit", "indeterminate: the game arena exceeds the state limit of 10 configurations"),
+    ]
+    assert summary.checker_agreements == summary.correspondence_agreements == summary.bisim_agreements == 4
+    assert counts["arenas"] == 6
+
+
+def test_corpus_names_a_truncations_exploration(monkeypatch):
+    # recursive pair 4 explores 13 states under reduction and 15 under turn,
+    # but its truncations 37 under turn and its event-labelled system 61
+    monkeypatch.setattr(harness, "DEFAULT_STATE_LIMIT", 20)
+    summary = run_corpus(CorpusSpec(seed=42, count=5, allow_recursion=True))
+    assert [(f["pair"], f["check"], f["detail"]) for f in summary.failures] == [
+        (4, "state-limit", "indeterminate: stopped at the state limit of 20: turn-based, event-labelled"),
+    ]
 
 
 def test_summary_json_reproducible():
