@@ -5,7 +5,6 @@ from .denote import (
     DenoteError,
     denote,
     denote_par,
-    occurrence_index,
 )
 from .estructure import (
     EMPTY_ES,

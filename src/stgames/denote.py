@@ -23,24 +23,22 @@ chain.
 
 Parallel composition has one partner rule.  The partners of an event are
 the other side's events with the complementary label at the same per-label
-position along their own causal chain; a success event has none.  Each
-enabling of one side needs a partner for every premise event and, when its
-target is an input, for the target itself (the output it consumes).  The
-position pins each handshake to one partner per repetition while still
-allowing alternatives across incompatible branches.  The composite keeps
-one enabling per component enabling, with the partners of each needed
-event as one partner set: a single partner joins the premise, and an
-event with none drops the enabling.  So the product of the partner sets,
-one generator per choice, is never built.  Partners are not filtered for
-conflict-freeness; choices drawing from mutually exclusive branches are
-inert.
+position along their own causal chain; a success event has none, as no
+input is labelled ``✓``.  Each enabling of one side needs a partner for
+every premise event and, when its target is an input, for the target
+itself (the output it consumes).  The position pins each handshake to one
+partner per repetition while still allowing alternatives across
+incompatible branches.  The composite keeps one enabling per component
+enabling, with the partners of each needed event as one partner set: a
+single partner joins the premise, and an event with none drops the
+enabling.  So the product of the partner sets, one generator per choice,
+is never built.  Partners are not filtered for conflict-freeness; choices
+drawing from mutually exclusive branches are inert.
 
-The rule has two callers.  :func:`denote_par_terms` composes a pair of
-valid session types: the compile walk counts each label along the causal
-chain as it makes the events, so each event's position comes with it, and
-only the composite structure is built.  :func:`denote_par` composes two
-sequential denotations (forests) and reads the positions off them with
-:func:`occurrence_index`, which rejects any other shape.
+:func:`denote_par` composes a pair of types with one compile walk each:
+the walk counts each label along the causal chain as it makes the events,
+so each event's position comes with it, and only the composite structure
+is built.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .estructure import Enabling, Event, EventStructureGen, id_sort_key
+from .estructure import Enabling, Event, EventStructureGen
 from .syntax import (
     INPUT,
     OUTPUT,
@@ -181,8 +179,18 @@ class _Compiler:
         )
 
 
+def _check(term: SessionType) -> None:
+    """Raise :class:`DenoteError` unless ``term`` compiles: it may hold
+    ``0`` and empty choices, which ``harness.truncate`` leaves, but must
+    otherwise be valid."""
+    problems = [v for v in validate(term) if v.rule not in ("runtime-only-term", "empty-choice")]
+    if problems:
+        raise DenoteError(f"cannot compile invalid type {pretty(term)}: "
+                          + "; ".join(str(v) for v in problems))
+
+
 def _compile(term: SessionType, who: str, unroll_depth: int, parity: str) -> _Compiler:
-    """The finished walk of a valid ``term``; see :func:`denote`."""
+    """The finished walk of a checked ``term``; see :func:`denote`."""
     if unroll_depth < 0:
         raise DenoteError("unroll depth must be non-negative")
     compiler = _Compiler(who, PARITY_START[parity], unroll_depth)
@@ -200,10 +208,7 @@ def denote(term: SessionType, who: str, unroll_depth: int = DEFAULT_UNROLL_DEPTH
     at a shallower one.  A free variable is a :class:`DenoteError`; ``0``
     and empty choices, which ``harness.truncate`` leaves, denote no event.
     """
-    problems = [v for v in validate(term) if v.rule not in ("runtime-only-term", "empty-choice")]
-    if problems:
-        raise DenoteError(f"cannot compile invalid type {pretty(term)}: "
-                          + "; ".join(str(v) for v in problems))
+    _check(term)
     return _compile(term, who, unroll_depth, parity).structure()
 
 
@@ -211,49 +216,13 @@ def denote(term: SessionType, who: str, unroll_depth: int = DEFAULT_UNROLL_DEPTH
 # Parallel composition
 # ---------------------------------------------------------------------------
 
-def occurrence_index(es: EventStructureGen) -> dict[str, int]:
-    """Position of each event among same-labelled events on its causal chain.
-
-    ``es`` must be a forest, as sequential denotations are: each event has
-    at most one enabling, of at most one premise event (its parent), and no
-    chain of parents cycles.  An event's occurrence counts its label on the
-    path up to its root, itself included; the index aligns the k-th
-    repetition of an action with the k-th complementary event on the other
-    side.  Any other shape is a :class:`ValueError` naming the least event
-    in ``id_sort_key`` order with two enablings or premise events or, when
-    none has, on or below a cycle.
-    """
-    ids = sorted(es.event_ids, key=id_sort_key)
-    parent = {}
-    for event_id in ids:
-        premises = es.premises_of(event_id)
-        if len(premises) > 1 or premises and len(premises[0]) > 1:
-            shown = sorted(sorted(premise, key=id_sort_key) for premise in premises)
-            raise ValueError(f"not a forest: event {event_id} has premises {shown}")
-        parent[event_id] = next(iter(premises[0]), None) if premises else None
-    index = {}
-    for event_id in ids:
-        chain = [event_id]
-        while (node := parent[chain[-1]]) is not None:
-            if len(chain) == len(ids):  # one more would be longer than any chain of a forest
-                raise ValueError(f"not a forest: the chain above event {event_id} cycles")
-            chain.append(node)
-        index[event_id] = sum(es.label_of(other) == es.label_of(event_id) for other in chain)
-    return index
-
-
-def _par(left, right, occurrence: dict[str, int]) -> EventStructureGen:
-    """The partner rule on two forests with disjoint event ids.
-
-    Each side has ``events`` (:class:`Event` objects), ``conflicts`` and
-    ``enablings``: a structure or a finished :class:`_Compiler`.  A forest's
-    enablings are plain, as a partner set would give its target two
-    premises.  ``occurrence`` maps every event of both sides to its
-    occurrence.
-    """
+def _par(left: _Compiler, right: _Compiler) -> EventStructureGen:
+    """The partner rule on two finished walks of opposite parities, whose
+    enablings are plain and whose ``occurrences`` give each event's."""
     enablings: set[Enabling] = set()
     for side, other in ((left, right), (right, left)):
         table: dict[tuple[str, str, int], set[str]] = {}
+        occurrence = other.occurrences
         for event in other.events:
             label = event.label
             table.setdefault((label.name, label.polarity, occurrence[event.id]), set()).add(event.id)
@@ -261,10 +230,11 @@ def _par(left, right, occurrence: dict[str, int]) -> EventStructureGen:
         table = {key: frozenset(ids) for key, ids in table.items()}
         partners: dict[str, frozenset[str]] = {}
         outputs: set[str] = set()
+        occurrence = side.occurrences
         for event in side.events:
             label = event.label
-            partners[event.id] = frozenset() if label.is_tick else table.get(
-                (label.name, _CO_POLARITY[label.polarity], occurrence[event.id]), frozenset())
+            key = (label.name, _CO_POLARITY[label.polarity], occurrence[event.id])
+            partners[event.id] = table.get(key, frozenset())
             if label.is_output:
                 outputs.add(event.id)
         for premise, _, target in side.enablings:
@@ -287,41 +257,14 @@ def _par(left, right, occurrence: dict[str, int]) -> EventStructureGen:
     )
 
 
-def denote_par(left: EventStructureGen, right: EventStructureGen) -> EventStructureGen:
-    """Compose two sequential denotations (forests) of interacting participants.
-
-    Events, conflicts and labels are unions.  The partners of an event are
-    the other side's events with the complementary label at the same
-    occurrence (:func:`occurrence_index`, computed here from each given
-    structure); a ``✓`` event has none.  A component enabling ``(X, e)``
-    needs a partner for each member of ``X`` and, when ``e`` is an input,
-    for ``e`` itself (the output it consumes).  It becomes one composite
-    enabling, which stands for the generators ``(X ∪ choice, e)``, one per
-    choice of partners: a needed event with one partner adds it to ``X``,
-    one with several adds them as a partner set, and one without partners
-    kills the enabling.  Choices are kept even when not conflict-free (such
-    generators never fire).  A side that is not a forest is a
-    :class:`ValueError`; a pair of session types is composed by
-    :func:`denote_par_terms`.
+def denote_par(client: SessionType, a: str, server: SessionType, b: str,
+               unroll_depth: int = DEFAULT_UNROLL_DEPTH) -> EventStructureGen:
+    """``denote(client, a, d, "odd")`` composed with ``denote(server, b, d,
+    "even")`` at ``d = unroll_depth`` under the partner rule, from one
+    compile walk per type.  Each type is checked as :func:`denote` checks
+    it; ``game.compose_session_contracts`` composes the same two walks and
+    also reads whether either cut a recursion.
     """
-    overlap = left.event_ids & right.event_ids
-    if overlap:
-        raise ValueError(f"component event sets overlap: {sorted(overlap)}")
-    return _par(left, right, {**occurrence_index(left), **occurrence_index(right)})
-
-
-def denote_par_terms(client: SessionType, a: str, server: SessionType, b: str,
-                     unroll_depth: int = DEFAULT_UNROLL_DEPTH) -> tuple[EventStructureGen, bool]:
-    """``denote_par(denote(client, a, d, "odd"), denote(server, b, d, "even"))``
-    at ``d = unroll_depth``, from one compile walk per type, and whether
-    either walk cut a recursion (so the structure is only an approximant).
-
-    Both types must already be valid (:func:`~stgames.syntax.validate`);
-    ``compose_session_contracts`` checks them.  Each side's occurrences are
-    the ones its compiler recorded, and only the composite structure is
-    built, so it is the one validated.  A negative depth is a
-    :class:`DenoteError`.
-    """
-    left = _compile(client, a, unroll_depth, "odd")
-    right = _compile(server, b, unroll_depth, "even")
-    return _par(left, right, {**left.occurrences, **right.occurrences}), left.cut or right.cut
+    _check(client)
+    _check(server)
+    return _par(_compile(client, a, unroll_depth, "odd"), _compile(server, b, unroll_depth, "even"))

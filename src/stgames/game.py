@@ -1,12 +1,11 @@
 """Contracts over event structures and the multi-player obligation game.
 
-A contract pairs an event structure with a payoff assignment; the only
-built-in payoff is success: a finite play pays a participant when it
-contains one of their ``✓`` events (infinite plays always pay, but finite
-structures only admit finite plays).  Plays are sequences of distinct
-events, each one playable after its predecessors.  A strategy maps each
-play to a set of the owner's playable events; the eager strategy prescribes
-all of them.
+A contract pairs an event structure with its participants, each paid by
+success: a finite play pays a participant when it contains one of their
+``✓`` events (infinite plays always pay, but finite structures only admit
+finite plays).  Plays are sequences of distinct events, each one playable
+after its predecessors.  A strategy maps each play to a set of the
+owner's playable events; the eager strategy prescribes all of them.
 
 A finite play is fair for a strategy exactly when the final prescription is
 empty, so the game engine treats every empty-prescription point as a
@@ -26,57 +25,51 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .denote import DEFAULT_UNROLL_DEPTH, denote_par_terms
+from .denote import DEFAULT_UNROLL_DEPTH, _compile, _par
 from .estructure import Arena, EventStructureGen, id_sort_key, playable
 from .lts import DEFAULT_STATE_LIMIT
 from .syntax import SessionType, assert_valid
 
-SUCCESS_PAYOFF = "success"
-
 
 @dataclass(frozen=True)
 class Contract:
-    """An event structure plus a payoff kind per participant.
+    """An event structure plus the participants its success payoff pays.
 
     Every participant who could ever be obliged (owns the target of some
-    enabling) must have a payoff.  ``bounded_depth`` is the unrolling bound
+    enabling) must be named.  ``bounded_depth`` is the unrolling bound
     when the compile walk cut a recursion: the structure is then only an
     approximant, and verdicts derived from it are exact up to that bound.
     """
 
     es: EventStructureGen
-    payoffs: dict[str, str] = field(default_factory=dict)
+    participants: frozenset[str] = frozenset()
     bounded_depth: int | None = None
 
     def __post_init__(self) -> None:
-        for kind in self.payoffs.values():
-            if kind != SUCCESS_PAYOFF:
-                raise ValueError(f"unknown payoff kind {kind!r}")
         obliged = {self.es.event(target).participant for _, _, target in self.es.enablings}
-        missing = obliged - self.payoffs.keys()
+        missing = obliged - self.participants
         if missing:
             raise ValueError(f"participants with obligations but no payoff: {sorted(missing)}")
-
-    def participants(self) -> frozenset[str]:
-        return self.es.participants() | frozenset(self.payoffs)
 
 
 def compose_session_contracts(p: SessionType, a: str, q: SessionType, b: str,
                               unroll_depth: int = DEFAULT_UNROLL_DEPTH) -> Contract:
     """The game arena for a client type ``p`` of ``a`` against server ``q`` of ``b``.
 
-    The event structure is the parallel composition of the two denotations
-    (:func:`~stgames.denote.denote_par_terms`); each type is validated once,
-    here.  Each participant gets the success payoff.  The result carries the
-    unrolling bound when either compile walk cut a recursion, which is when
-    the denotations are only approximants.
+    The event structure is :func:`~stgames.denote.denote_par` of the two
+    types, from the same two compile walks and one composition; each type
+    is validated once, here.  The result carries the unrolling bound when
+    either walk cut a recursion, which is when the denotations are only
+    approximants.
     """
     if a == b:
         raise ValueError("the two endpoints must belong to distinct participants")
     assert_valid(p, "client type")
     assert_valid(q, "server type")
-    es, cut = denote_par_terms(p, a, q, b, unroll_depth)
-    return Contract(es, {a: SUCCESS_PAYOFF, b: SUCCESS_PAYOFF}, unroll_depth if cut else None)
+    left = _compile(p, a, unroll_depth, "odd")
+    right = _compile(q, b, unroll_depth, "even")
+    bounded = unroll_depth if left.cut or right.cut else None
+    return Contract(_par(left, right), frozenset({a, b}), bounded)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +195,7 @@ def culpable_at_end(play, participant: str, es: EventStructureGen) -> bool:
 
 
 def payoff_holds(contract: Contract, participant: str, play) -> bool:
-    if participant not in contract.payoffs:
+    if participant not in contract.participants:
         raise ValueError(f"no payoff defined for {participant}")
     history = set(play)
     return any(
@@ -216,9 +209,9 @@ def winning_play(play, participant: str, contract: Contract) -> bool:
     """Win with a payoff when everyone is innocent, or by being innocent
     while someone else is culpable."""
     seq = assert_play(contract.es, play)
-    if participant not in contract.payoffs:
+    if participant not in contract.participants:
         raise ValueError(f"no payoff defined for {participant}")
-    everyone = sorted(contract.participants())
+    everyone = sorted(contract.es.participants() | contract.participants)
     guilty = [p for p in everyone if not innocent(seq, p, contract.es)]
     if not guilty:
         return payoff_holds(contract, participant, seq)
@@ -256,7 +249,7 @@ class StateLimitError(ValueError):
 def _explored(contract: Contract, participant: str) -> tuple[Arena, dict[str, int], int, int]:
     """The contract's arena at ``DEFAULT_STATE_LIMIT``, each event's bit and
     the masks of the owner's events and of the owner's ``✓`` events."""
-    if participant not in contract.payoffs:
+    if participant not in contract.participants:
         raise ValueError(f"no payoff defined for {participant}")
     es = contract.es
     index = es.play_index

@@ -165,17 +165,22 @@ def truncate(term: SessionType, depth: int) -> SessionType:
     """
 
     def tr(t: SessionType, env: dict[str, SessionType]) -> SessionType:
-        if isinstance(t, (Success, Term0)):
-            return t
-        if isinstance(t, Var):
+        cls = t.__class__
+        if cls is InternalChoice or cls is ExternalChoice:
+            # a loop, not a generator: one frame per nesting level
+            branches = []
+            for label, cont in t.branches:
+                branches.append((label, tr(cont, env)))
+            return cls(tuple(branches))
+        if cls is Var:
             return env[t.name]
-        if isinstance(t, (InternalChoice, ExternalChoice)):
-            return type(t)(tuple((label, tr(cont, env)) for label, cont in t.branches))
-        if isinstance(t, Rec):
+        if cls is Rec:
             approximant = _CUT
             for _ in range(depth):
                 approximant = tr(t.body, {**env, t.var: approximant})
             return approximant
+        if cls is Success or cls is Term0:
+            return t
         raise TypeError(f"not a session type: {t!r}")
 
     return tr(term, {})
@@ -336,7 +341,11 @@ def dual(term: SessionType) -> SessionType:
     cls = term.__class__
     if cls is InternalChoice or cls is ExternalChoice:
         flipped = ExternalChoice if cls is InternalChoice else InternalChoice
-        return flipped(tuple((label.co(), dual(cont)) for label, cont in term.branches))
+        # a loop, not a generator: one frame per nesting level
+        branches = []
+        for label, cont in term.branches:
+            branches.append((label.co(), dual(cont)))
+        return flipped(tuple(branches))
     if cls is Rec:
         return Rec(term.var, dual(term.body))
     if cls is Success or cls is Term0 or cls is Var:

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, product
@@ -227,28 +228,6 @@ def random_structure(rng: random.Random, max_events: int = 6) -> EventStructureG
     return make_es(events, conflicts, gens)
 
 
-def random_forest(rng: random.Random, max_events: int = 6) -> EventStructureGen:
-    """A structure whose A side (odd ids) and B side (even ids) are forests:
-    each event has one enabling, from an empty premise or from an earlier
-    event of its own participant (a ``✓`` event included), and a quarter of
-    each side's pairs conflict.  Labels repeat, as they are drawn from five."""
-    events = [Event(f"e{i}", "AB"[(i - 1) % 2], rng.choice(_LABEL_POOL))
-              for i in range(1, rng.randint(1, max_events) + 1)]
-    conflicts, gens = [], []
-    for i, event in enumerate(events):
-        own = [earlier.id for earlier in events[i % 2:i:2]]
-        conflicts += [(other, event.id) for other in own if rng.random() < 0.25]
-        parent = rng.choice([None, *own])
-        gens.append(((parent,) if parent else (), event.id))
-    return make_es(events, conflicts, gens)
-
-
-def random_forests(count: int) -> list[EventStructureGen]:
-    """The first ``count`` of one seeded sequence of :func:`random_forest`."""
-    rng = random.Random(4021)
-    return [random_forest(rng) for _ in range(count)]
-
-
 def random_partner_structure(rng: random.Random, max_events: int = 6) -> EventStructureGen:
     """A structure built with :class:`EventStructureGen` directly, whose
     enablings carry one to three partner sets each: members are drawn from
@@ -292,6 +271,14 @@ def small_structures():
     return exhaustive_tiny_structures() + sampled
 
 
+def frame_depth() -> int:
+    """The number of frames on the stack, this call's own included."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
 def acceptance_spec(family: str):
     """The first 100 seed-42 finite pairs or the first 20 seed-42 recursive
     pairs at unroll depth 4."""
@@ -310,7 +297,8 @@ def acceptance_pairs(family: str):
     return tuple(corpus_pair(spec, index) for index in range(spec.count))
 
 
-# nested recursion; at unroll depth 3 its pair 115 exhausts memory in denote_par
+# nested recursion; at unroll depth 3 its pair 115 expands to 81,072,114
+# generators, too many for the reference composition
 def nested_spec(count: int = 150):
     from stgames.harness import CorpusSpec
 
@@ -551,7 +539,7 @@ def reference_find_winning_strategy(contract, participant):
 # ---------------------------------------------------------------------------
 
 def _dfs_masks(contract, participant):
-    if participant not in contract.payoffs:
+    if participant not in contract.participants:
         raise ValueError(f"no payoff defined for {participant}")
     es = contract.es
     index = es.play_index

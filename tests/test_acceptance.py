@@ -61,7 +61,7 @@ def test_criterion_1_worked_example_structures():
     started = time.perf_counter()
     client = denote(parse(EXAMPLE_CLIENT), "A", parity="odd")
     server = denote(parse(EXAMPLE_SERVER), "B", parity="even")
-    composed = denote_par(client, server)
+    composed = denote_par(parse(EXAMPLE_CLIENT), "A", parse(EXAMPLE_SERVER), "B")
 
     client_ok = (
         {e.id for e in client.events} == {"e1", "e3", "e5", "e7", "e9"}

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -15,18 +12,18 @@ from conftest import (
     DEEP_FAMILIES,
     es_leq_oracle,
     oracle_cases,
-    random_forests,
     reference_denote,
     reference_denote_par,
+    reference_occurrence_index,
     reference_playable,
 )
-from stgames.denote import DenoteError, _compile, denote, denote_par, occurrence_index
-from stgames.estructure import EMPTY_ES, Event, EventStructureGen, es_leq, es_to_json, make_es
+from stgames.denote import DenoteError, _compile, denote, denote_par
+from stgames.estructure import EMPTY_ES, EventStructureGen, es_leq, es_to_json
 from stgames.game import compose_session_contracts
-from stgames.harness import CorpusSpec, corpus_pair, dual
+from stgames.harness import CorpusSpec, corpus_pair, dual, truncate
 from stgames.lts import DEFAULT_STATE_LIMIT
 from stgames.opsem import check_compliance
-from stgames.syntax import TICK, Rec, out, parse
+from stgames.syntax import TICK, Rec, parse
 
 
 def gens_of(es):
@@ -63,11 +60,15 @@ EXAMPLE_COMPOSED_GENS = G(
 )
 
 
+EXAMPLE = (parse("!a (+) !b.!a"), "A", parse("?a.?b + ?b.?a + ?c"), "B")
+
+
 @pytest.fixture(scope="module")
 def example():
-    client = denote(parse("!a (+) !b.!a"), "A", parity="odd")
-    server = denote(parse("?a.?b + ?b.?a + ?c"), "B", parity="even")
-    return client, server, denote_par(client, server)
+    client_type, a, server_type, b = EXAMPLE
+    client = denote(client_type, a, parity="odd")
+    server = denote(server_type, b, parity="even")
+    return client, server, denote_par(*EXAMPLE)
 
 
 def test_example_client_structure(example):
@@ -98,6 +99,7 @@ def test_example_composed_structure(example):
     assert composed.events == client.events | server.events
     assert composed.conflicts == client.conflicts | server.conflicts
     assert gens_of(composed) == EXAMPLE_COMPOSED_GENS
+    assert es_to_json(composed) == es_to_json(compose_session_contracts(*EXAMPLE).es)
 
 
 def test_example_composed_enablings(example):
@@ -136,50 +138,43 @@ def test_participants_and_polarity():
 def test_free_variable_rejected():
     with pytest.raises(DenoteError):
         denote(parse("x"), "A")
+    for client, server in (("x", "?a"), ("!a", "?a.y")):
+        with pytest.raises(DenoteError, match="cannot compile invalid type"):
+            denote_par(parse(client), "A", parse(server), "B")
 
 
 # -- parallel composition ------------------------------------------------------
 
 def test_par_of_two_successes():
-    left = denote(parse("1"), "A", parity="odd")
-    right = denote(parse("1"), "B", parity="even")
-    composed = denote_par(left, right)
+    composed = denote_par(parse("1"), "A", parse("1"), "B")
     assert gens_of(composed) == G(((), "e1"), ((), "e2"))
 
 
-def test_par_rejects_overlapping_ids():
-    left = denote(parse("1"), "A", parity="odd")
-    with pytest.raises(ValueError):
-        denote_par(left, denote(parse("1"), "B", parity="odd"))
-
-
-def test_par_premise_tick_kills_enabling():
-    # a premise event labelled success has no complement
-    left = make_es(
-        [Event("e1", "A", TICK), Event("e3", "A", out("a"))],
-        (),
-        [((), "e1"), (("e1",), "e3")],
-    )
-    right = denote(parse("?a"), "B", parity="even")
-    composed = denote_par(left, right)
-    assert composed.premises_of("e3") == ()
+def test_par_composes_truncations_as_denote_compiles_them():
+    # an empty choice denotes no event, so a cut adds none to the
+    # composition, which has as many events as the depth-2 approximant's;
+    # compose_session_contracts takes user types only
+    client, server = parse("rec x . !a.x"), parse("rec y . ?a.y")
+    p, q = truncate(client, 2), truncate(server, 2)
+    composed = denote_par(p, "A", q, "B", 0)
+    reference = reference_denote_par(denote(p, "A", 0, "odd"), denote(q, "B", 0, "even"))
+    assert es_to_json(composed) == es_to_json(reference)
+    assert len(composed.events) == len(denote_par(client, "A", server, "B", 2).events) == 4
+    with pytest.raises(ValueError, match="empty-choice"):
+        compose_session_contracts(p, "A", q, "B")
 
 
 def test_par_repeated_action_needs_fresh_acknowledgement():
     # the second output of the same action cannot reuse the first reader:
     # with a single reader available the later success stays disabled
-    left = denote(parse("!a.!a"), "A", parity="odd")
-    right = denote(parse("?a.?b"), "B", parity="even")
-    composed = denote_par(left, right)
+    composed = denote_par(parse("!a.!a"), "A", parse("?a.?b"), "B")
     # e5 is the client's success after the second !a; the only ?a reader
     # acknowledges the first output, so nothing enables e5
     assert composed.premises_of("e5") == ()
 
 
 def test_par_repeated_action_pairs_by_occurrence():
-    left = denote(parse("!a.!a"), "A", parity="odd")
-    right = denote(parse("?a.?a"), "B", parity="even")
-    composed = denote_par(left, right)
+    composed = denote_par(parse("!a.!a"), "A", parse("?a.?a"), "B")
     # second output waits for the first read; second read for the second output
     assert gens_of(composed) >= G(
         (("e1", "e2"), "e3"),
@@ -189,53 +184,16 @@ def test_par_repeated_action_pairs_by_occurrence():
 
 
 def test_occurrence_index_counts_same_label_ancestors():
-    es = denote(parse("!a.!b.!a"), "A")
-    occ = occurrence_index(es)
+    term = parse("!a.!b.!a")
+    occ = _compile(term, "A", 0, "odd").occurrences
+    assert occ == reference_occurrence_index(denote(term, "A"))
     assert occ["e1"] == 1  # first !a
     assert occ["e3"] == 1  # the !b
     assert occ["e5"] == 2  # second !a
 
 
-# one side per shape that is not a forest, each breaking the rule at two
-# events, against a ?a chain; each error names the lesser event
-NOT_FORESTS = """
-from stgames.denote import denote_par
-from stgames.estructure import Event, make_es
-from stgames.syntax import inp, out
-
-right = make_es([Event(f"e{i}", "B", inp("a")) for i in (2, 4, 6)], (),
-                [((), "e2"), (("e2",), "e4"), (("e4",), "e6")])
-events = [Event(f"e{i}", "A", out("a")) for i in (1, 3, 5, 7, 9)]
-for gens in (
-    [((), "e1"), ((), "e3"), (("e1",), "e9"), (("e3",), "e9"), ((), "e5"), (("e1",), "e5")],
-    [((), "e1"), ((), "e3"), (("e1", "e3"), "e9"), (("e1", "e3"), "e7")],
-    [((), "e1"), (("e9",), "e3"), (("e3",), "e9"), (("e7",), "e5"), (("e5",), "e7")],
-):
-    try:
-        denote_par(make_es(events, (), gens), right)
-    except ValueError as exc:
-        print(exc)
-"""
-
-
-def test_denote_par_rejects_non_forests_whatever_the_hash_order():
-    env = {**os.environ, "PYTHONPATH": str(Path(stgames.__file__).parents[1])}
-    outputs = {
-        subprocess.run([sys.executable, "-c", NOT_FORESTS], env={**env, "PYTHONHASHSEED": seed},
-                       capture_output=True, text=True, encoding="utf-8", check=True).stdout
-        for seed in ("1", "2")
-    }
-    assert outputs == {
-        "not a forest: event e5 has premises [[], ['e1']]\n"
-        "not a forest: event e7 has premises [['e1', 'e3']]\n"
-        "not a forest: the chain above event e3 cycles\n"
-    }
-
-
 def test_paycash_composition():
-    client = denote(parse("!payCash (+) !payCC"), "A", parity="odd")
-    server = denote(parse("?payCash"), "B", parity="even")
-    composed = denote_par(client, server)
+    composed = denote_par(parse("!payCash (+) !payCC"), "A", parse("?payCash"), "B")
     # e5/e7 are the payCC branch: the server never acknowledges it
     assert composed.premises_of("e7") == ()
     assert gens_of(composed) == G(
@@ -276,85 +234,35 @@ def test_denote_matches_per_node_reference(kind):
         ref_right = reference_denote(server, "B", unroll_depth=depth, parity="even")
         assert es_to_json(left) == es_to_json(ref_left)
         assert es_to_json(right) == es_to_json(ref_right)
-        assert es_to_json(denote_par(left, right)) == es_to_json(reference_denote_par(ref_left, ref_right))
+        composed = denote_par(client, "A", server, "B", depth)
+        assert es_to_json(composed) == es_to_json(reference_denote_par(ref_left, ref_right))
 
 
-def _split_by_participant(es):
-    """The A and B sides of ``es``: each keeps its own events, the conflicts
-    among them and the generators whose premise lies on its side."""
-    sides = []
-    for who in ("A", "B"):
-        ids = es.events_of(who)
-        sides.append(make_es(
-            [event for event in es.events if event.id in ids],
-            [pair for pair in es.conflicts if pair <= ids],
-            [(premise, target) for premise, target in es.gens if target in ids and premise <= ids],
-        ))
-    return sides
+# -- oracle: composition from terms against the reference composition ------------
 
-
-def _is_forest(es):
-    """At most one enabling per event, of at most one premise event, and
-    every event removed by peeling off, round by round, the events with no
-    parent left."""
-    if any(len(ps) > 1 or any(len(p) > 1 for p in ps) for ps in map(es.premises_of, es.event_ids)):
-        return False
-    parents = {eid: set().union(*es.premises_of(eid)) for eid in es.event_ids}
-    left = set(parents)
-    while roots := {eid for eid in left if not parents[eid] & left}:
-        left -= roots
-    return not left
-
-
-def assert_forest_par_matches_reference(es):
-    """``denote_par`` of the two sides of ``es`` equals the reference when
-    both are forests, and raises ``ValueError`` otherwise.  Returns whether
-    they were forests."""
-    left, right = _split_by_participant(es)
-    if _is_forest(left) and _is_forest(right):
-        assert es_to_json(denote_par(left, right)) == es_to_json(reference_denote_par(left, right))
-        return True
-    with pytest.raises(ValueError, match="^not a forest: "):
-        denote_par(left, right)
-    return False
-
-
-def test_denote_par_matches_reference_on_split_structures(small_structures):
-    # hand-built sides with repeated labels and ✓ events with children; the
-    # splits with two enablings, a two-event premise or a cycle are rejected
-    composed = [assert_forest_par_matches_reference(es) for es in small_structures]
-    assert (len(composed), sum(composed)) == (813, 401)
-    forests = random_forests(300)
-    assert all(map(assert_forest_par_matches_reference, forests))
-    # of those, 57 have a ✓ event with a child and 47 a label repeated on a chain
-    assert sum(any(es.label_of(parent).is_tick for premise, _ in es.gens for parent in premise)
-               for es in forests) == 57
-    assert sum(max(occurrence_index(es).values()) > 1 for es in forests) == 47
-
-
-# -- oracle: composition from terms against denote_par of the denotations --------
-
-def assert_composes_as_denote_par(client, server, depth):
-    """``compose_session_contracts`` builds what ``denote_par`` of the two
-    denotations builds, each compile walk records the occurrences that
-    :func:`occurrence_index` reads off its structure, and the contract is
-    bounded exactly when one more unrolling of either type adds an event."""
+def assert_composes_as_reference(client, server, depth):
+    """``compose_session_contracts`` and ``denote_par`` build what the
+    reference composition of the two denotations builds, each compile walk
+    records the occurrences the reference reads off its structure, and the
+    contract is bounded exactly when one more unrolling of either type adds
+    an event."""
     left = denote(client, "A", unroll_depth=depth, parity="odd")
     right = denote(server, "B", unroll_depth=depth, parity="even")
     contract = compose_session_contracts(client, "A", server, "B", depth)
-    assert es_to_json(contract.es) == es_to_json(denote_par(left, right))
+    assert es_to_json(contract.es) == es_to_json(reference_denote_par(left, right))
+    assert denote_par(client, "A", server, "B", depth) == contract.es
     grows = any(len(denote(term, "A", depth + 1).events) > len(side.events)
                 for term, side in ((client, left), (server, right)))
     assert contract.bounded_depth == (depth if grows else None)
     for term, parity, side in ((client, "odd", left), (server, "even", right)):
-        assert _compile(term, "A", depth, parity).occurrences == occurrence_index(side)
+        assert _compile(term, "A", depth, parity).occurrences == reference_occurrence_index(side)
 
 
 @pytest.mark.parametrize("kind", ["finite", "recursive", "families", "nested"])
 def test_composition_from_terms_matches_denote_par(kind):
     for client, server, depth in oracle_cases(kind):
         for d in sorted({0, 1, depth}):
-            assert_composes_as_denote_par(client, server, d)
+            assert_composes_as_reference(client, server, d)
 
 
 # -- partner sets with several members, against the product reference -----------
@@ -396,8 +304,9 @@ def test_doubling_family_enabling_and_generator_counts():
 
 
 def test_composition_from_terms_rejects_negative_depth():
-    with pytest.raises(DenoteError, match="non-negative"):
-        compose_session_contracts(parse("!a"), "A", parse("?a"), "B", -1)
+    for compose in (compose_session_contracts, denote_par):
+        with pytest.raises(DenoteError, match="non-negative"):
+            compose(parse("!a"), "A", parse("?a"), "B", -1)
 
 
 def test_composition_from_terms_builds_one_structure(monkeypatch):

@@ -50,9 +50,7 @@ from stgames.syntax import INPUT, OUTPUT, TICK, ActionLabel, out, parse
 
 @pytest.fixture(scope="module")
 def example_composed():
-    left = denote(parse("!a (+) !b.!a"), "A", parity="odd")
-    right = denote(parse("?a.?b + ?b.?a + ?c"), "B", parity="even")
-    return denote_par(left, right)
+    return denote_par(parse("!a (+) !b.!a"), "A", parse("?a.?b + ?b.?a + ?c"), "B")
 
 
 @pytest.fixture(scope="module")
@@ -465,8 +463,7 @@ def test_json_matches_reference_on_deep_families():
     for source, deepest in DEEP_FAMILIES:
         client = parse(source)
         for depth in range(deepest + 1):
-            es = denote_par(denote(client, "A", unroll_depth=depth, parity="odd"),
-                            denote(dual(client), "B", unroll_depth=depth, parity="even"))
+            es = denote_par(client, "A", dual(client), "B", depth)
             assert es_to_json(es) == reference_es_to_json(es), (source, depth)
 
 

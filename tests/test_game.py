@@ -15,6 +15,7 @@ from conftest import (
     brute_force_agreement,
     dfs_eager_winning,
     dfs_find_winning_strategy,
+    frame_depth,
     oracle_cases,
     partner_structures,
     random_structure,
@@ -66,8 +67,8 @@ def paycash_contract():
 def test_contract_requires_payoffs_for_obliged_participants():
     es = denote(parse("!a"), "A")
     with pytest.raises(ValueError):
-        Contract(es, {})
-    Contract(es, {"A": "success"})
+        Contract(es, frozenset())
+    Contract(es, frozenset({"A"}))
 
 
 def test_same_participant_composition_rejected():
@@ -79,7 +80,7 @@ def test_same_participant_composition_rejected():
 
 
 def test_example_contract_wires_denotations(example_contract):
-    assert example_contract.payoffs == {"A": "success", "B": "success"}
+    assert example_contract.participants == {"A", "B"}
     assert len(example_contract.es.events) == 13
     assert example_contract.bounded_depth is None
 
@@ -321,7 +322,7 @@ def test_search_agrees_with_brute_force_on_random_structures():
         participants = sorted(es.participants())
         if not participants:
             continue
-        contract = Contract(es, dict.fromkeys(es.participants() | {"A", "B"}, "success"))
+        contract = Contract(es, es.participants() | {"A", "B"})
         for who in participants:
             assert (find_winning_strategy(contract, who) is not None) == \
                 brute_force_agreement(contract, who)
@@ -354,7 +355,7 @@ def test_empty_play_is_losing_fair_stop_for_mismatched_inputs():
 
 def _engine_inputs(family, small_structures):
     if family == "small":
-        return [Contract(es, {"A": "success", "B": "success"}) for es in small_structures]
+        return [Contract(es, frozenset({"A", "B"})) for es in small_structures]
     return acceptance_contracts(family)
 
 
@@ -436,19 +437,12 @@ def test_eager_counterexamples_replay_through_step_turn(kind, want):
     assert seen == want
 
 
-def _frame_depth() -> int:
-    frame, depth = sys._getframe(), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    return depth
-
-
 def test_games_do_not_recurse_per_play_step():
     # a 300-event play under a recursion limit 100 frames above the caller
     client = parse("rec x . !a.x")
     contract = compose_session_contracts(client, "A", dual(client), "B", 150)
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_frame_depth() + 100)
+    sys.setrecursionlimit(frame_depth() + 100)
     try:
         verdict = eager_winning(contract, "A")
         strategy = find_winning_strategy(contract, "B")

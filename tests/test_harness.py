@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 import stgames
 from stgames import estructure, game, harness, opsem
-from conftest import (acceptance_contracts, acceptance_pairs, acceptance_spec, oracle_cases, reference_bisim,
-                      reference_corpus_pair, reference_truncate)
+from conftest import (acceptance_contracts, acceptance_pairs, acceptance_spec, frame_depth, oracle_cases,
+                      reference_bisim, reference_corpus_pair, reference_truncate)
 from stgames.denote import denote, denote_par
 from stgames.estructure import ets, make_es
 from stgames.game import compose_session_contracts
@@ -156,9 +156,7 @@ def test_two_successes_bisimilar():
 def test_mutated_structure_not_bisimilar():
     # deleting the client-acknowledgement enabling removes a mandatory move
     p, q = parse("!a (+) !b.!a"), parse("?a.?b + ?b.?a + ?c")
-    composed = denote_par(
-        denote(p, "A", parity="odd"), denote(q, "B", parity="even")
-    )
+    composed = denote_par(p, "A", q, "B")
     pruned = make_es(
         composed.events,
         composed.conflicts,
@@ -306,6 +304,23 @@ def test_truncate_matches_the_reference():
         for depth in range(7):
             assert same_term(truncate(term, depth), reference_truncate(term, depth)), (pretty(term), depth)
     assert not same_term(parse("!a.!b"), parse("!a.!c"))
+
+
+def test_dual_and_truncate_take_one_frame_per_level():
+    # a 900-prefix chain under a recursion limit 950 frames above the
+    # caller; the results are compared printed, as == recurses per level
+    # through the dataclass comparisons past the limit
+    chain = ".".join(["!a"] * 900)
+    term, loop = parse(chain), parse(f"rec x . {chain}.x")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frame_depth() + 950)
+    try:
+        twice = dual(dual(term))
+        cut = truncate(loop, 1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert pretty(twice) == chain
+    assert pretty(cut) == chain + ".()"
 
 
 def test_truncated_types_execute_under_both_checkers():
