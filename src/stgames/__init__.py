@@ -14,7 +14,6 @@ from .estructure import (
     conflict_free,
     enabled,
     es_leq,
-    es_lub,
     es_to_json,
     ets,
     ets_to_dot,

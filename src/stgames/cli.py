@@ -33,20 +33,16 @@ from .opsem import DEFAULT_STATE_LIMIT, check_compliance, check_compliance_turn
 from .syntax import ParseError, assert_valid, parse, pretty
 
 
-class CliError(ValueError):
-    """A failure reported as one ``error:`` line, as every ``ValueError`` is."""
-
-
 def _load_type(text: str):
     if text.startswith("@"):
         try:
             text = Path(text[1:]).read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
-            raise CliError(f"cannot read {text[1:]}: {exc}") from None
+            raise ValueError(f"cannot read {text[1:]}: {exc}") from None
     try:
         term = parse(text)
     except ParseError as exc:
-        raise CliError(f"parse error: {exc}") from None
+        raise ValueError(f"parse error: {exc}") from None
     assert_valid(term)
     return term
 
@@ -83,7 +79,7 @@ def cmd_agree(args, out) -> int:
     q = _load_type(args.server)
     who = args.participants[0] if args.participant is None else args.participant
     if who not in args.participants:
-        raise CliError(f"unknown participant {who}")
+        raise ValueError(f"unknown participant {who}")
     contract = compose_session_contracts(p, args.participants[0], q, args.participants[1], args.depth)
     if args.strategy == "eager":
         verdict = eager_winning(contract, who)
@@ -116,9 +112,9 @@ def cmd_export(args, out) -> int:
     # both checked here, not where they are read: `es` explores nothing and
     # `ts` composes nothing
     if args.limit <= 0:
-        raise CliError("state limit must be positive")
+        raise ValueError("state limit must be positive")
     if args.depth < 0:
-        raise CliError("unroll depth must be non-negative")
+        raise ValueError("unroll depth must be non-negative")
     system = None
     if args.what == "ts":
         system = turn_lts(p, q, args.limit)
@@ -137,11 +133,11 @@ def cmd_export(args, out) -> int:
             with open(args.output, "w", encoding="utf-8") as dest:
                 _write(chunks, dest)
         except OSError as exc:
-            raise CliError(f"cannot write {args.output}: {exc}") from None
+            raise ValueError(f"cannot write {args.output}: {exc}") from None
     else:
         _write(chunks, out)
     if system is not None and system.truncated:
-        raise CliError(f"state limit {args.limit} reached; the exported system is truncated")
+        raise ValueError(f"state limit {args.limit} reached; the exported system is truncated")
     return 0
 
 
@@ -252,7 +248,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 2
-    except ValueError as exc:  # CliError included
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -109,6 +109,8 @@ class _Compiler:
 
     ``ordinal`` and ``var_ordinal`` number the next event position and
     variable occurrence in pre-order; a copy restarts at its binder body's.
+    So ids need no check for reuse: the ordinal is unique within one copy
+    of a body, and the suffix names the copy by its chain of occurrences.
     ``cut`` is set where the walk stops short of the fixpoint: a ``rec``
     body skipped at depth 0, or a binding used with no depth left.
     """
@@ -128,8 +130,6 @@ class _Compiler:
     def add_initial(self, suffix: str, label: ActionLabel, under: frozenset[str]) -> str:
         event_id = f"e{self.start + 2 * self.ordinal}{suffix}"
         self.ordinal += 1
-        if event_id in self.occurrences:
-            raise DenoteError(f"event id {event_id} already used")
         self.events.append(Event(event_id, self.who, label))
         self.occurrences[event_id] = self.chain.get(label.text, 0) + 1
         self.enablings.add((under, _PLAIN, event_id))

@@ -442,7 +442,7 @@ def ets(es: EventStructureGen, step_bound: int = DEFAULT_STATE_LIMIT, relabel: b
 
 
 # ---------------------------------------------------------------------------
-# Approximation order and least upper bounds
+# Approximation order
 # ---------------------------------------------------------------------------
 
 def es_leq(small: EventStructureGen, big: EventStructureGen) -> bool:
@@ -478,24 +478,6 @@ def es_leq(small: EventStructureGen, big: EventStructureGen) -> bool:
             if not any(sp <= premise for sp in small.premises_of(target)):
                 return False
     return True
-
-
-def es_lub(chain) -> EventStructureGen:
-    """Componentwise union of an increasing chain; rejects non-chains."""
-    items = list(chain)
-    if not items:
-        raise ValueError("lub of an empty chain is undefined")
-    for first, second in zip(items, items[1:]):
-        if not es_leq(first, second):
-            raise ValueError("input is not an increasing chain")
-    events: set[Event] = set()
-    conflicts: set[frozenset[str]] = set()
-    enablings: set[Enabling] = set()
-    for es in items:
-        events |= es.events
-        conflicts |= es.conflicts
-        enablings |= es.enablings
-    return EventStructureGen(frozenset(events), frozenset(conflicts), frozenset(enablings))
 
 
 # ---------------------------------------------------------------------------

@@ -112,9 +112,11 @@ class ExplicitStrategy:
     table: dict[tuple[str, ...], frozenset[str]] = field(default_factory=dict)
 
     def to_json(self) -> list[dict]:
+        """The rows by prefix, each compared id by id in :func:`id_sort_key` order."""
         return [
             {"prefix": list(prefix), "prescribe": sorted(events, key=id_sort_key)}
-            for prefix, events in sorted(self.table.items())
+            for prefix, events in sorted(self.table.items(),
+                                         key=lambda row: tuple(map(id_sort_key, row[0])))
         ]
 
 

@@ -11,10 +11,12 @@ Terms are immutable.  Each keeps its printed forms, and each ``Rec`` its
 one-step unfolding, once computed; both are deterministic, so terms stay
 safe to share.
 
-``parse`` scans its text once with ``re.findall`` over one token rule, which
-yields the tokens as plain strings, and descends over those strings.  Only a
-malformed text is scanned again, with ``re.finditer`` over the same rule, to
-find character positions for the ``ParseError``.
+``parse`` reads the grammar only; ``validate`` judges closedness,
+guardedness and distinct actions per choice.  ``parse`` scans its text once
+with ``re.findall`` over one token rule, which yields the tokens as plain
+strings, and descends over those strings.  Only a malformed text is scanned
+again, with ``re.finditer`` over the same rule, to find character positions
+for the ``ParseError``.
 """
 
 from __future__ import annotations
@@ -172,7 +174,9 @@ class _Descent:
 
     ``rec x . P`` takes the longest possible body; prefix continuations bind
     tightly (a choice or rec continuation must be parenthesised); a choice
-    level is homogeneous, so mixing ``(+)`` and ``+`` is a parse error.
+    level is homogeneous, so mixing ``(+)`` and ``+`` is a parse error, and
+    its operator fixes its operands' polarity.  Free or unguarded variables
+    and repeated actions parse: they are ``validate``'s to judge.
 
     Each method takes the index of its first token and returns the parsed
     form with the index after it.  ``atom`` returns a prefix as its
@@ -210,18 +214,9 @@ class _Descent:
                     raise _Failure("cannot mix '(+)' and '+' in one choice", i)
                 break
         polarity = OUTPUT if op == "(+)" else INPUT
-        # every branch's polarity is checked before a duplicate is reported
-        names: set[str] = set()
         for branch in branches:
             if branch is None or branch[0].polarity != polarity:
                 raise _Failure("choice branches must be action prefixes of matching polarity", start)
-            names.add(branch[0].name)
-        if len(names) < len(branches):
-            names.clear()
-            for label, _ in branches:
-                if label.name in names:
-                    raise _Failure(f"duplicate action {label} in a choice", start)
-                names.add(label.name)
         return _CHOICE[polarity](tuple(branches)), i
 
     def atom(self, i: int) -> tuple[SessionType | tuple[ActionLabel, SessionType], int]:
@@ -266,7 +261,8 @@ def parse(text: str) -> SessionType:
     """Parse source text into a session type term.
 
     ``!a`` with no continuation abbreviates ``!a.1``; a bare prefix is a
-    one-branch choice.
+    one-branch choice.  Only the grammar is read: ``validate`` judges
+    closedness, guardedness and distinct actions in each choice.
 
     The text is split into token strings by one ``re.findall`` over the
     token rule, and the descent reads those strings.  Character positions

@@ -109,11 +109,6 @@ DEEP_FAMILIES = (
 )
 
 
-@pytest.fixture(scope="session")
-def example_types():
-    return parse(EXAMPLE_CLIENT), parse(EXAMPLE_SERVER)
-
-
 # ---------------------------------------------------------------------------
 # Saturation oracle
 # ---------------------------------------------------------------------------
@@ -773,11 +768,6 @@ class _ReferenceParser:
                     "choice branches must be action prefixes of matching polarity", first_at
                 )
             branches.append(branch)
-        seen: set[str] = set()
-        for label, _ in branches:
-            if label.name in seen:
-                raise ParseError(f"duplicate action {label} in a choice", first_at)
-            seen.add(label.name)
         return choice(polarity, branches)
 
     def parse_atom(self) -> SessionType:

@@ -54,8 +54,17 @@ def test_check_non_compliant_exit_one():
 
 
 def test_check_parse_error_exit_two(capsys):
-    code, _ = run(["check", "!a (+) !a", "?a"])
+    code, _ = run(["check", "!a (+) ?b", "?a"])
     assert code == 2
+    assert capsys.readouterr().err == ("error: parse error: choice branches must be action "
+                                       "prefixes of matching polarity (at position 0)\n")
+
+
+def test_check_duplicate_action_is_an_invalid_type_exit_two(capsys):
+    # the type parses; validation reports the repeated action
+    assert run(["check", "!a.!a (+) !a", "?a"]) == (2, "")
+    assert capsys.readouterr().err == ("error: invalid session type: duplicate-action: "
+                                       "action !a appears twice in !a.!a (+) !a\n")
 
 
 def test_check_indeterminate_exit_two():
@@ -94,6 +103,18 @@ def test_agree_search_finds_branch_avoiding_strategy():
     data = json.loads(text)
     assert data["winning"] is True
     assert {"prefix": [], "prescribe": ["e7"]} in data["prescriptions"]
+
+
+def test_agree_search_rows_in_event_id_order():
+    # six branches number the server's outputs e2 to e22: rows compare their
+    # prefixes id by id in event-id order (e2 before e10), not as strings
+    code, text = run(["agree", "?a + ?b + ?c + ?d + ?e + ?f", "!a (+) !b (+) !c (+) !d (+) !e (+) !f",
+                      "--strategy", "search"])
+    assert code == 0
+    prefixes = [row["prefix"] for row in json.loads(text)["prescriptions"]]
+    assert [p for p in prefixes if len(p) == 1] == [["e2"], ["e6"], ["e10"], ["e14"], ["e18"], ["e22"]]
+    numbered = [[int(eid[1:]) for eid in prefix] for prefix in prefixes]
+    assert numbered == sorted(numbered)
 
 
 def test_agree_bounded_note_printed():

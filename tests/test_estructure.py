@@ -35,7 +35,6 @@ from stgames.estructure import (
     enabled,
     es_json_chunks,
     es_leq,
-    es_lub,
     es_to_json,
     es_to_json_dict,
     ets,
@@ -311,7 +310,7 @@ def test_every_event_fires_at_most_once(small_structures):
         assert len(history) <= len(es.event_ids)
 
 
-# -- ordering and lubs ---------------------------------------------------------
+# -- ordering ------------------------------------------------------------------
 
 def test_leq_bottom(example_composed):
     assert es_leq(EMPTY_ES, example_composed)
@@ -362,34 +361,6 @@ def test_leq_partial_order_properties(small_structures):
             assert a.events == b.events
             assert a.conflicts == b.conflicts
             assert saturate(a) == saturate(b)
-
-
-def test_lub_singleton(example_composed):
-    assert es_lub([EMPTY_ES]) == EMPTY_ES
-    assert es_lub([example_composed]) == example_composed
-
-
-def test_lub_of_two_chain_is_top():
-    term = parse("rec x . !a.x")
-    g1 = denote(term, "A", unroll_depth=1)
-    g2 = denote(term, "A", unroll_depth=2)
-    assert es_lub([g1, g2]) == g2
-
-
-def test_lub_rejects_non_chain():
-    a = make_es([Event("e1", "A", out("a"))], (), [((), "e1")])
-    b = make_es([Event("e2", "A", out("b"))], (), [((), "e2")])
-    with pytest.raises(ValueError):
-        es_lub([a, b])
-
-
-def test_lub_componentwise_union():
-    term = parse("rec x . (!a.x (+) !b)")
-    chain = [denote(term, "A", unroll_depth=k) for k in range(3)]
-    top = es_lub(chain)
-    assert top.events == chain[0].events | chain[1].events | chain[2].events
-    assert top.gens == chain[0].gens | chain[1].gens | chain[2].gens
-    assert top.conflicts == chain[0].conflicts | chain[1].conflicts | chain[2].conflicts
 
 
 # -- construction and serialisation -------------------------------------------

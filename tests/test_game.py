@@ -43,6 +43,7 @@ from stgames.game import (
     winning_play,
 )
 from stgames.harness import CorpusSpec, dual, run_corpus
+from stgames.lts import DEFAULT_STATE_LIMIT
 from stgames.opsem import check_compliance, step_turn
 from stgames.syntax import TICK, Term0, out, parse
 
@@ -397,6 +398,74 @@ def test_ets_matches_breadth_first_on_partner_structures():
 def test_arena_passes_match_depth_first_engines(kind):
     for client, server, depth in oracle_cases(kind):
         assert_games_match_dfs(client, server, depth)
+
+
+# -- the arena's state argument ------------------------------------------------------
+
+def assert_arena_invariant(client, server, depth) -> int:
+    """Each configuration of the pair's arena is named by the two sides' tips,
+    and holds at most one unmatched event per side: its tip, an output.
+
+    A side moves only when its tip has its partner: an enabling needs a
+    partner for each premise event, so each side fires along one causal
+    chain and has at most one unmatched event, its tip.  An input is matched
+    when it fires, as its enabling also needs the output it consumes; so an
+    unmatched tip is an output (``✓`` has no partner at all).  A partner is
+    the other side's fired event with the complementary label at the same
+    occurrence along its chain.  So the arena has at most (|A|+1)·(|B|+1)
+    configurations, |X| being the number of X's events.  Returns the number
+    of configurations."""
+    contract = compose_session_contracts(client, "A", server, "B", depth)
+    es = contract.es
+    bit = es.play_index.bit
+    # each event's own-side premise: the prefix event its compile walk put it under
+    below = {}
+    for premise, _, target in es.enablings:
+        who = es.event(target).participant
+        own = [eid for eid in premise if es.event(eid).participant == who]
+        assert len(own) <= 1 and target not in below
+        below[target] = own[0] if own else None
+    arena = es.arena(DEFAULT_STATE_LIMIT)
+    assert not arena.truncated
+    tips = set()
+    for fired in arena.fired:
+        chains, keys = {}, {}
+        for who in ("A", "B"):
+            ids = [eid for eid in es.events_of(who) if fired & bit[eid]]
+            above = {below[eid]: eid for eid in ids}
+            # one fired event per premise, and every premise fired: one chain
+            assert len(above) == len(ids) and all(b is None or fired & bit[b] for b in above)
+            chain, eid = [], above.get(None)
+            while eid is not None:
+                chain.append(eid)
+                eid = above.get(eid)
+            assert len(chain) == len(ids)
+            chains[who] = chain
+            # each event's label with its occurrence along the chain
+            seen = Counter()
+            keys[who] = []
+            for eid in chain:
+                label = es.label_of(eid)
+                seen[label] += 1
+                keys[who].append((label, seen[label]))
+        for who, other in (("A", "B"), ("B", "A")):
+            theirs = set(keys[other])
+            unmatched = [i for i, (label, n) in enumerate(keys[who])
+                         if label.is_tick or (label.co(), n) not in theirs]
+            assert len(unmatched) <= 1
+            if unmatched:
+                i, = unmatched
+                assert i == len(chains[who]) - 1 and keys[who][i][0].is_output
+        tips.add(tuple(chain[-1] if chain else None for chain in chains.values()))
+    assert len(tips) == len(arena.fired)
+    assert len(arena.fired) <= (len(es.events_of("A")) + 1) * (len(es.events_of("B")) + 1)
+    return len(arena.fired)
+
+
+@pytest.mark.parametrize("kind", ["finite", "recursive", "families", "nested"])
+def test_arena_configurations_are_named_by_two_tips(kind):
+    for case in oracle_cases(kind):
+        assert_arena_invariant(*case)
 
 
 # -- eager counterexamples against the turn-based step relation -------------------

@@ -62,9 +62,13 @@ def test_parse_three_branch_external_choice():
     assert [label.name for label, _ in term.branches] == ["a", "b", "c"]
 
 
-def test_parse_duplicate_action_rejected():
-    with pytest.raises(ParseError):
-        parse("!a (+) !a")
+def test_parse_leaves_duplicate_actions_to_validate():
+    # parse reads the grammar; a repeated action in one choice is
+    # validate's to judge
+    for text in ("!a (+) !a", "?a + ?a"):
+        term = parse(text)
+        assert len(term.branches) == 2
+        assert [v.rule for v in validate(term)] == ["duplicate-action"]
 
 
 def test_parse_mixed_choice_operators_rejected():
@@ -85,14 +89,13 @@ def test_parse_error_carries_position():
     ("!a )", "trailing input ')'", 3),
     ("!a (+) !b + ?c", "cannot mix '(+)' and '+' in one choice", 10),
     ("!a (+) ?b", "choice branches must be action prefixes of matching polarity", 0),
-    ("!a.!a (+) !a", "duplicate action !a in a choice", 0),
     ("!a.rec x . x", "'rec' must start a term (parenthesise it here)", 3),
     ("", "unexpected token ''", 0),
     ("é", "unexpected character 'é'", 0),
     (") $", "unexpected character '$'", 2),
     ("x" * 20000 + "$", "unexpected character '$'", 20000),
     ("!a." * 3000 + "$", "unexpected character '$'", 9000),
-], ids=["ident", "dot", "rpar", "trailing", "mix", "polarity", "duplicate", "rec", "empty",
+], ids=["ident", "dot", "rpar", "trailing", "mix", "polarity", "rec", "empty",
         "non-ascii", "character-first", "long-identifier", "too-deep"])
 def test_parse_error_table(text, message, position):
     # a character that starts no token is reported before any error the
