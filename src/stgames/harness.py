@@ -431,8 +431,9 @@ def correspondence_check(p: SessionType, q: SessionType,
     For finite pairs the comparison is exact.  For recursive pairs both
     sides are taken at the same bound: the game on the depth-``d``
     denotation, compliance on the ``d``-times unfolded types.  Compliance
-    is judged by the turn-based checker, whose system is kept on the
-    verdict.  A compliant pair is also searched for a winning strategy of A
+    is judged by the turn-based checker, whose whole system is kept on the
+    verdict, also past a witness, as the bisimulation check reads all of it.
+    A compliant pair is also searched for a winning strategy of A
     (the corollary); ``strategy_found`` is ``None`` for the others.
     A game arena cut short by the state limit raises :class:`StateLimitError`.
     """
@@ -442,7 +443,8 @@ def correspondence_check(p: SessionType, q: SessionType,
     bounded = contract.bounded_depth is not None
     if bounded:
         p, q = truncate(p, unroll_depth), truncate(q, unroll_depth)
-    compliance = check_compliance_turn(p, q, DEFAULT_STATE_LIMIT, validate_inputs=False)
+    compliance = check_compliance_turn(p, q, DEFAULT_STATE_LIMIT, validate_inputs=False,
+                                       whole_system=True)
     agree = (
         compliance.status != "indeterminate"
         and compliance.is_compliant == eager.winning

@@ -24,11 +24,20 @@ once, across explorations.  A commit's one-branch choice and a written
 buffer are new terms: ``state_key`` prints each when it first names it,
 and its continuation only if that keeps no form yet.  The step relations
 dispatch on a term's constructor once and read each label's kept text.
+
+A compliance check stops early, the on-the-fly idea of Courcoubetis,
+Vardi, Wolper and Yannakakis (FMSD 1992): one bad stuck state settles
+"no".  Each state's moves are computed once, when it is discovered, so a
+stuck state is known as soon as it is reached.  The search ends when the
+level being expanded is finished and one of the states it discovered is a
+bad stuck one.  Every state at that depth is then known with its parent,
+so the least witness (by length, then by labels) is the one the whole
+search gives, and the states at the witness's level are never expanded.
+``explore`` still explores everything.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -172,35 +181,51 @@ class _Exploration:
     parents: dict[str, tuple[str, str] | None]
 
 
-def _explore(config: Configuration, semantics: str, state_limit: int) -> _Exploration:
+def _explore(config: Configuration, semantics: str, state_limit: int,
+             stop_at_witness: bool = False) -> _Exploration:
     if state_limit <= 0:
         raise ValueError("state limit must be positive")
     if semantics not in _MOVES:
         raise ValueError(f"unknown semantics {semantics!r}")
     moves = _MOVES[semantics]
+    done = _CLIENT_DONE[semantics]
     start = state_key(config.left, config.right)
     parents: dict[str, tuple[str, str] | None] = {start: None}
     edges: set[tuple[str, str, str]] = set()
     stuck: dict[str, SessionType] = {}
-    truncated = False
-    queue: deque[tuple[str, SessionType, SessionType]] = deque([(start, config.left, config.right)])
-    while queue:
-        state, current_left, current_right = queue.popleft()
-        successors = [(label, state_key(left, right), left, right)
-                      for label, left, right in moves(current_left, current_right)]
-        if not successors:
-            stuck[state] = current_left
-        elif len(successors) > 1:
-            # terms are not orderable: sort on (label, printed form) only
-            successors.sort(key=_LABEL_AND_KEY)
-        for label, nkey, left, right in successors:
-            if nkey not in parents:
-                if len(parents) >= state_limit:
-                    truncated = True
-                    continue
-                parents[nkey] = (state, label)
-                queue.append((nkey, left, right))
-            edges.add((state, label, nkey))
+    truncated = found_bad = False
+    # each state's moves are computed once, as it is discovered; a stuck
+    # state is recorded then, and a level is queued with its states' moves
+    steps = moves(config.left, config.right)
+    if not steps:
+        stuck[start] = config.left
+    level = [(start, steps)]
+    while level:
+        discovered: list[tuple[str, list[Step]]] = []
+        for state, steps in level:
+            successors = [(label, state_key(left, right), left, right) for label, left, right in steps]
+            if len(successors) > 1:
+                # terms are not orderable: sort on (label, printed form) only
+                successors.sort(key=_LABEL_AND_KEY)
+            for label, nkey, left, right in successors:
+                if nkey not in parents:
+                    if len(parents) >= state_limit:
+                        truncated = True
+                        continue
+                    parents[nkey] = (state, label)
+                    nsteps = moves(left, right)
+                    if nsteps:
+                        discovered.append((nkey, nsteps))
+                    else:
+                        stuck[nkey] = left
+                        if left.__class__ is not done:
+                            found_bad = True
+                edges.add((state, label, nkey))
+        if stop_at_witness and found_bad:
+            # every state of the level just discovered is known with its
+            # parent, and the least witness leads to one of them
+            break
+        level = discovered
     lts = Lts(frozenset(parents), start, frozenset(edges), truncated)
     return _Exploration(lts, stuck, parents)
 
@@ -224,7 +249,16 @@ LIVELOCK_NOTE = "cycles count as compliant: only stuck states are constrained"
 
 @dataclass(frozen=True)
 class ComplianceVerdict:
-    """A compliance verdict; ``lts`` is the system explored, kept for reuse, not in the JSON."""
+    """A compliance verdict.
+
+    ``truncated`` says whether the state limit cut the search the verdict
+    rests on: for a non-compliant verdict, whether it cut a state at or
+    above the witness's depth; otherwise, whether it cut the reachable
+    system.  ``lts`` is the system explored, kept for reuse, not in the
+    JSON: for a non-compliant verdict, the states down to the witness's
+    depth and the edges out of the shallower ones (``whole_system`` on
+    ``check_compliance_turn`` asks for all of it).
+    """
 
     status: str  # "compliant" | "non-compliant" | "indeterminate"
     semantics: str  # "reduction" | "turn"
@@ -258,17 +292,19 @@ def _witness_path(parents: dict[str, tuple[str, str] | None], target: str) -> tu
 
 
 def _check(p: SessionType, q: SessionType, semantics: str, state_limit: int,
-           validate_inputs: bool = True) -> ComplianceVerdict:
+           validate_inputs: bool = True, whole_system: bool = False) -> ComplianceVerdict:
     if validate_inputs:
         assert_valid(p, "client type")
         assert_valid(q, "server type")
-    exploration = _explore(Configuration(p, q), semantics, state_limit)
+    exploration = _explore(Configuration(p, q), semantics, state_limit,
+                           stop_at_witness=not whole_system)
     lts = exploration.lts
     done = _CLIENT_DONE[semantics]
     bad = [key for key, left in exploration.stuck.items() if left.__class__ is not done]
     if bad:
         # each parent chain is a shortest path, as BFS found it; pick the
-        # lexicographically first among the shortest
+        # lexicographically first among the shortest, all of which the
+        # search has reached when it stops at the first bad level
         witness = min((_witness_path(exploration.parents, key) for key in bad),
                       key=lambda w: (len(w), w))
         return ComplianceVerdict("non-compliant", semantics, witness, lts.truncated, lts=lts)
@@ -292,6 +328,11 @@ def check_compliance(p: SessionType, q: SessionType,
 
 def check_compliance_turn(p: SessionType, q: SessionType,
                           state_limit: int = DEFAULT_STATE_LIMIT,
-                          validate_inputs: bool = True) -> ComplianceVerdict:
-    """Decide compliance via the turn-based reformulation (stuck left side is 0)."""
-    return _check(p, q, "turn", state_limit, validate_inputs)
+                          validate_inputs: bool = True,
+                          whole_system: bool = False) -> ComplianceVerdict:
+    """Decide compliance via the turn-based reformulation (stuck left side is 0).
+
+    ``whole_system`` explores every reachable state, up to the limit, also
+    past a witness, so that ``lts`` is the whole turn-based system.
+    """
+    return _check(p, q, "turn", state_limit, validate_inputs, whole_system)

@@ -1205,11 +1205,18 @@ class ReferenceExploration(_Exploration):
     configs: dict
 
 
-def reference_explore(config, semantics, state_limit):
+def reference_explore(config, semantics, state_limit, stop_at_witness=False):
     """Breadth-first exploration as the string-keyed explorer did it: the
     reference step relations, and ``reference_key`` on every successor,
     with a ``Configuration`` kept per state.  Returns the library's
-    ``_Exploration`` record with those configurations added."""
+    ``_Exploration`` record with those configurations added.
+
+    ``stop_at_witness`` applies the compliance checkers' stopping rule
+    after the whole exploration: when a stuck state's printed left side is
+    not ``1`` (reduction) or ``0`` (turn), only the states at depth at most
+    the least such state's depth are kept, with the edges out of the
+    shallower ones, and the system counts as truncated only if the limit
+    cut a state that would have lain at that depth or above."""
     from collections import deque
 
     from stgames.lts import Lts
@@ -1227,7 +1234,8 @@ def reference_explore(config, semantics, state_limit):
     start = reference_key(config)
     seen = {start: config}
     parents, edges, stuck = {start: None}, set(), {}
-    truncated = False
+    depth = {start: 0}
+    cut_depths = []  # the depth each state cut by the limit would have had
     queue = deque([start])
     while queue:
         key = queue.popleft()
@@ -1237,13 +1245,23 @@ def reference_explore(config, semantics, state_limit):
         for label, nkey, nxt in successors:
             if nkey not in seen:
                 if len(seen) >= state_limit:
-                    truncated = True
+                    cut_depths.append(depth[key] + 1)
                     continue
                 seen[nkey] = nxt
                 parents[nkey] = (key, label)
+                depth[nkey] = depth[key] + 1
                 queue.append(nkey)
             edges.add((key, label, nkey))
-    lts = Lts(frozenset(seen), start, frozenset(edges), truncated)
+    done = {"reduction": "1", "turn": "0"}[semantics]
+    bad_depths = [depth[key] for key, left in stuck.items() if reference_pretty(left) != done]
+    if stop_at_witness and bad_depths:
+        last = min(bad_depths)
+        seen = {key: cfg for key, cfg in seen.items() if depth[key] <= last}
+        parents = {key: step for key, step in parents.items() if key in seen}
+        stuck = {key: left for key, left in stuck.items() if key in seen}
+        edges = {edge for edge in edges if depth[edge[0]] < last}
+        cut_depths = [d for d in cut_depths if d <= last]
+    lts = Lts(frozenset(seen), start, frozenset(edges), bool(cut_depths))
     return ReferenceExploration(lts, stuck, parents, seen)
 
 

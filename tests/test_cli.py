@@ -75,6 +75,17 @@ def test_check_indeterminate_exit_two():
     assert data["reduction"]["truncated"] is True
 
 
+def test_check_stops_at_the_witness_level():
+    # each witness is one step deep, so each search stops after the start
+    # state's two successors and the limit of 3 cuts nothing it reads
+    code, text = run(["check", "!a (+) !b.!c.!d", "?b.?c.?d", "--limit", "3"])
+    assert code == 1
+    data = json.loads(text)
+    for semantics in ("reduction", "turn_based"):
+        assert data[semantics]["verdict"] == "non-compliant"
+        assert data[semantics]["truncated"] is False
+
+
 def test_check_livelock_note_under_both_semantics():
     # a recursive pair still has its cycle found, and reported, by each checker
     code, text = run(["check", "rec x . !a.x", "rec y . ?a.y"])

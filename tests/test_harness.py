@@ -185,8 +185,8 @@ def test_asymmetric_rate_recursion_bounded_bisimilar():
 def assert_bounded_correspondence(p, q, depth) -> bool:
     """Whether composing ``p`` and ``q`` at ``depth`` cuts a recursion; if it
     does, the two checkers give one verdict on the truncated types, and
-    their turn-based system is strongly bisimilar to the event-labelled
-    system of the depth-``depth`` composition."""
+    their whole turn-based system is strongly bisimilar to the
+    event-labelled system of the depth-``depth`` composition."""
     contract = compose_session_contracts(p, "A", q, "B", depth)
     if contract.bounded_depth is None:
         return False
@@ -195,7 +195,7 @@ def assert_bounded_correspondence(p, q, depth) -> bool:
     turn = check_compliance_turn(tp, tq, validate_inputs=False)
     case = (pretty(p), pretty(q), depth)
     assert reduction.status == turn.status != "indeterminate", case
-    assert bisim(turn.lts, contract_ets(contract)), case
+    assert bisim(turn_lts(tp, tq), contract_ets(contract)), case
     return True
 
 
@@ -574,9 +574,9 @@ def _count_work(monkeypatch) -> dict[str, int]:
     counts = {"arenas": 0, "explorations": 0}
 
     def counting(key, original):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             counts[key] += 1
-            return original(*args)
+            return original(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(estructure.Arena, "__init__", counting("arenas", estructure.Arena.__init__))
@@ -620,6 +620,18 @@ def test_corpus_names_a_truncations_exploration(monkeypatch):
     summary = run_corpus(CorpusSpec(seed=42, count=5, allow_recursion=True))
     assert [(f["pair"], f["check"], f["detail"]) for f in summary.failures] == [
         (4, "state-limit", "indeterminate: stopped at the state limit of 20: turn-based, event-labelled"),
+    ]
+
+
+def test_corpus_names_only_the_explorations_whose_verdict_was_cut(monkeypatch):
+    # at 10 states, recursive pair 76's compliance searches find their
+    # witnesses before the limit cuts anything, so only the whole turn-based
+    # system of its truncations and its event-labelled system are named
+    monkeypatch.setattr(harness, "DEFAULT_STATE_LIMIT", 10)
+    monkeypatch.setattr(game, "DEFAULT_STATE_LIMIT", 10)
+    summary = run_corpus(CorpusSpec(seed=42, count=77, allow_recursion=True))
+    assert [f["detail"] for f in summary.failures if f["pair"] == 76] == [
+        "indeterminate: stopped at the state limit of 10: turn-based, event-labelled",
     ]
 
 

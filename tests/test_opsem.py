@@ -252,11 +252,15 @@ def _pairs(family):
 
 def assert_explores_as_reference(client, server, semantics, limit) -> bool:
     """The explorer's system, stuck states with their left terms and BFS
-    parents equal the reference explorer's; returns the truncation flag."""
-    got = opsem._explore(Configuration(client, server), semantics, limit)
-    want = reference_explore(Configuration(client, server), semantics, limit)
-    assert (got.lts, got.stuck, got.parents) == (want.lts, want.stuck, want.parents), \
-        (pretty(client), pretty(server), limit)
+    parents equal the reference explorer's, both over the whole system and
+    stopped at the least witness's level; returns the whole system's
+    truncation flag."""
+    config = Configuration(client, server)
+    for stop in (True, False):
+        got = opsem._explore(config, semantics, limit, stop_at_witness=stop)
+        want = reference_explore(config, semantics, limit, stop_at_witness=stop)
+        assert (got.lts, got.stuck, got.parents) == (want.lts, want.stuck, want.parents), \
+            (pretty(client), pretty(server), limit, stop)
     return got.lts.truncated
 
 
@@ -270,7 +274,8 @@ def assert_explores_as_reference(client, server, semantics, limit) -> bool:
 def test_explore_matches_string_keyed_reference(family, limits, semantics, monkeypatch):
     # the explorer against one that prints every successor afresh with its
     # own printer: same states, edges, stuck states with their left terms
-    # and BFS parents, and the same verdicts, truncated runs included
+    # and BFS parents, whole or stopped at the least witness's level, and
+    # the same verdicts, truncated runs included
     pairs = _pairs(family)
     check = check_compliance if semantics == "reduction" else check_compliance_turn
     runs = [(p, q, limit) for p, q in pairs for limit in limits]
@@ -317,16 +322,16 @@ def _least_shortest_paths(lts: Lts) -> dict[str, tuple[str, ...]]:
 
 @pytest.mark.parametrize("semantics", ["reduction", "turn"])
 def test_witness_is_least_shortest_path_to_a_bad_stuck_state(semantics):
-    # stuck states read off the explored system, bad when the printed left
-    # side is not 1 (reduction) or 0 (turn); the witness is the least over
-    # (length, path) of the least shortest paths to them
+    # stuck states read off the whole explored system, bad when the printed
+    # left side is not 1 (reduction) or 0 (turn); the witness is the least
+    # over (length, path) of the least shortest paths to them
     check = check_compliance if semantics == "reduction" else check_compliance_turn
     done = "1" if semantics == "reduction" else "0"
     non_compliant = 0
     for family in ("finite", "recursive", "nested", "large"):
         for p, q in _pairs(family):
             verdict = check(p, q)
-            lts = verdict.lts
+            lts = explore(Configuration(p, q), semantics=semantics)
             assert not lts.truncated
             sources = {source for source, _, _ in lts.edges}
             bad = [state for state in lts.states
@@ -340,6 +345,83 @@ def test_witness_is_least_shortest_path_to_a_bad_stuck_state(semantics):
             assert verdict.status == "non-compliant"
             assert verdict.witness == want, (pretty(p), pretty(q))
     assert non_compliant == 143
+
+
+# -- the stopping rule: a verdict as on the whole system -----------------------
+
+def _judged_on_the_whole_system(p, q, semantics: str, limit: int):
+    """``(status, witness, truncated)`` read off the whole exploration that
+    ``explore`` returns the system of: bad stuck states by their printed
+    left side, the least of their parent chains by length, then labels."""
+    whole = opsem._explore(Configuration(p, q), semantics, limit)
+    done = "1" if semantics == "reduction" else "0"
+
+    def chain(state):
+        labels = []
+        while whole.parents[state] is not None:
+            state, label = whole.parents[state]
+            labels.append(label)
+        return tuple(reversed(labels))
+
+    bad = [state for state, left in whole.stuck.items() if pretty(left) != done]
+    if bad:
+        return "non-compliant", min(map(chain, bad), key=lambda w: (len(w), w)), whole.lts.truncated
+    return "indeterminate" if whole.lts.truncated else "compliant", None, whole.lts.truncated
+
+
+# how many verdicts, over the limits 7, 30 and 10**5, the limit cuts only
+# below the least witness's level
+CUT_ONLY_BELOW_THE_WITNESS = {
+    ("finite", "reduction"): 2, ("finite", "turn"): 6,
+    ("recursive", "reduction"): 2, ("recursive", "turn"): 1,
+    ("large", "reduction"): 0, ("large", "turn"): 0,
+    ("nested", "reduction"): 10, ("nested", "turn"): 12,
+}
+
+
+@pytest.mark.parametrize("semantics", ["reduction", "turn"])
+@pytest.mark.parametrize("family", ["finite", "recursive", "large", "nested"])
+def test_verdicts_stopped_at_the_witness_level_are_whole_system_verdicts(family, semantics):
+    # a checker that stops at the least witness's level gives the status and
+    # witness of the whole system; its truncation flag differs only on a
+    # non-compliant verdict whose whole system the limit cut
+    check = check_compliance if semantics == "reduction" else check_compliance_turn
+    stopped = 0
+    for p, q in _pairs(family):
+        for limit in (7, 30, 10**5):
+            verdict = check(p, q, limit)
+            status, witness, truncated = _judged_on_the_whole_system(p, q, semantics, limit)
+            case = (pretty(p), pretty(q), limit)
+            assert (verdict.status, verdict.witness) == (status, witness), case
+            if verdict.truncated != truncated:
+                assert status == "non-compliant" and truncated and not verdict.truncated, case
+                stopped += 1
+    assert stopped == CUT_ONLY_BELOW_THE_WITNESS[family, semantics]
+
+
+@pytest.mark.parametrize("semantics", ["reduction", "turn"])
+def test_check_stops_at_a_shallow_witness(semantics):
+    # a bad stuck state one step from the start ends the search at once:
+    # the 300-prefix compliant branch is never followed
+    check = check_compliance if semantics == "reduction" else check_compliance_turn
+    chain, dual_chain = ".".join(["!c"] * 300), ".".join(["?c"] * 300)
+    p, q = parse(f"!a (+) !b.{chain}"), parse(f"?b.{dual_chain}")
+    verdict = check(p, q)
+    assert verdict.status == "non-compliant" and len(verdict.witness) == 1
+    assert not verdict.truncated
+    assert len(verdict.lts.states) <= 5
+    assert len(explore(Configuration(p, q), semantics=semantics).states) > 300
+
+
+@pytest.mark.parametrize("semantics,client,server", [
+    ("reduction", "!a", "1"), ("reduction", "?a", "?a"), ("turn", "?a", "?a"),
+])
+def test_a_bad_start_state_is_the_empty_witness(semantics, client, server):
+    check = check_compliance if semantics == "reduction" else check_compliance_turn
+    verdict = check(parse(client), parse(server))
+    assert (verdict.status, verdict.witness, verdict.truncated) == ("non-compliant", (), False)
+    assert verdict.lts.states == {verdict.lts.initial} and not verdict.lts.edges
+    assert verdict.to_json()["witness"] == []
 
 
 # -- oracle: the step relations -------------------------------------------------
